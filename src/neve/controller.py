@@ -30,10 +30,8 @@ class ControllerConfig:
     epsilon: float = 1e-3
     alpha: float = 0.1
     patience: int = 5
-    mu_vel: float = 0.5
     plateau_rel_span: float = 0.05
     cooldown: int | None = None
-    max_epochs: int = 250
     min_lr: float | None = None
 
     def __post_init__(self):

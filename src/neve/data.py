@@ -323,6 +323,8 @@ def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Augmentation
 
+AUGMENT_KINDS = ("none", "pad_crop_flip")
+
 
 @dataclass(frozen=True)
 class AugmentRecipe:
@@ -338,7 +340,7 @@ class AugmentRecipe:
     crop: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "pad_crop_flip"):
+        if self.kind not in AUGMENT_KINDS:
             raise ConfigError(f"unknown augmentation recipe {self.kind!r}")
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: train, compare, sweeps and the epsilon analysis.
 
-Every flag overrides the matching key of the (optional) JSON config
-file. The default output directory comes from NEVE_OUT_DIR when set;
-the --out flag wins over both.
+Every flag in FLAGS overrides the matching key of the (optional) JSON
+config file. Flag values are checked by the config itself: an invalid
+one exits with code 2 and an error naming the field. The default output
+directory comes from NEVE_OUT_DIR when set; the --out flag wins over both.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import get_args, get_origin
 
 from ..controller import epsilon_analysis
 from ..errors import ConfigError, NeveError
-from .config import ExperimentConfig, config_from_file, merge_overrides
+from .config import ExperimentConfig, config_from_file, field_types, merge_overrides
 from .runner import emit_csv, emit_plots, run_training, summarize_results
 from .svg import line_chart
 
@@ -34,90 +36,60 @@ def _parse_names(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+# flag -> dotted config key; the field's annotation gives the flag's type
+FLAGS = {
+    "--seeds": "seeds", "--max-epochs": "max_epochs", "--batch-size": "batch_size",
+    "--dataset": "dataset.name", "--subset": "dataset.subset",
+    "--val-fraction": "dataset.validation_fraction", "--augment": "dataset.augment",
+    "--normalize": "dataset.normalize", "--data-seed": "dataset.data_seed",
+    "--n-samples": "dataset.n_samples", "--n-classes": "dataset.n_classes",
+    "--sigma": "dataset.sigma", "--noise": "dataset.noise",
+    "--test-samples": "dataset.test_samples",
+    "--train-images": "dataset.train_images", "--train-labels": "dataset.train_labels",
+    "--test-images": "dataset.test_images", "--test-labels": "dataset.test_labels",
+    "--arch": "arch", "--optimizer": "optimizer.kind", "--lr": "optimizer.lr",
+    "--momentum": "optimizer.momentum", "--weight-decay": "optimizer.weight_decay",
+    "--scheduler": "scheduler.kind", "--epsilon": "scheduler.epsilon",
+    "--alpha": "scheduler.alpha", "--patience": "scheduler.patience",
+    "--rel-span": "scheduler.plateau_rel_span", "--cooldown": "scheduler.cooldown",
+    "--mu-vel": "scheduler.mu_vel", "--milestones": "scheduler.milestones",
+    "--factor": "scheduler.factor", "--vloss-patience": "scheduler.vloss_patience",
+    "--stop-patience": "scheduler.stop_patience",
+    "--aux-source": "aux.source", "--aux-count": "aux.count", "--aux-seed": "aux.seed",
+    "--probe-aux": "probe_aux", "--no-probe": "probe_velocity",
+    "--dump-velocity": "dump_velocity",
+}
+
+
+def _flag_type(hint):
+    """argparse type for a field annotation; values are checked by validate()."""
+    if get_origin(hint) is tuple:
+        return {int: _parse_ints, str: _parse_names}[get_args(hint)[0]]
+    if hint is object:          # arch: the shorthand string
+        return str
+    args = [a for a in get_args(hint) if a is not type(None)]   # X | None -> X
+    return args[0] if args else hint
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory (default $NEVE_OUT_DIR or ./neve-out)")
-    p.add_argument("--seeds", type=_parse_ints, help="comma-separated run seeds")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    # dataset
-    p.add_argument("--dataset", choices=["blobs", "digits", "idx", "cifar10"])
-    p.add_argument("--subset", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--augment", choices=["none", "pad_crop_flip"])
-    p.add_argument("--normalize", action="store_const", const=True, default=None)
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--n-classes", type=int, dest="n_classes")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--test-samples", type=int, dest="test_samples")
-    p.add_argument("--train-images", dest="train_images")
-    p.add_argument("--train-labels", dest="train_labels")
-    p.add_argument("--test-images", dest="test_images")
-    p.add_argument("--test-labels", dest="test_labels")
-    # model / optimizer
-    p.add_argument("--arch")
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    # scheduler
-    p.add_argument("--scheduler", choices=["neve", "fixed", "step_decay", "vloss"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--rel-span", type=float, dest="rel_span")
-    p.add_argument("--cooldown", type=int)
-    p.add_argument("--mu-vel", type=float, dest="mu_vel")
-    p.add_argument("--milestones", type=_parse_ints)
-    p.add_argument("--factor", type=float)
-    p.add_argument("--vloss-patience", type=int, dest="vloss_patience")
-    p.add_argument("--stop-patience", type=int, dest="stop_patience")
-    # aux / probing
-    p.add_argument("--aux-source", choices=["noise", "heldout", "train"], dest="aux_source")
-    p.add_argument("--aux-count", type=int, dest="aux_count")
-    p.add_argument("--aux-seed", type=int, dest="aux_seed")
-    p.add_argument("--probe-aux", type=_parse_names, dest="probe_aux",
-                   help="extra velocity sources, e.g. noise,heldout,train")
-    p.add_argument("--no-probe", action="store_const", const=False, default=None,
-                   dest="probe_velocity")
-    p.add_argument("--dump-velocity", action="store_const", const=True, default=None,
-                   dest="dump_velocity")
-
-
-_OVERRIDE_KEYS = {
-    "seeds": "seeds", "max_epochs": "max_epochs", "batch_size": "batch_size",
-    "dataset": "dataset.name", "subset": "dataset.subset",
-    "val_fraction": "dataset.validation_fraction", "augment": "dataset.augment",
-    "normalize": "dataset.normalize", "data_seed": "dataset.data_seed",
-    "n_samples": "dataset.n_samples", "n_classes": "dataset.n_classes",
-    "sigma": "dataset.sigma", "noise": "dataset.noise",
-    "test_samples": "dataset.test_samples",
-    "train_images": "dataset.train_images", "train_labels": "dataset.train_labels",
-    "test_images": "dataset.test_images", "test_labels": "dataset.test_labels",
-    "arch": "arch", "optimizer": "optimizer.kind", "lr": "optimizer.lr",
-    "momentum": "optimizer.momentum", "weight_decay": "optimizer.weight_decay",
-    "scheduler": "scheduler.kind", "epsilon": "scheduler.epsilon",
-    "alpha": "scheduler.alpha", "patience": "scheduler.patience",
-    "rel_span": "scheduler.plateau_rel_span", "cooldown": "scheduler.cooldown",
-    "mu_vel": "scheduler.mu_vel", "milestones": "scheduler.milestones",
-    "factor": "scheduler.factor", "vloss_patience": "scheduler.vloss_patience",
-    "stop_patience": "scheduler.stop_patience",
-    "aux_source": "aux.source", "aux_count": "aux.count", "aux_seed": "aux.seed",
-    "probe_aux": "probe_aux", "probe_velocity": "probe_velocity",
-    "dump_velocity": "dump_velocity",
-}
+    defaults = ExperimentConfig()
+    for flag, key in FLAGS.items():
+        hint, default = ExperimentConfig, defaults
+        for part in key.split("."):
+            hint, default = field_types(hint)[part], getattr(default, part)
+        if hint is bool:
+            p.add_argument(flag, dest=key, action="store_const", const=not default,
+                           default=None, help=f"set {key} to {not default}")
+        else:
+            p.add_argument(flag, dest=key, type=_flag_type(hint),
+                           help="comma-separated" if get_origin(hint) is tuple else None)
 
 
 def resolve_config(args) -> ExperimentConfig:
     cfg = config_from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for attr, key in _OVERRIDE_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = list(value) if isinstance(value, tuple) else value
-    return merge_overrides(cfg, overrides)
+    return merge_overrides(cfg, {key: getattr(args, key) for key in FLAGS.values()})
 
 
 def ensure_out_dir(args) -> Path:

@@ -9,26 +9,43 @@ output directory for provenance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
+from ..data import AUGMENT_KINDS
 from ..errors import ConfigError
 
 AUX_SOURCES = ("noise", "heldout", "train")
 
 
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass (shared; read only)."""
+    return get_type_hints(cls)
+
+
 def _from_dict(cls, raw: dict, prefix: str):
-    known = {f.name for f in fields(cls)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config field '{prefix}{key}'")
+    """Build ``cls`` from plain dicts, recursing into nested specs.
+
+    The field annotations drive the conversion: JSON lists become tuples,
+    except where a field is annotated ``object`` (``arch`` keeps its list
+    of layer dicts). Unknown keys raise ConfigError naming the dotted field.
+    """
+    hints = field_types(cls)
     kwargs = {}
-    for f in fields(cls):
-        if f.name in raw:
-            value = raw[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[f.name] = value
+    for key, value in raw.items():
+        if key not in hints:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config field '{prefix}{key}' must be a mapping")
+            value = _from_dict(hint, value, f"{prefix}{key}.")
+        elif isinstance(value, list) and hint is not object:
+            value = tuple(value)
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -44,7 +61,7 @@ class DatasetSpec:
     subset: int | None = None
     validation_fraction: float = 0.0
     split_seed: int = 0
-    augment: str = "none"                # none | pad_crop_flip
+    augment: str = "none"                # one of AUGMENT_KINDS
     normalize: bool = False
     data_seed: int = 0
     # synthetic generator knobs
@@ -69,6 +86,9 @@ class DatasetSpec:
             raise ConfigError(
                 f"dataset.validation_fraction must lie in [0, 1), "
                 f"got {self.validation_fraction}")
+        if self.augment not in AUGMENT_KINDS:
+            raise ConfigError(
+                f"dataset.augment must be one of {AUGMENT_KINDS}, got {self.augment!r}")
         if self.name == "idx":
             for key in ("train_images", "train_labels", "test_images", "test_labels"):
                 if getattr(self, key) is None:
@@ -107,7 +127,7 @@ class SchedulerSpec:
     cooldown: int | None = None
     min_lr: float | None = None
     # step decay
-    milestones: tuple = ()
+    milestones: tuple[int, ...] = ()
     factor: float = 0.1
     # validation-loss scheduler
     vloss_patience: int = 5
@@ -139,11 +159,11 @@ class ExperimentConfig:
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
     aux: AuxSpec = field(default_factory=AuxSpec)
-    probe_aux: tuple = ()                 # extra velocity sources to track
+    probe_aux: tuple[str, ...] = ()       # extra velocity sources to track
     probe_velocity: bool = True
     max_epochs: int = 200
     batch_size: int = 64
-    seeds: tuple = (1,)
+    seeds: tuple[int, ...] = (1,)
     out_dir: str | None = None
     dump_velocity: bool = False
 
@@ -168,7 +188,7 @@ class ExperimentConfig:
         if self.scheduler.kind == "neve" and not self.probe_velocity:
             raise ConfigError("scheduler.kind 'neve' requires probe_velocity")
         sources = set(self.probe_aux)
-        if self.scheduler.kind == "neve" or self.probe_velocity:
+        if self.probe_velocity:
             sources.add(self.aux.source)
         if "heldout" in sources and self.dataset.validation_fraction <= 0:
             raise ConfigError(
@@ -195,25 +215,7 @@ class ExperimentConfig:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from nested plain dicts."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config field {key!r}")
-    kwargs: dict = {}
-    for name, cls in (("dataset", DatasetSpec), ("optimizer", OptimizerSpec),
-                      ("scheduler", SchedulerSpec), ("aux", AuxSpec)):
-        if name in raw:
-            sub = raw[name]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config field {name!r} must be a mapping")
-            kwargs[name] = _from_dict(cls, sub, f"{name}.")
-    for name in known - {"dataset", "optimizer", "scheduler", "aux"}:
-        if name in raw:
-            value = raw[name]
-            if isinstance(value, list) and name != "arch":
-                value = tuple(value)
-            kwargs[name] = value
-    cfg = ExperimentConfig(**kwargs)
+    cfg = _from_dict(ExperimentConfig, raw, "")
     cfg.validate()
     return cfg
 

@@ -5,7 +5,7 @@ train all batches, snapshot the aux set after the last optimizer step,
 turn snapshots into change rates and velocities, and ask the configured
 scheduler for a verdict (continue, rescale the learning rate, or stop).
 Identical (config, seed) pairs reproduce every recorded number except
-wall-clock times.
+wall-clock times, at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
 def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
     """Freeze one AuxSet per requested velocity source."""
     sources = set(cfg.probe_aux)
-    if cfg.scheduler.kind == "neve" or cfg.probe_velocity:
+    if cfg.probe_velocity:
         sources.add(cfg.aux.source)
     aux_sets = {}
     for src in sorted(sources):
@@ -138,8 +138,7 @@ def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxS
 def _controller_config(cfg: ExperimentConfig) -> ControllerConfig:
     s = cfg.scheduler
     return ControllerConfig(epsilon=s.epsilon, alpha=s.alpha, patience=s.patience,
-                            mu_vel=s.mu_vel, plateau_rel_span=s.plateau_rel_span,
-                            cooldown=s.cooldown, max_epochs=cfg.max_epochs,
+                            plateau_rel_span=s.plateau_rel_span, cooldown=s.cooldown,
                             min_lr=s.min_lr)
 
 
@@ -180,9 +179,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     ctrl_cfg = _controller_config(cfg) if sched_kind == "neve" else None
     base_cfg = _baseline_config(cfg) if sched_kind != "neve" else None
 
-    probing = cfg.probe_velocity or sched_kind == "neve"
-    aux_sets = build_aux_sets(cfg, train, val) if probing else {}
-    primary = cfg.aux.source if probing else None
+    aux_sets = build_aux_sets(cfg, train, val) if cfg.probe_velocity else {}
+    primary = cfg.aux.source if cfg.probe_velocity else None
     states = {src: VelocityState.initial(model.n_probed_neurons, cfg.scheduler.mu_vel)
               for src in aux_sets}
     snapshots = {src: _snapshot(model, aux, 0) for src, aux in aux_sets.items()}

@@ -5,7 +5,11 @@ of epochs) so the whole module stays fast; the heavier end-to-end
 behavior lives in the acceptance suite.
 """
 
+import importlib.util
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,8 @@ from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
                              records_to_csv, replay_neve_decisions, run_suite,
                              run_training, summarize_results)
-from neve.experiment.cli import main
+from neve.experiment import ExperimentConfig
+from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
 from neve.experiment.runner import RunResult
 
 
@@ -40,6 +45,8 @@ class TestConfig:
             config_from_dict({"velocity_threshold": 1e-3})
         with pytest.raises(ConfigError, match="scheduler.epsilonn"):
             config_from_dict({"scheduler": {"epsilonn": 1e-3}})
+        with pytest.raises(ConfigError, match="'dataset' must be a mapping"):
+            config_from_dict({"dataset": 3})
 
     def test_vloss_requires_validation_split(self):
         with pytest.raises(ConfigError, match="validation_fraction"):
@@ -54,11 +61,23 @@ class TestConfig:
             tiny_cfg(dataset={"name": "idx"})
 
     def test_file_round_trip(self, tmp_path):
-        cfg = tiny_cfg()
-        p = tmp_path / "cfg.json"
-        with open(p, "w") as f:
-            json.dump(cfg.to_dict(), f)
-        assert config_from_file(p) == cfg
+        # JSON turns every tuple into a list; loading turns them back,
+        # except in arch, whose list of layer dicts stays a list
+        conv = tiny_cfg(
+            dataset={"name": "cifar10", "cifar_train_paths": ["b1.bin", "b2.bin"],
+                     "validation_fraction": 0.2},
+            arch=[{"kind": "conv", "out_channels": 4, "kernel": 3},
+                  {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}],
+            optimizer={"kind": "adam", "betas": [0.8, 0.99]},
+            scheduler={"kind": "step_decay", "milestones": [3, 6]},
+            probe_aux=["heldout", "train"])
+        assert conv.scheduler.milestones == (3, 6)
+        assert isinstance(conv.arch, list)
+        for cfg in (tiny_cfg(), conv):
+            p = tmp_path / "cfg.json"
+            with open(p, "w") as f:
+                json.dump(cfg.to_dict(), f)
+            assert config_from_file(p) == cfg
 
     def test_merge_overrides(self):
         cfg = tiny_cfg()
@@ -376,3 +395,94 @@ class TestCli:
         assert (env_dir / "run_seed1.csv").exists()
         assert main(args + ["--out", str(flag_dir)]) == 0
         assert (flag_dir / "run_seed1.csv").exists()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# a valid non-default command-line value per field, and its parsed value;
+# int and float fields not listed take 7 and 0.375
+FLAG_SAMPLES = {
+    "seeds": ("3,4", (3, 4)), "arch": ("mlp:2-8-4", "mlp:2-8-4"),
+    "dataset.name": ("digits", "digits"), "dataset.subset": ("7", 7),
+    "dataset.augment": ("pad_crop_flip", "pad_crop_flip"),
+    "dataset.train_images": ("a", "a"), "dataset.train_labels": ("b", "b"),
+    "dataset.test_images": ("c", "c"), "dataset.test_labels": ("d", "d"),
+    "optimizer.kind": ("adam", "adam"), "scheduler.kind": ("step_decay", "step_decay"),
+    "scheduler.cooldown": ("7", 7), "scheduler.milestones": ("3,4", (3, 4)),
+    "aux.source": ("train", "train"), "probe_aux": ("noise, train", ("noise", "train")),
+}
+
+
+def _field(cfg, key):
+    for part in key.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def _readme_commands():
+    """argv (without `neve`) of every command in the README's sh blocks."""
+    text = (REPO / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "neve":
+                commands.append(argv[1:])
+    return commands
+
+
+def _workload_module():
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag,key", sorted(FLAGS.items()))
+    def test_flag_sets_its_config_field(self, flag, key):
+        default = _field(ExperimentConfig(), key)
+        base = ["train", "--scheduler", "fixed"]   # fixed: --no-probe is valid
+        if isinstance(default, bool):
+            argv, expected = [flag], not default
+        else:
+            samples = {int: ("7", 7), float: ("0.375", 0.375)}
+            text, expected = FLAG_SAMPLES.get(key) or samples[type(default)]
+            argv = [flag, text]
+        assert expected != default
+        cfg = resolve_config(build_parser().parse_args(base + argv))
+        assert _field(cfg, key) == expected
+
+    @pytest.mark.parametrize("flag,key", [
+        ("--dataset", "dataset.name"), ("--optimizer", "optimizer.kind"),
+        ("--scheduler", "scheduler.kind"), ("--aux-source", "aux.source"),
+        ("--augment", "dataset.augment")])
+    def test_invalid_value_exits_2_naming_field(self, flag, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", flag, "bogus", "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_flags_accepted(self, capsys):
+        commands = _readme_commands()
+        assert len(commands) >= 8
+        for argv in commands:
+            build_parser().parse_args(argv)
+        # flags the prose names in backticks belong to `neve train`
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        train_help = capsys.readouterr().out
+        prose = set(re.findall(r"`(--[a-z-]+)", (REPO / "README.md").read_text()))
+        assert prose
+        for flag in prose:
+            assert re.search(rf"{flag}(?![\w-])", train_help), flag
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_benchmark_workload_commands_resolve(self, smoke, tmp_path):
+        workloads = _workload_module()
+        for name in workloads.WORKLOADS:
+            out = tmp_path / name
+            out.mkdir()
+            args = build_parser().parse_args(workloads.cli_args(name, 7, out, smoke))
+            resolve_config(args)
