@@ -152,8 +152,9 @@ class BaselineSchedulerConfig:
             raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
         if not 0.0 < self.factor < 1.0:
             raise ConfigError(f"factor must lie in (0, 1), got {self.factor}")
-        if self.patience < 1 or self.stop_patience < 1:
-            raise ConfigError("patience and stop_patience must be >= 1")
+        for name in ("patience", "stop_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def baseline_decide(cfg: BaselineSchedulerConfig, signals, lr: float,

@@ -58,7 +58,13 @@ class Dense:
 class Conv2d:
     """2-D convolution on (batch, channels, height, width) inputs.
 
-    Implemented via im2col so both passes reduce to matrix products.
+    im2col lays the input patches out channel-major, as a (c*k*k, b*oh*ow)
+    matrix whose rows follow the (c, ki, kj) order of the flattened kernel
+    and whose columns run over (sample, output row, output column). Each
+    pass is then one 2-D GEMM: forward ``W (f, c*k*k) @ cols``; backward
+    ``g @ cols.T`` for the weights and ``W.T @ g`` for the input, with
+    ``g`` the output gradient as (f, b*oh*ow). Outputs and input gradients
+    are returned as (b, ., h, w) views of channel-major buffers.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -108,44 +114,41 @@ class Conv2d:
         k, s, p = self.kernel, self.stride, self.pad
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((b, c, k, k, oh, ow))
+        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = np.empty((c, k, k, b, oh, ow))
         for i in range(k):
             for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        return cols.reshape(b, c * k * k, oh * ow)
+                cols[:, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+        return cols.reshape(c * k * k, b * oh * ow)
 
     def _col2im(self, cols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
         b, c, h, w = x_shape
         k, s, p = self.kernel, self.stride, self.pad
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        cols = cols.reshape(b, c, k, k, oh, ow)
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        cols = cols.reshape(c, k, k, b, oh, ow)
+        xp = np.zeros((c, b, h + 2 * p, w + 2 * p))
         for i in range(k):
             for j in range(k):
-                xp[:, :, i:i + s * oh:s, j:j + s * ow:s] += cols[:, :, i, j]
-        return xp[:, :, p:p + h, p:p + w]
+                xp[:, :, i:i + s * oh:s, j:j + s * ow:s] += cols[:, i, j]
+        return xp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
         cols = self._im2col(x)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        out = np.einsum("fk,bkp->bfp", w_mat, cols)
-        out = out.reshape(b, self.out_channels, oh, ow) + self.params["b"][None, :, None, None]
+        out = self.params["W"].reshape(self.out_channels, -1) @ cols
+        out += self.params["b"][:, None]
         self._cache = (x.shape, cols)
-        return out
+        return out.reshape(self.out_channels, b, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_shape, cols = self._cache
-        b = grad.shape[0]
-        g = grad.reshape(b, self.out_channels, -1)
+        g = grad.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         w_mat = self.params["W"].reshape(self.out_channels, -1)
-        self.grads["W"] = np.einsum("bfp,bkp->fk", g, cols).reshape(self.params["W"].shape)
-        self.grads["b"] = g.sum(axis=(0, 2))
-        dcols = np.einsum("fk,bfp->bkp", w_mat, g)
-        return self._col2im(dcols, x_shape)
+        self.grads["W"] = (g @ cols.T).reshape(self.params["W"].shape)
+        self.grads["b"] = g.sum(axis=1)
+        return self._col2im(w_mat.T @ g, x_shape)
 
 
 class ReLU:

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
+from ..controller import BaselineSchedulerConfig, ControllerConfig
 from ..data import AUGMENT_KINDS
 from ..errors import ConfigError
 
@@ -133,9 +134,32 @@ class SchedulerSpec:
     vloss_patience: int = 5
     stop_patience: int = 10
 
+    def controller_config(self) -> ControllerConfig:
+        return ControllerConfig(epsilon=self.epsilon, alpha=self.alpha, patience=self.patience,
+                                plateau_rel_span=self.plateau_rel_span,
+                                cooldown=self.cooldown, min_lr=self.min_lr)
+
+    def baseline_config(self, kind: str, milestones: tuple[int, ...]) -> BaselineSchedulerConfig:
+        return BaselineSchedulerConfig(kind=kind, milestones=milestones, factor=self.factor,
+                                       patience=self.vloss_patience,
+                                       stop_patience=self.stop_patience)
+
     def validate(self) -> None:
         if self.kind not in ("neve", "fixed", "step_decay", "vloss"):
             raise ConfigError(f"scheduler.kind: unknown scheduler {self.kind!r}")
+        # The two config types own the ranges. Both are built whatever the
+        # kind, because one spec drives every kind in `neve compare`.
+        try:
+            self.controller_config()
+        except ConfigError as exc:
+            raise ConfigError(f"scheduler.{exc}") from None
+        try:
+            self.baseline_config("step_decay", self.milestones)
+        except ConfigError as exc:
+            msg = str(exc)
+            if msg.startswith("patience"):      # the baseline's patience is vloss_patience
+                msg = "vloss_" + msg
+            raise ConfigError(f"scheduler.{msg}") from None
 
 
 @dataclass(frozen=True)

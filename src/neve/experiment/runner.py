@@ -96,8 +96,11 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
         test = data_mod.gen_digits(spec.test_samples, seed=spec.data_seed + _TEST_SEED_OFFSET,
                                    noise=spec.noise, shift=spec.shift)
     elif spec.name == "idx":
-        train = data_mod.load_idx(spec.train_images, spec.train_labels, name="idx-train")
-        test = data_mod.load_idx(spec.test_images, spec.test_labels, name="idx-test")
+        # named by their label files, which set each split's class count
+        train = data_mod.load_idx(spec.train_images, spec.train_labels,
+                                  name=str(spec.train_labels))
+        test = data_mod.load_idx(spec.test_images, spec.test_labels,
+                                 name=str(spec.test_labels))
     else:
         train = data_mod.load_cifar10(list(spec.cifar_train_paths), name="cifar10-train")
         if spec.cifar_test_paths:
@@ -135,22 +138,13 @@ def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxS
     return aux_sets
 
 
-def _controller_config(cfg: ExperimentConfig) -> ControllerConfig:
-    s = cfg.scheduler
-    return ControllerConfig(epsilon=s.epsilon, alpha=s.alpha, patience=s.patience,
-                            plateau_rel_span=s.plateau_rel_span, cooldown=s.cooldown,
-                            min_lr=s.min_lr)
-
-
 def _baseline_config(cfg: ExperimentConfig) -> BaselineSchedulerConfig:
     s = cfg.scheduler
     milestones = s.milestones
     if s.kind == "step_decay" and not milestones:
         # conventional fallback: decay at 1/2 and 3/4 of the budget
         milestones = (cfg.max_epochs // 2, (3 * cfg.max_epochs) // 4)
-    return BaselineSchedulerConfig(kind=s.kind, milestones=tuple(milestones),
-                                   factor=s.factor, patience=s.vloss_patience,
-                                   stop_patience=s.stop_patience)
+    return s.baseline_config(s.kind, tuple(milestones))
 
 
 def _snapshot(model, aux: data_mod.AuxSet, epoch: int):
@@ -170,13 +164,17 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
         train_full, data_mod.SplitSpec(cfg.dataset.validation_fraction,
                                        cfg.dataset.split_seed))
     model = build_model(cfg.arch, seed=seed, input_shape=train.input_shape)
+    if test.n_classes != train_full.n_classes or train_full.n_classes > model.n_classes:
+        raise ConfigError(
+            f"{train_full.name} has {train_full.n_classes} classes and {test.name} has "
+            f"{test.n_classes}; they must agree and fit the {model.n_classes}-way model head")
     opt = Optimizer(kind=cfg.optimizer.kind, lr=cfg.optimizer.lr,
                     momentum=cfg.optimizer.momentum,
                     weight_decay=cfg.optimizer.weight_decay,
                     betas=cfg.optimizer.betas, eps=cfg.optimizer.eps)
     recipe = data_mod.AugmentRecipe(cfg.dataset.augment)
     sched_kind = cfg.scheduler.kind
-    ctrl_cfg = _controller_config(cfg) if sched_kind == "neve" else None
+    ctrl_cfg = cfg.scheduler.controller_config() if sched_kind == "neve" else None
     base_cfg = _baseline_config(cfg) if sched_kind != "neve" else None
 
     aux_sets = build_aux_sets(cfg, train, val) if cfg.probe_velocity else {}

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from neve.engine import (Dense, Optimizer, backward_and_step, build_model,
+from neve.engine import (Conv2d, Dense, Optimizer, backward_and_step, build_model,
                          compute_gradients, cross_entropy, evaluate)
 from neve.errors import ConfigError, NumericError
 
@@ -188,6 +188,58 @@ class TestGradients:
         Optimizer(lr=0.1).step(_Single())
         assert layer.params["W"][0, 0] == 1.0 - 0.1 * 4.0
         assert layer.params["b"][0] == 0.0 - 0.1 * 2.0
+
+
+def loop_conv(x, W, bias, stride, pad, grad):
+    """Direct convolution by explicit loops over samples, filters and output
+    positions, with its backward pass for the upstream gradient ``grad``.
+    Returns (y, dx, dW, db); shares no code with Conv2d."""
+    b, c, h, w = x.shape
+    f, _, k, _ = W.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    y = np.zeros((b, f, oh, ow))
+    dxp = np.zeros_like(xp)
+    dW = np.zeros_like(W)
+    for n in range(b):
+        for o in range(f):
+            for r in range(oh):
+                for q in range(ow):
+                    rows = slice(r * stride, r * stride + k)
+                    cols = slice(q * stride, q * stride + k)
+                    y[n, o, r, q] = np.sum(xp[n, :, rows, cols] * W[o]) + bias[o]
+                    dW[o] += grad[n, o, r, q] * xp[n, :, rows, cols]
+                    dxp[n, :, rows, cols] += grad[n, o, r, q] * W[o]
+    return y, dxp[:, :, pad:pad + h, pad:pad + w], dW, grad.sum(axis=(0, 2, 3))
+
+
+class TestConv:
+    # (batch, in, out, h, w, kernel, stride, pad); several cases leave
+    # (h + 2 pad - k) or (w + 2 pad - k) not divisible by the stride
+    @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", [
+        (1, 1, 1, 5, 5, 1, 1, 0),
+        (2, 3, 4, 5, 7, 3, 1, 1),
+        (3, 2, 5, 6, 8, 3, 2, 0),
+        (1, 4, 2, 7, 6, 3, 2, 2),
+        (2, 1, 3, 4, 5, 1, 2, 1),
+        (2, 3, 2, 9, 4, 3, 1, 2),
+        (1, 2, 6, 8, 11, 3, 2, 1),
+    ])
+    def test_matches_loop_reference(self, b, c, f, h, w, k, stride, pad):
+        rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
+        layer = Conv2d(c, f, k, stride, pad)
+        layer.init_params(rng)
+        layer.params["b"] = rng.standard_normal(f)
+        x = rng.standard_normal((b, c, h, w))
+        y = layer.forward(x)
+        grad = rng.standard_normal(y.shape)
+        dx = layer.backward(grad)
+        ref = loop_conv(x, layer.params["W"], layer.params["b"], stride, pad, grad)
+        for got, want in zip((y, dx, layer.grads["W"], layer.grads["b"]), ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestOptimizers:

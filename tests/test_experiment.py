@@ -11,9 +11,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neve.controller import ControllerConfig
+from neve.data import Dataset, write_idx
 from neve.errors import ConfigError
 from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
@@ -191,6 +193,30 @@ class TestRunTraining:
             backward_and_step(model, train.samples[:64], train.labels[:64], opt)
             _snapshot(model, aux, epoch)
             assert aux.content_hash() == h0
+
+    @pytest.mark.parametrize("train_classes,test_classes,head", [
+        (4, 3, 4),     # the test file lacks the top class
+        (3, 4, 3),     # a test label at the head width
+        (4, 4, 3)])    # both files exceed the head
+    def test_idx_class_counts_checked_before_training(self, tmp_path, train_classes,
+                                                      test_classes, head):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split, classes in (("train", train_classes), ("test", test_classes)):
+            labels = np.arange(12) % classes
+            ds = Dataset(split, rng.random((12, 1, 4, 4)), labels, classes)
+            paths[split] = (tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx")
+            write_idx(ds, *paths[split])
+        cfg = tiny_cfg(
+            dataset={"name": "idx", "train_images": str(paths["train"][0]),
+                     "train_labels": str(paths["train"][1]),
+                     "test_images": str(paths["test"][0]),
+                     "test_labels": str(paths["test"][1])},
+            arch=f"mlp:16-8-{head}", scheduler={"kind": "fixed"}, max_epochs=2)
+        with pytest.raises(ConfigError) as exc:
+            run_training(cfg, seed=1)
+        assert str(paths["train"][1]) in str(exc.value)
+        assert str(paths["test"][1]) in str(exc.value)
 
     def test_velocity_dump_schema(self, tmp_path):
         cfg = tiny_cfg(max_epochs=3, scheduler={"kind": "fixed"})
@@ -462,6 +488,20 @@ class TestFlags:
         out = tmp_path / "out"
         assert main(["train", flag, "bogus", "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--alpha", "1.5", "scheduler.alpha"), ("--epsilon", "0", "scheduler.epsilon"),
+        ("--patience", "0", "scheduler.patience"),
+        ("--rel-span", "1", "scheduler.plateau_rel_span"),
+        ("--factor", "2", "scheduler.factor"), ("--milestones", "5,5", "scheduler.milestones"),
+        ("--vloss-patience", "0", "scheduler.vloss_patience"),
+        ("--stop-patience", "0", "scheduler.stop_patience")])
+    def test_out_of_range_scheduler_value_exits_2_naming_field(self, flag, value, key,
+                                                               tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", flag, value, "--out", str(out)]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
         assert not out.exists()
 
     def test_readme_flags_accepted(self, capsys):
