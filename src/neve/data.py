@@ -2,7 +2,9 @@
 
 Datasets and auxiliary sets are immutable after construction and safely
 shareable across concurrent runs; every random choice is driven by an
-explicit seed or a caller-supplied generator.
+explicit seed or a caller-supplied generator. The runner's
+``load_dataset`` reuses the last loaded (train, test) pair across runs
+and makes its arrays read-only, so an in-place write raises ValueError.
 """
 
 from __future__ import annotations

@@ -188,7 +188,6 @@ class ExperimentConfig:
     max_epochs: int = 200
     batch_size: int = 64
     seeds: tuple[int, ...] = (1,)
-    out_dir: str | None = None
     dump_velocity: bool = False
 
     def validate(self) -> None:
@@ -217,6 +216,17 @@ class ExperimentConfig:
         if "heldout" in sources and self.dataset.validation_fraction <= 0:
             raise ConfigError(
                 "aux source 'heldout' requires dataset.validation_fraction > 0")
+
+    def baseline_config(self) -> BaselineSchedulerConfig:
+        """The reference scheduler of a non-neve kind. Step decay without
+        milestones decays at 1/2 and 3/4 of the epoch budget, each epoch
+        once and none before epoch 1, so a budget below 4 decays less."""
+        s = self.scheduler
+        milestones = s.milestones
+        if s.kind == "step_decay" and not milestones:
+            half, three_quarters = self.max_epochs // 2, (3 * self.max_epochs) // 4
+            milestones = tuple(m for m in sorted({half, three_quarters}) if m >= 1)
+        return s.baseline_config(s.kind, tuple(milestones))
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

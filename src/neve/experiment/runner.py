@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import data as data_mod
-from ..controller import (RESCALE, STOP, BaselineSchedulerConfig, ControllerConfig,
-                          ControllerDecision, baseline_decide, neve_decide)
+from ..controller import (RESCALE, STOP, ControllerConfig, ControllerDecision,
+                          baseline_decide, neve_decide)
 from ..engine import Optimizer, backward_and_step, build_model, evaluate
 from ..errors import ConfigError, NumericError
 from ..velocity import VelocityState, change_rate, normalize_capture, velocity_step
@@ -32,6 +33,9 @@ CSV_HEADER = ("epoch,train_loss,train_acc,test_loss,test_acc,val_loss,"
               "model_velocity,learning_rate,decision,wall_seconds")
 
 _TEST_SEED_OFFSET = 1000003
+
+# (key, (train, test)) of the most recent load_dataset call
+_last_load = (None, None)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,21 @@ class RunSummary:
 
 
 def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
-    """Materialize (train, test) datasets for a DatasetSpec."""
+    """Materialize (train, test) datasets for a DatasetSpec.
+
+    The last loaded pair is kept and returned again for an equal spec, so
+    a suite's runs build their data once. Fields read only after loading
+    (``validation_fraction``, ``augment``) are not part of the key; for
+    file-backed datasets each file's size and modification time are. The
+    pair's sample and label arrays are read-only.
+    """
+    global _last_load
+    paths = {"idx": (spec.train_images, spec.train_labels, spec.test_images, spec.test_labels),
+             "cifar10": (*spec.cifar_train_paths, *spec.cifar_test_paths)}.get(spec.name, ())
+    key = (replace(spec, validation_fraction=0.0, augment="none"),
+           [(st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)])
+    if _last_load[0] == key:
+        return _last_load[1]
     if spec.name == "blobs":
         train = data_mod.gen_blobs(spec.n_samples, spec.n_classes, sigma=spec.sigma,
                                    seed=spec.data_seed)
@@ -112,6 +130,10 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
         train = train.subset(spec.subset, seed=spec.data_seed)
     if spec.normalize:
         train, test = data_mod.standardize(train, test)
+    for ds in (train, test):
+        ds.samples.flags.writeable = False
+        ds.labels.flags.writeable = False
+    _last_load = (key, (train, test))
     return train, test
 
 
@@ -136,15 +158,6 @@ def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxS
                 train.samples, min(cfg.aux.count, len(train)), cfg.aux.seed,
                 source="train")
     return aux_sets
-
-
-def _baseline_config(cfg: ExperimentConfig) -> BaselineSchedulerConfig:
-    s = cfg.scheduler
-    milestones = s.milestones
-    if s.kind == "step_decay" and not milestones:
-        # conventional fallback: decay at 1/2 and 3/4 of the budget
-        milestones = (cfg.max_epochs // 2, (3 * cfg.max_epochs) // 4)
-    return s.baseline_config(s.kind, tuple(milestones))
 
 
 def _snapshot(model, aux: data_mod.AuxSet, epoch: int):
@@ -175,7 +188,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     recipe = data_mod.AugmentRecipe(cfg.dataset.augment)
     sched_kind = cfg.scheduler.kind
     ctrl_cfg = cfg.scheduler.controller_config() if sched_kind == "neve" else None
-    base_cfg = _baseline_config(cfg) if sched_kind != "neve" else None
+    base_cfg = cfg.baseline_config() if sched_kind != "neve" else None
 
     aux_sets = build_aux_sets(cfg, train, val) if cfg.probe_velocity else {}
     primary = cfg.aux.source if cfg.probe_velocity else None

@@ -5,8 +5,10 @@ of epochs) so the whole module stays fast; the heavier end-to-end
 behavior lives in the acceptance suite.
 """
 
+import dataclasses
 import importlib.util
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -23,7 +25,7 @@ from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              run_training, summarize_results)
 from neve.experiment import ExperimentConfig
 from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
-from neve.experiment.runner import RunResult
+from neve.experiment.runner import RunResult, load_dataset
 
 
 def tiny_cfg(**kw):
@@ -49,6 +51,8 @@ class TestConfig:
             config_from_dict({"scheduler": {"epsilonn": 1e-3}})
         with pytest.raises(ConfigError, match="'dataset' must be a mapping"):
             config_from_dict({"dataset": 3})
+        with pytest.raises(ConfigError, match="unknown config field 'out_dir'"):
+            config_from_dict({"out_dir": "runs"})
 
     def test_vloss_requires_validation_split(self):
         with pytest.raises(ConfigError, match="validation_fraction"):
@@ -226,6 +230,62 @@ class TestRunTraining:
         header, *rows = files[0].read_text().splitlines()
         assert header == "neuron_id,rho,v"
         assert len(rows) == 16 + 3  # hidden relu + softmax head
+
+
+class TestDatasetCache:
+    def test_fields_read_after_loading_share_the_pair(self):
+        spec = tiny_cfg().dataset
+        train, test = load_dataset(spec)
+        for other in (dataclasses.replace(spec, validation_fraction=0.3),
+                      dataclasses.replace(spec, augment="pad_crop_flip")):
+            again = load_dataset(other)
+            assert again[0] is train and again[1] is test
+
+    @pytest.mark.parametrize("change", [{"data_seed": 5}, {"n_samples": 240}])
+    def test_data_fields_build_a_new_pair(self, change):
+        spec = tiny_cfg().dataset
+        train, _ = load_dataset(spec)
+        other, _ = load_dataset(dataclasses.replace(spec, **change))
+        assert other is not train
+        assert not np.array_equal(other.samples[:len(train)], train.samples[:len(other)])
+        assert load_dataset(spec)[0] is not train       # one entry: the first pair is gone
+
+    def test_arrays_read_only(self):
+        train, test = load_dataset(tiny_cfg().dataset)
+        for arr in (train.samples, train.labels, test.samples, test.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_rewritten_idx_files_reloaded(self, tmp_path):
+        paths = [tmp_path / name for name in
+                 ("train-images", "train-labels", "test-images", "test-labels")]
+        spec = tiny_cfg().dataset_with(name="idx", **{
+            key: str(path) for key, path in zip(
+                ("train_images", "train_labels", "test_images", "test_labels"), paths)})
+        images = np.random.default_rng(0).random((12, 1, 4, 4))
+        for shift in (0, 1):
+            labels = (np.arange(12) + shift) % 3
+            write_idx(Dataset("train", images, labels, 3), *paths[:2])
+            write_idx(Dataset("test", images, labels, 3), *paths[2:])
+            if shift:
+                # same sizes; move the times on, as a write on a coarse clock may not
+                for path in paths:
+                    st = os.stat(path)
+                    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            train, test = load_dataset(spec)
+            assert np.array_equal(train.labels, labels)
+            assert np.array_equal(test.labels, labels)
+
+    def test_cold_and_warm_cache_runs_agree(self):
+        cfg = tiny_cfg(dataset={"name": "blobs", "n_samples": 300, "n_classes": 3,
+                                "validation_fraction": 0.2},
+                       scheduler={"kind": "vloss"}, max_epochs=6)
+        load_dataset(cfg.dataset_with(data_seed=99))    # evict cfg's pair
+        cold = run_training(cfg, seed=3)
+        warm = run_training(cfg, seed=3)
+        strip = lambda res: [dataclasses.replace(r, wall_seconds=0.0) for r in res.records]
+        assert strip(cold) == strip(warm)
+        assert cold.velocity_series == warm.velocity_series
 
 
 class TestSuite:
@@ -503,6 +563,17 @@ class TestFlags:
         assert main(["train", flag, value, "--out", str(out)]) == 2
         assert f"error: {key} " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("budget,decay_epochs", [(1, []), (2, [1]), (3, [1, 2]),
+                                                     (4, [2, 3]), (9, [4, 6])])
+    def test_step_decay_fallback_fits_any_budget(self, budget, decay_epochs, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--scheduler", "step_decay", "--max-epochs", str(budget),
+                     "--n-samples", "60", "--test-samples", "30",
+                     "--arch", "mlp:2-4-4", "--out", str(out)]) == 0
+        rows = (out / "run_seed1.csv").read_text().splitlines()[1:]
+        assert [i + 1 for i, row in enumerate(rows)
+                if row.split(",")[8] == "rescale"] == decay_epochs
 
     def test_readme_flags_accepted(self, capsys):
         commands = _readme_commands()
