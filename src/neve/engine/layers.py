@@ -3,7 +3,9 @@
 Every layer works on float64 numpy arrays. ``forward`` caches whatever the
 matching ``backward`` needs; ``backward`` consumes the most recent cache,
 fills ``grads`` for trainable layers and returns the gradient w.r.t. the
-layer input. Single-threaded use: one forward, then at most one backward.
+layer input; a trainable layer given ``input_grad=False`` skips that
+gradient and returns None. Single-threaded use: one forward, then at most
+one backward.
 """
 
 from __future__ import annotations
@@ -49,22 +51,27 @@ class Dense:
         self._x = x
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.grads["W"] = self._x.T @ grad
         self.grads["b"] = grad.sum(axis=0)
-        return grad @ self.params["W"].T
+        return grad @ self.params["W"].T if input_grad else None
 
 
 class Conv2d:
     """2-D convolution on (batch, channels, height, width) inputs.
 
-    im2col lays the input patches out channel-major, as a (c*k*k, b*oh*ow)
-    matrix whose rows follow the (c, ki, kj) order of the flattened kernel
-    and whose columns run over (sample, output row, output column). Each
-    pass is then one 2-D GEMM: forward ``W (f, c*k*k) @ cols``; backward
-    ``g @ cols.T`` for the weights and ``W.T @ g`` for the input, with
-    ``g`` the output gradient as (f, b*oh*ow). Outputs and input gradients
-    are returned as (b, ., h, w) views of channel-major buffers.
+    Activations live in channel-major, batch-last (c, h, w, b) buffers;
+    outputs and input gradients are returned as (b, c, h, w) views of
+    them, so the public shapes do not change. Elementwise layers keep that
+    memory layout, so ``x.transpose(1, 2, 3, 0)`` of the next conv's input
+    is contiguous again. im2col lays the input patches out as a
+    (c*k*k, oh*ow*b) matrix whose rows follow the (c, ki, kj) order of the
+    flattened kernel and whose columns run over (output row, output
+    column, sample); each of its k*k slice copies moves contiguous runs of
+    b samples. Each pass is then one 2-D GEMM: forward
+    ``W (f, c*k*k) @ cols``; backward ``g @ cols.T`` for the weights and
+    ``W.T @ g`` for the input, with ``g`` the output gradient as
+    (f, oh*ow*b).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -114,24 +121,24 @@ class Conv2d:
         k, s, p = self.kernel, self.stride, self.pad
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((c, k, k, b, oh, ow))
+        xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (p, p), (p, p), (0, 0)))
+        cols = np.empty((c, k, k, oh, ow, b))
         for i in range(k):
             for j in range(k):
-                cols[:, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        return cols.reshape(c * k * k, b * oh * ow)
+                cols[:, i, j] = xp[:, i:i + s * oh:s, j:j + s * ow:s]
+        return cols.reshape(c * k * k, oh * ow * b)
 
     def _col2im(self, cols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
         b, c, h, w = x_shape
         k, s, p = self.kernel, self.stride, self.pad
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        cols = cols.reshape(c, k, k, b, oh, ow)
-        xp = np.zeros((c, b, h + 2 * p, w + 2 * p))
+        cols = cols.reshape(c, k, k, oh, ow, b)
+        xp = np.zeros((c, h + 2 * p, w + 2 * p, b))
         for i in range(k):
             for j in range(k):
-                xp[:, :, i:i + s * oh:s, j:j + s * ow:s] += cols[:, i, j]
-        return xp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+                xp[:, i:i + s * oh:s, j:j + s * ow:s] += cols[:, i, j]
+        return xp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b = x.shape[0]
@@ -140,14 +147,16 @@ class Conv2d:
         out = self.params["W"].reshape(self.out_channels, -1) @ cols
         out += self.params["b"][:, None]
         self._cache = (x.shape, cols)
-        return out.reshape(self.out_channels, b, oh, ow).transpose(1, 0, 2, 3)
+        return out.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x_shape, cols = self._cache
-        g = grad.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
+        g = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
         self.grads["W"] = (g @ cols.T).reshape(self.params["W"].shape)
         self.grads["b"] = g.sum(axis=1)
+        if not input_grad:
+            return None
+        w_mat = self.params["W"].reshape(self.out_channels, -1)
         return self._col2im(w_mat.T @ g, x_shape)
 
 

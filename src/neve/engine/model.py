@@ -106,10 +106,16 @@ class Model:
         """Run the stack on ``batch``.
 
         Returns (logits, probabilities, capture) where ``capture`` is a
-        ProbeCapture when requested and None otherwise. Raises
-        NumericError on the first non-finite activation.
+        ProbeCapture when requested and None otherwise. Only the logits
+        are scanned for non-finite values: NaN and +-inf reach them through
+        every layer (a ReLU turns -inf into NaN as -inf * 0). When the
+        scan fails, the stack is run again with a check after each layer,
+        and the NumericError names the first layer whose output is not
+        finite. A value that never reaches the logits (say, in a border
+        row a strided conv skips) cannot change the loss or the gradients
+        and is not reported.
         """
-        x = np.asarray(batch, dtype=np.float64)
+        x = inputs = np.asarray(batch, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ConfigError(
                 f"batch shape {x.shape[1:]} does not match input shape {self.input_shape}"
@@ -119,17 +125,27 @@ class Model:
         next_probe = next(probe_iter, None)
         for idx, layer in enumerate(self.layers):
             x = layer.forward(x)
-            if not np.isfinite(x).all():
-                raise NumericError(f"non-finite activation at layer {idx} ({layer.name})")
             if captured is not None and next_probe is not None and next_probe.layer_index == idx:
                 captured.append(_capture_site(x, next_probe.per_channel))
                 next_probe = next(probe_iter, None)
         logits = x
+        if not np.isfinite(logits).all():
+            idx = self._first_nonfinite_layer(inputs)
+            raise NumericError(
+                f"non-finite activation at layer {idx} ({self.layers[idx].name})")
         probs = softmax(logits)
         if captured is not None:
             captured.append(_capture_site(probs, False))
             return logits, probs, ProbeCapture(tuple(captured))
         return logits, probs, None
+
+    def _first_nonfinite_layer(self, x: np.ndarray) -> int:
+        """Index of the first layer whose output on ``x`` is not finite."""
+        for idx, layer in enumerate(self.layers):
+            x = layer.forward(x)
+            if not np.isfinite(x).all():
+                return idx
+        return len(self.layers) - 1
 
 
 def _parse_mlp_spec(spec: str) -> tuple[list, tuple[int, ...]]:
@@ -202,7 +218,9 @@ def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = 
 
 def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
     """Forward plus backward pass: fills every layer's ``grads`` with the
-    mean cross-entropy gradient and returns the loss. No parameter update."""
+    mean cross-entropy gradient and returns the loss. No parameter update.
+    The layers before the first trainable one run no backward, and the
+    first trainable one computes no input gradient."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ConfigError(
@@ -217,8 +235,11 @@ def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> fl
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    for layer in reversed(model.layers):
+    # backprop ends at the first trainable layer: nothing reads its input gradient
+    first = next(idx for idx, _, _ in model.trainable())
+    for layer in reversed(model.layers[first + 1:]):
         grad = layer.backward(grad)
+    model.layers[first].backward(grad, input_grad=False)
     return loss
 
 

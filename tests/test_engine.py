@@ -15,6 +15,12 @@ from neve.errors import ConfigError, NumericError
 
 FD_STEP = 1e-5
 
+# conv -> relu -> strided conv -> relu -> flatten -> dense on (1, 6, 6) inputs
+TWO_CONV = [{"kind": "conv", "out_channels": 2, "kernel": 3, "stride": 1, "pad": 1},
+            {"kind": "relu"},
+            {"kind": "conv", "out_channels": 3, "kernel": 3, "stride": 2},
+            {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 3}]
+
 
 def fd_gradients(model, batch, labels):
     """Central finite differences of the mean cross-entropy, parameter by
@@ -149,6 +155,25 @@ class TestForward:
         with pytest.raises(NumericError, match="layer 0"):
             m.forward(np.ones((1, 2)))
 
+    @pytest.mark.parametrize("arch,input_shape", [
+        ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_weight_named_as_per_layer_scan(self, arch, input_shape, bad):
+        x = np.random.default_rng(5).standard_normal((4, *input_shape))
+        for idx, _, _ in build_model(arch, seed=2, input_shape=input_shape).trainable():
+            for capture in (False, True):
+                m = build_model(arch, seed=2, input_shape=input_shape)
+                m.layers[idx].params["W"].flat[0] = bad
+                with np.errstate(invalid="ignore"):
+                    h, first_bad = x, None
+                    for i, layer in enumerate(m.layers):
+                        h = layer.forward(h)
+                        if first_bad is None and not np.isfinite(h).all():
+                            first_bad = i
+                    assert first_bad is not None
+                    with pytest.raises(NumericError, match=f"at layer {first_bad} "):
+                        m.forward(x, capture_probes=capture)
+
 
 class TestGradients:
     def test_fd_oracle_random_mlp(self):
@@ -161,14 +186,32 @@ class TestGradients:
 
     def test_fd_oracle_conv(self):
         rng = np.random.default_rng(7)
-        arch = [{"kind": "conv", "out_channels": 2, "kernel": 3, "stride": 1, "pad": 1},
-                {"kind": "relu"},
-                {"kind": "conv", "out_channels": 3, "kernel": 3, "stride": 2},
-                {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 3}]
-        m = build_model(arch, seed=9, input_shape=(1, 6, 6))
+        m = build_model(TWO_CONV, seed=9, input_shape=(1, 6, 6))
         x = rng.standard_normal((5, 1, 6, 6))
         y = rng.integers(0, 3, size=5)
         assert_grads_match(m, x, y)
+
+    @pytest.mark.parametrize("arch,input_shape", [
+        ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
+    def test_parameter_grads_match_full_backward(self, arch, input_shape):
+        # compute_gradients stops at the first trainable layer; a backward
+        # through every layer, input gradients included, gives the same bits
+        rng = np.random.default_rng(3)
+        m = build_model(arch, seed=4, input_shape=input_shape)
+        x = rng.standard_normal((6, *input_shape))
+        y = rng.integers(0, 3, size=6)
+        compute_gradients(m, x, y)
+        got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
+        _, probs, _ = m.forward(x)
+        grad = probs.copy()
+        grad[np.arange(6), y] -= 1.0
+        grad /= 6
+        for layer in reversed(m.layers):
+            grad = layer.backward(grad)
+        assert grad.shape == x.shape
+        for i, _, grads in m.trainable():
+            for n, g in grads.items():
+                assert np.array_equal(got[(i, n)], g), (i, n)
 
     def test_single_neuron_hand_step(self):
         # squared loss on y = w*x with w=1, x=2, target 1:
@@ -238,6 +281,60 @@ class TestConv:
         dx = layer.backward(grad)
         ref = loop_conv(x, layer.params["W"], layer.params["b"], stride, pad, grad)
         for got, want in zip((y, dx, layer.grads["W"], layer.grads["b"]), ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_batch_last_view_input_bit_identical(self):
+        rng = np.random.default_rng(12)
+        layer = Conv2d(3, 4, 3, 2, 1)
+        layer.init_params(rng)
+        x = rng.standard_normal((5, 3, 9, 8))
+        x_view = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        assert not x_view.flags.c_contiguous
+        y = layer.forward(x)
+        grad = rng.standard_normal(y.shape)
+        dx = layer.backward(grad)
+        y_view = layer.forward(x_view)
+        dx_view = layer.backward(
+            np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2))
+        assert np.array_equal(y, y_view) and np.array_equal(dx, dx_view)
+
+    def test_stack_matches_loop_reference(self):
+        # conv outputs reach the next conv as (b, c, h, w) views of
+        # batch-last buffers; the loop reference takes plain arrays
+        rng = np.random.default_rng(13)
+        m = build_model(TWO_CONV, seed=6, input_shape=(1, 6, 6))
+        conv1, conv2, head = m.layers[0], m.layers[2], m.layers[5]
+        for layer in (conv1, conv2, head):
+            layer.params["b"] = rng.standard_normal(layer.params["b"].shape)
+        x = rng.standard_normal((4, 1, 6, 6))
+        y = rng.integers(0, 3, size=4)
+        compute_gradients(m, x, y)
+        logits = m.forward(x)[0]
+
+        def conv(inp, layer, grad=None):
+            p = layer.params
+            if grad is None:
+                grad = np.zeros((len(inp), layer.out_channels,
+                                 *layer.output_shape(inp.shape[1:])[1:]))
+            return loop_conv(inp, p["W"], p["b"], layer.stride, layer.pad, grad)
+
+        z1 = conv(x, conv1)[0]
+        a1 = np.maximum(z1, 0.0)
+        z2 = conv(a1, conv2)[0]
+        flat = np.maximum(z2, 0.0).reshape(4, -1)
+        ref_logits = flat @ head.params["W"] + head.params["b"]
+        e = np.exp(ref_logits - ref_logits.max(axis=1, keepdims=True))
+        d_logits = e / e.sum(axis=1, keepdims=True)
+        d_logits[np.arange(4), y] -= 1.0
+        d_logits /= 4
+        d_z2 = (d_logits @ head.params["W"].T).reshape(z2.shape) * (z2 > 0)
+        _, d_a1, dW2, db2 = conv(a1, conv2, d_z2)
+        _, _, dW1, db1 = conv(x, conv1, d_a1 * (z1 > 0))
+        pairs = [(logits, ref_logits), (head.grads["W"], flat.T @ d_logits),
+                 (head.grads["b"], d_logits.sum(axis=0)), (conv2.grads["W"], dW2),
+                 (conv2.grads["b"], db2), (conv1.grads["W"], dW1), (conv1.grads["b"], db1)]
+        for got, want in pairs:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -1,0 +1,103 @@
+"""Compare the CSV outputs of two neve run directories.
+
+Usage: python3 tools/compare_outputs.py DIR_A DIR_B
+
+Pairs every ``*.csv`` under the two directories by relative path (per-epoch
+records, summaries, epsilon sweeps, velocity dumps) and compares them cell
+by cell, ignoring the ``wall_seconds`` column. A file is reported as
+"identical", or with the largest relative and absolute difference of each
+numeric column that differs. The last line says whether the decision, learning-rate and
+accuracy columns match exactly. Exit status: 0 when every file is
+identical, 1 when any differs, 2 on a usage error or when neither
+directory holds a CSV file. Standard library only.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+
+IGNORED = {"wall_seconds"}
+
+
+def is_key_column(name: str) -> bool:
+    """Columns that must match exactly for two runs to behave the same."""
+    return name in ("decision", "learning_rate") or "acc" in name
+
+
+def cell_diff(a: str, b: str) -> tuple[float, float] | None:
+    """(|a - b| / max(|a|, |b|), |a - b|) of two numeric cells; None if
+    either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:
+        return 0.0, 0.0
+    return abs(x - y) / max(abs(x), abs(y)), abs(x - y)
+
+
+def compare_file(path_a: Path, path_b: Path) -> tuple[dict, list[str]]:
+    """Per differing column, the max (relative, absolute) difference, or
+    None if the column is not numeric; and the structural problems (header
+    or row count mismatch)."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return {}, ["headers differ"]
+    problems = [] if len(rows_a) == len(rows_b) else [
+        f"row counts differ: {len(rows_a) - 1} vs {len(rows_b) - 1}"]
+    diffs: dict = {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, a, b in zip(rows_a[0], row_a, row_b):
+            if name in IGNORED or a == b:
+                continue
+            d = cell_diff(a, b)
+            prev = diffs.get(name, (0.0, 0.0))
+            diffs[name] = (None if d is None or prev is None
+                           else (max(prev[0], d[0]), max(prev[1], d[1])))
+    return diffs, problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(d).is_dir() for d in argv):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    dir_a, dir_b = Path(argv[0]), Path(argv[1])
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*.csv")}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*.csv")}
+    if not files_a | files_b:
+        print(f"no CSV files under {dir_a} or {dir_b}", file=sys.stderr)
+        return 2
+    same = keys_match = files_a == files_b
+    worst = (0.0, "")
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
+    for rel in sorted(files_a & files_b):
+        diffs, problems = compare_file(dir_a / rel, dir_b / rel)
+        if not diffs and not problems:
+            print(f"{rel}: identical")
+            continue
+        same = False
+        keys_match = keys_match and not problems
+        parts = problems[:]
+        for name, d in diffs.items():
+            keys_match = keys_match and not is_key_column(name)
+            if d is None:
+                parts.append(f"{name} differs")
+            else:
+                parts.append(f"{name} max rel diff {d[0]:.3g} (abs {d[1]:.3g})")
+                worst = max(worst, (d[0], f"{rel}: {name}"))
+        print(f"{rel}: " + "; ".join(parts))
+    if same:
+        print(f"identical ({len(files_a)} CSV files, wall_seconds ignored)")
+        return 0
+    print(f"differ; largest relative difference {worst[0]:.3g} ({worst[1] or 'none numeric'})")
+    print("decision, learning_rate and accuracy columns "
+          + ("match" if keys_match else "DO NOT match"))
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
