@@ -7,8 +7,8 @@ once it falls below a threshold — no validation split required.
 """
 
 from .controller import (BaselineSchedulerConfig, ControllerConfig,
-                         ControllerDecision, EpsilonAnalysis, baseline_decide,
-                         epsilon_analysis, neve_decide, softmax_delta)
+                         ControllerDecision, EpsilonAnalysis, SchedulerState,
+                         baseline_decide, epsilon_analysis, neve_decide, softmax_delta)
 from .data import (AugmentRecipe, AuxSet, Dataset, SplitSpec, augment, gen_blobs,
                    gen_digits, hflip, load_cifar10, load_idx, make_aux_from_samples,
                    make_aux_noise, split, standardize, write_idx)
@@ -16,21 +16,21 @@ from .engine import (Model, Optimizer, ProbeCapture, backward_and_step, build_mo
                      evaluate)
 from .errors import ConfigError, DataFormatError, NeveError, NumericError
 from .velocity import (ActivationSnapshot, VelocityState, change_rate,
-                       model_velocity, normalize_capture, velocity_step)
+                       normalize_capture, velocity_step)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaselineSchedulerConfig", "ControllerConfig", "ControllerDecision",
-    "EpsilonAnalysis", "baseline_decide", "epsilon_analysis", "neve_decide",
-    "softmax_delta",
+    "EpsilonAnalysis", "SchedulerState", "baseline_decide", "epsilon_analysis",
+    "neve_decide", "softmax_delta",
     "AugmentRecipe", "AuxSet", "Dataset", "SplitSpec", "augment", "gen_blobs",
     "gen_digits", "hflip", "load_cifar10", "load_idx", "make_aux_from_samples",
     "make_aux_noise", "split", "standardize", "write_idx",
     "Model", "Optimizer", "ProbeCapture", "backward_and_step", "build_model",
     "evaluate",
     "ConfigError", "DataFormatError", "NeveError", "NumericError",
-    "ActivationSnapshot", "VelocityState", "change_rate", "model_velocity",
-    "normalize_capture", "velocity_step",
+    "ActivationSnapshot", "VelocityState", "change_rate", "normalize_capture",
+    "velocity_step",
     "__version__",
 ]

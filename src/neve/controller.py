@@ -1,20 +1,24 @@
-"""Per-epoch training decisions driven by the model-velocity signal.
+"""Per-epoch training decisions: one pure fold serves every scheduler kind.
 
-The controller inspects the model-velocity history after every epoch:
-it stops the run once the velocity falls below the threshold epsilon,
-and otherwise rescales the learning rate by alpha when the velocity has
+``neve_decide(sched, state, signal, lr) -> (state, decision)`` folds one
+epoch's signal into an immutable ``SchedulerState`` and decides: continue,
+rescale the learning rate, or stop. neve (``ControllerConfig``) reads the
+model velocity: it stops once the velocity falls below epsilon, and
+otherwise rescales the learning rate by alpha when the velocity has
 plateaued (relative span of the last patience+1 entries within a small
-fraction of their mean). Stop always takes precedence over a rescale.
+fraction of their mean); stop takes precedence over a rescale. Of the
+reference schedulers (``BaselineSchedulerConfig``), vloss reads the
+validation loss, while fixed and step decay ignore the signal.
 
 Also provided: the closed-form analysis of how much a softmax output can
-move when the head's velocity sits exactly at epsilon, and the reference
-schedulers (fixed, step decay, validation-loss) used for comparisons.
+move when the head's velocity sits exactly at epsilon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 from .errors import ConfigError
 
@@ -27,6 +31,7 @@ class ControllerConfig:
     optional floor below which no further rescale is issued.
     """
 
+    kind: ClassVar[str] = "neve"
     epsilon: float = 1e-3
     alpha: float = 0.1
     patience: int = 5
@@ -45,10 +50,32 @@ class ControllerConfig:
             raise ConfigError(
                 f"plateau_rel_span must lie in (0, 1), got {self.plateau_rel_span}"
             )
+        if self.cooldown is not None and self.cooldown < 0:
+            raise ConfigError(f"cooldown must be >= 0, got {self.cooldown}")
 
-    @property
-    def effective_cooldown(self) -> int:
-        return self.patience if self.cooldown is None else self.cooldown
+
+@dataclass(frozen=True)
+class BaselineSchedulerConfig:
+    """Reference schedulers: fixed, step_decay (milestones + factor) and
+    vloss (rescale after ``patience`` epochs without a new best validation
+    loss, stop after ``stop_patience`` consecutive non-improving epochs)."""
+
+    kind: str
+    milestones: tuple[int, ...] = ()
+    factor: float = 0.1
+    patience: int = 5
+    stop_patience: int = 10
+
+    def __post_init__(self):
+        if self.kind not in ("fixed", "step_decay", "vloss"):
+            raise ConfigError(f"unknown baseline scheduler kind {self.kind!r}")
+        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
+            raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
+        if not 0.0 < self.factor < 1.0:
+            raise ConfigError(f"factor must lie in (0, 1), got {self.factor}")
+        for name in ("patience", "stop_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 CONTINUE = "continue"
@@ -66,41 +93,108 @@ class ControllerDecision:
     new_lr: float | None = None
 
 
-def neve_decide(history, cfg: ControllerConfig, lr: float,
-                last_rescale_epoch: int | None = None) -> ControllerDecision:
-    """Decide after the epoch whose model velocity is ``history[-1]``.
+class SchedulerState(NamedTuple):
+    """What a scheduler carries between epochs, as an immutable record of
+    plain numbers; ``SchedulerState()`` starts a run. ``window``: the last
+    patience+1 model velocities (neve); ``best`` and the waits since an
+    improvement (``rescale_wait`` also resets on a rescale): vloss."""
 
-    ``history`` holds one model-velocity entry per elapsed epoch (epoch 1
-    first); ``last_rescale_epoch`` is the run's only other bookkeeping.
-    Pure: replaying a recorded history reproduces the decision sequence.
+    epoch: int = 0
+    window: tuple[float, ...] = ()
+    last_rescale: int | None = None
+    best: float = math.inf
+    rescale_wait: int = 0
+    stop_wait: int = 0
+
+
+def _rescale(state, reason: str, new_lr: float):
+    return (state._replace(last_rescale=state.epoch),
+            ControllerDecision(RESCALE, state.epoch, reason, new_lr=new_lr))
+
+
+# Named for the velocity controller: the benchmark tracer times decisions under this name.
+def neve_decide(sched, state: SchedulerState, signal,
+                lr: float) -> tuple[SchedulerState, ControllerDecision]:
+    """Fold one epoch into ``state`` and decide; returns ``(state, decision)``.
+
+    ``sched`` is a ``ControllerConfig`` or a ``BaselineSchedulerConfig``;
+    ``signal`` is the epoch's model velocity (neve) or validation loss
+    (vloss), ignored by fixed and step_decay; ``lr`` is the epoch's rate.
     """
-    if len(history) == 0:
-        raise ConfigError("decision requires at least one model-velocity entry")
-    epoch = len(history)
-    v = history[-1]
-    if v < cfg.epsilon:
-        return ControllerDecision(
-            STOP, epoch, f"model velocity {v:.6g} < epsilon {cfg.epsilon:.6g}")
+    kind, epoch = sched.kind, state.epoch + 1
+    if signal is None and kind in ("neve", "vloss"):
+        raise ConfigError(f"the {kind} scheduler needs a signal at every epoch")
 
-    window = history[-(cfg.patience + 1):]
-    if len(window) == cfg.patience + 1:
-        cooled = (last_rescale_epoch is None
-                  or epoch - last_rescale_epoch >= cfg.effective_cooldown)
-        span = max(window) - min(window)
-        mean = sum(window) / len(window)
-        if cooled and span <= cfg.plateau_rel_span * mean:
-            if cfg.min_lr is not None and lr <= cfg.min_lr:
-                return ControllerDecision(
-                    CONTINUE, epoch, f"plateau but lr already at floor {cfg.min_lr:g}")
-            new_lr = cfg.alpha * lr
-            if cfg.min_lr is not None:
-                new_lr = max(new_lr, cfg.min_lr)
-            return ControllerDecision(
-                RESCALE, epoch,
-                f"velocity plateau: span {span:.6g} <= "
-                f"{cfg.plateau_rel_span:g} * mean {mean:.6g}",
-                new_lr=new_lr)
-    return ControllerDecision(CONTINUE, epoch)
+    if kind == "neve":
+        window = (*state.window, signal)[-(sched.patience + 1):]
+        state = state._replace(epoch=epoch, window=window)
+        if signal < sched.epsilon:
+            return state, ControllerDecision(
+                STOP, epoch, f"model velocity {signal:.6g} < epsilon {sched.epsilon:.6g}")
+        cooldown = sched.patience if sched.cooldown is None else sched.cooldown
+        cooled = state.last_rescale is None or epoch - state.last_rescale >= cooldown
+        if len(window) == sched.patience + 1 and cooled:
+            span = max(window) - min(window)
+            mean = sum(window) / len(window)
+            if span <= sched.plateau_rel_span * mean:
+                if sched.min_lr is not None and lr <= sched.min_lr:
+                    return state, ControllerDecision(
+                        CONTINUE, epoch, f"plateau but lr already at floor {sched.min_lr:g}")
+                new_lr = sched.alpha * lr
+                if sched.min_lr is not None:
+                    new_lr = max(new_lr, sched.min_lr)
+                return _rescale(state, f"velocity plateau: span {span:.6g} <= "
+                                       f"{sched.plateau_rel_span:g} * mean {mean:.6g}", new_lr)
+    elif kind == "vloss":
+        if signal < state.best:
+            state = state._replace(epoch=epoch, best=signal, rescale_wait=0, stop_wait=0)
+        else:
+            state = state._replace(epoch=epoch, rescale_wait=state.rescale_wait + 1,
+                                   stop_wait=state.stop_wait + 1)
+        if state.stop_wait >= sched.stop_patience:
+            return state, ControllerDecision(
+                STOP, epoch, f"validation loss flat for {state.stop_wait} epochs")
+        if state.rescale_wait >= sched.patience:
+            return _rescale(state._replace(rescale_wait=0),
+                            f"validation loss flat for {state.rescale_wait} epochs",
+                            sched.factor * lr)
+    else:
+        state = state._replace(epoch=epoch)
+        if kind == "step_decay" and epoch in sched.milestones:
+            return _rescale(state, f"step-decay milestone at epoch {epoch}", sched.factor * lr)
+    return state, ControllerDecision(CONTINUE, epoch)
+
+
+def baseline_decide(cfg: BaselineSchedulerConfig, signals, lr: float,
+                    epoch: int) -> ControllerDecision:
+    """Decision of a reference scheduler at ``epoch``, folded from epoch 1.
+    ``signals`` is the per-epoch validation-loss series (epoch 1 first),
+    required for the vloss kind and ignored otherwise."""
+    if epoch < 1:
+        raise ConfigError(f"epoch must be >= 1, got {epoch}")
+    if cfg.kind != "vloss":
+        signals = [None] * epoch
+    elif signals is None or len(signals) < epoch:
+        raise ConfigError(
+            "vloss scheduler needs a validation-loss series covering every epoch")
+    state = SchedulerState()
+    for t in range(epoch):
+        state, decision = neve_decide(cfg, state, signals[t], lr)
+    return decision
+
+
+def replay_neve_decisions(signals, sched, initial_lr: float) -> list[ControllerDecision]:
+    """Re-derive a run's decisions by folding its recorded per-epoch signal
+    series; used to audit recorded runs against the pure step."""
+    state, lr, out = SchedulerState(), initial_lr, []
+    for signal in signals:
+        state, decision = neve_decide(sched, state, signal, lr)
+        out.append(decision)
+        if decision.verdict == RESCALE:
+            lr = decision.new_lr
+        elif decision.verdict == STOP:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,74 +225,3 @@ def epsilon_analysis(epsilon: float) -> EpsilonAnalysis:
     p_star = math.exp(math.log1p(-epsilon) / epsilon)
     max_delta = p_star * (epsilon / (1.0 - epsilon))
     return EpsilonAnalysis(epsilon, p_star, max_delta)
-
-
-@dataclass(frozen=True)
-class BaselineSchedulerConfig:
-    """Reference schedulers: fixed, step_decay (milestones + factor) and
-    vloss (rescale after ``patience`` epochs without a new best validation
-    loss, stop after ``stop_patience`` consecutive non-improving epochs)."""
-
-    kind: str
-    milestones: tuple[int, ...] = ()
-    factor: float = 0.1
-    patience: int = 5
-    stop_patience: int = 10
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "step_decay", "vloss"):
-            raise ConfigError(f"unknown baseline scheduler kind {self.kind!r}")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
-        if not 0.0 < self.factor < 1.0:
-            raise ConfigError(f"factor must lie in (0, 1), got {self.factor}")
-        for name in ("patience", "stop_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-def baseline_decide(cfg: BaselineSchedulerConfig, signals, lr: float,
-                    epoch: int) -> ControllerDecision:
-    """Decision of a reference scheduler at ``epoch``.
-
-    ``signals`` is the per-epoch validation-loss series (epoch 1 first),
-    required for the vloss kind and ignored otherwise. The vloss rule is
-    re-simulated from the start of the series each call, so the function
-    stays pure.
-    """
-    if cfg.kind == "fixed":
-        return ControllerDecision(CONTINUE, epoch)
-    if cfg.kind == "step_decay":
-        if epoch in cfg.milestones:
-            return ControllerDecision(
-                RESCALE, epoch, f"step-decay milestone at epoch {epoch}",
-                new_lr=cfg.factor * lr)
-        return ControllerDecision(CONTINUE, epoch)
-
-    if signals is None or len(signals) < epoch:
-        raise ConfigError(
-            "vloss scheduler needs a validation-loss series covering every epoch")
-    best = math.inf
-    rescale_wait = 0   # reset on improvement and on rescale
-    stop_wait = 0      # reset on improvement only
-    verdict, reason = CONTINUE, ""
-    for t in range(1, epoch + 1):
-        val = signals[t - 1]
-        if val < best:
-            best = val
-            rescale_wait = 0
-            stop_wait = 0
-        else:
-            rescale_wait += 1
-            stop_wait += 1
-        verdict, reason = CONTINUE, ""
-        if stop_wait >= cfg.stop_patience:
-            verdict = STOP
-            reason = f"validation loss flat for {stop_wait} epochs"
-        elif rescale_wait >= cfg.patience:
-            verdict = RESCALE
-            reason = f"validation loss flat for {rescale_wait} epochs"
-            rescale_wait = 0
-    if verdict == RESCALE:
-        return ControllerDecision(RESCALE, epoch, reason, new_lr=cfg.factor * lr)
-    return ControllerDecision(verdict, epoch, reason)

@@ -134,12 +134,14 @@ class SchedulerSpec:
     vloss_patience: int = 5
     stop_patience: int = 10
 
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(epsilon=self.epsilon, alpha=self.alpha, patience=self.patience,
-                                plateau_rel_span=self.plateau_rel_span,
-                                cooldown=self.cooldown, min_lr=self.min_lr)
-
-    def baseline_config(self, kind: str, milestones: tuple[int, ...]) -> BaselineSchedulerConfig:
+    def config_for(self, kind: str, milestones: tuple[int, ...]
+                   ) -> ControllerConfig | BaselineSchedulerConfig:
+        """The scheduler config of ``kind`` built from these fields."""
+        if kind == "neve":
+            return ControllerConfig(epsilon=self.epsilon, alpha=self.alpha,
+                                    patience=self.patience,
+                                    plateau_rel_span=self.plateau_rel_span,
+                                    cooldown=self.cooldown, min_lr=self.min_lr)
         return BaselineSchedulerConfig(kind=kind, milestones=milestones, factor=self.factor,
                                        patience=self.vloss_patience,
                                        stop_patience=self.stop_patience)
@@ -147,19 +149,19 @@ class SchedulerSpec:
     def validate(self) -> None:
         if self.kind not in ("neve", "fixed", "step_decay", "vloss"):
             raise ConfigError(f"scheduler.kind: unknown scheduler {self.kind!r}")
+        # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
+        if not 0.0 <= self.mu_vel < 1.0:
+            raise ConfigError(f"scheduler.mu_vel must lie in [0, 1), got {self.mu_vel}")
         # The two config types own the ranges. Both are built whatever the
         # kind, because one spec drives every kind in `neve compare`.
-        try:
-            self.controller_config()
-        except ConfigError as exc:
-            raise ConfigError(f"scheduler.{exc}") from None
-        try:
-            self.baseline_config("step_decay", self.milestones)
-        except ConfigError as exc:
-            msg = str(exc)
-            if msg.startswith("patience"):      # the baseline's patience is vloss_patience
-                msg = "vloss_" + msg
-            raise ConfigError(f"scheduler.{msg}") from None
+        for kind in ("neve", "step_decay"):
+            try:
+                self.config_for(kind, self.milestones)
+            except ConfigError as exc:
+                msg = str(exc)
+                if kind != "neve" and msg.startswith("patience"):   # it is vloss_patience
+                    msg = "vloss_" + msg
+                raise ConfigError(f"scheduler.{msg}") from None
 
 
 @dataclass(frozen=True)
@@ -217,16 +219,17 @@ class ExperimentConfig:
             raise ConfigError(
                 "aux source 'heldout' requires dataset.validation_fraction > 0")
 
-    def baseline_config(self) -> BaselineSchedulerConfig:
-        """The reference scheduler of a non-neve kind. Step decay without
-        milestones decays at 1/2 and 3/4 of the epoch budget, each epoch
-        once and none before epoch 1, so a budget below 4 decays less."""
+    def scheduler_config(self) -> ControllerConfig | BaselineSchedulerConfig:
+        """The scheduler of the configured kind, for ``neve_decide``. Step
+        decay without milestones decays at 1/2 and 3/4 of the epoch budget,
+        each epoch once and none before epoch 1, so a budget below 4 decays
+        less."""
         s = self.scheduler
         milestones = s.milestones
         if s.kind == "step_decay" and not milestones:
             half, three_quarters = self.max_epochs // 2, (3 * self.max_epochs) // 4
             milestones = tuple(m for m in sorted({half, three_quarters}) if m >= 1)
-        return s.baseline_config(s.kind, tuple(milestones))
+        return s.config_for(s.kind, tuple(milestones))
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import data as data_mod
-from ..controller import (RESCALE, STOP, ControllerConfig, ControllerDecision,
-                          baseline_decide, neve_decide)
+from ..controller import RESCALE, STOP, ControllerDecision, SchedulerState, neve_decide
 from ..engine import Optimizer, backward_and_step, build_model, evaluate
 from ..errors import ConfigError, NumericError
 from ..velocity import VelocityState, change_rate, normalize_capture, velocity_step
@@ -186,9 +185,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                     weight_decay=cfg.optimizer.weight_decay,
                     betas=cfg.optimizer.betas, eps=cfg.optimizer.eps)
     recipe = data_mod.AugmentRecipe(cfg.dataset.augment)
-    sched_kind = cfg.scheduler.kind
-    ctrl_cfg = cfg.scheduler.controller_config() if sched_kind == "neve" else None
-    base_cfg = cfg.baseline_config() if sched_kind != "neve" else None
+    sched = cfg.scheduler_config()
+    sched_state = SchedulerState()
 
     aux_sets = build_aux_sets(cfg, train, val) if cfg.probe_velocity else {}
     primary = cfg.aux.source if cfg.probe_velocity else None
@@ -201,8 +199,6 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
 
     records: list[RunRecord] = []
     decisions: list[ControllerDecision] = []
-    val_losses: list[float] = []
-    last_rescale_epoch = None
     stop_epoch = None
     failed, error = False, ""
 
@@ -236,18 +232,12 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
             val_loss = None
             if len(val):
                 val_loss, _ = evaluate(model, val.samples, val.labels)
-                val_losses.append(val_loss)
 
-            if sched_kind == "neve":
-                decision = neve_decide(states[primary].history, ctrl_cfg, opt.lr,
-                                       last_rescale_epoch)
-            else:
-                signals = val_losses if base_cfg.kind == "vloss" else None
-                decision = baseline_decide(base_cfg, signals, opt.lr, epoch)
+            signal = v_bar if sched.kind == "neve" else val_loss
+            sched_state, decision = neve_decide(sched, sched_state, signal, opt.lr)
             decisions.append(decision)
             if decision.verdict == RESCALE:
                 opt.lr = decision.new_lr
-                last_rescale_epoch = epoch
             records.append(RunRecord(
                 epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                 test_loss=test_loss, test_acc=test_acc, val_loss=val_loss,
@@ -306,24 +296,6 @@ def run_suite(cfg: ExperimentConfig, seeds=None, label: str | None = None) -> Ru
         raise ConfigError("run_suite needs at least one seed")
     results = [run_training(cfg, seed) for seed in seeds]
     return summarize_results(label or cfg.scheduler.kind, seeds, results)
-
-
-def replay_neve_decisions(velocities, ctrl_cfg: ControllerConfig,
-                          initial_lr: float) -> list[ControllerDecision]:
-    """Re-derive the decision sequence from a recorded model-velocity
-    series; used to audit recorded runs against the pure controller."""
-    lr = initial_lr
-    last_rescale = None
-    out = []
-    for t in range(1, len(velocities) + 1):
-        decision = neve_decide(velocities[:t], ctrl_cfg, lr, last_rescale)
-        out.append(decision)
-        if decision.verdict == RESCALE:
-            lr = decision.new_lr
-            last_rescale = t
-        if decision.verdict == STOP:
-            break
-    return out
 
 
 def emit_plots(result: RunResult, out_dir, kinds=("velocity", "loss"),

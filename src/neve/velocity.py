@@ -112,10 +112,3 @@ def velocity_step(state: VelocityState, rho: np.ndarray) -> VelocityState:
         )
     v_new = np.abs((1.0 - rho) - state.mu * state.v)
     return VelocityState(state.mu, v_new, rho, state.history + (float(v_new.mean()),))
-
-
-def model_velocity(state: VelocityState) -> float:
-    """Arithmetic mean of the current per-neuron velocities."""
-    if state.v.size == 0:
-        raise ConfigError("model velocity is undefined with an empty neuron registry")
-    return float(state.v.mean())

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from neve.controller import ControllerConfig, epsilon_analysis, neve_decide
+from neve.controller import (ControllerConfig, SchedulerState, epsilon_analysis,
+                             neve_decide)
 from neve.data import gen_blobs, make_aux_noise
 from neve.engine import Optimizer, backward_and_step, build_model
 from neve.experiment import (config_from_dict, records_to_csv,
@@ -178,6 +179,7 @@ def test_c05_frozen_model_sanity():
             opt = Optimizer(kind="sgd", lr=0.1 if warm_epochs else 0.0,
                             momentum=0.9, weight_decay=1e-4)
             state = VelocityState.initial(model.n_probed_neurons)
+            sched_state = SchedulerState()
             prev = normalize_capture(
                 model.forward(aux.samples, capture_probes=True)[2], 0)
             rhos, stop_at = [], None
@@ -191,7 +193,9 @@ def test_c05_frozen_model_sanity():
                 state = velocity_step(state, rho)
                 prev = snap
                 rhos.append(rho)
-                if neve_decide(state.history, ctrl, opt.lr).verdict == "stop":
+                sched_state, decision = neve_decide(ctrl, sched_state, state.history[-1],
+                                                    opt.lr)
+                if decision.verdict == "stop":
                     stop_at = epoch
                     break
             return rhos, state.history, stop_at

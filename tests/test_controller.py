@@ -1,4 +1,4 @@
-"""Controller tests: decision rules, the epsilon analysis and baselines.
+"""Controller tests: the scheduler step, the epsilon analysis and baselines.
 
 The closed-form epsilon results are verified against an independent
 brute-force grid maximization of the softmax variation.
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from neve.controller import (BaselineSchedulerConfig, ControllerConfig,
+from neve.controller import (BaselineSchedulerConfig, ControllerConfig, SchedulerState,
                              baseline_decide, epsilon_analysis, neve_decide,
                              softmax_delta)
 from neve.errors import ConfigError
@@ -25,9 +25,18 @@ def grid_max_delta(eps, n=100_000):
     return p[i], vals[i]
 
 
+def decide(history, cfg=DEFAULTS, lr=0.1, last_rescale=None):
+    """The step's decision at the last epoch of ``history``, from the state
+    its earlier epochs leave (with ``last_rescale`` set by hand)."""
+    state = SchedulerState(epoch=len(history) - 1,
+                           window=tuple(history[-cfg.patience - 1:-1]),
+                           last_rescale=last_rescale)
+    return neve_decide(cfg, state, history[-1], lr)[1]
+
+
 class TestNeveDecide:
     def test_stop_below_epsilon(self):
-        d = neve_decide([0.5, 0.2, 9e-4], DEFAULTS, lr=0.1)
+        d = decide([0.5, 0.2, 9e-4])
         assert d.verdict == "stop"
         assert d.epoch == 3
 
@@ -35,39 +44,39 @@ class TestNeveDecide:
         window = [0.200, 0.201, 0.199, 0.2005, 0.2002, 0.1998]
         span = max(window) - min(window)
         assert span <= 0.05 * (sum(window) / len(window))  # the rule's arithmetic
-        d = neve_decide(window, DEFAULTS, lr=0.1)
+        d = decide(window)
         assert d.verdict == "rescale"
         assert d.new_lr == pytest.approx(0.01, abs=1e-15)
 
     def test_halving_series_continues(self):
-        d = neve_decide([0.8, 0.4, 0.2], DEFAULTS, lr=0.1)
+        d = decide([0.8, 0.4, 0.2])
         assert d.verdict == "continue"
 
     def test_stop_takes_precedence_over_plateau(self):
         flat_tiny = [9e-4] * 6
-        d = neve_decide(flat_tiny, DEFAULTS, lr=0.1)
+        d = decide(flat_tiny)
         assert d.verdict == "stop"
 
     def test_varying_window_continues(self):
-        d = neve_decide([0.2, 0.3, 0.2, 0.3, 0.2, 0.3], DEFAULTS, lr=0.1)
+        d = decide([0.2, 0.3, 0.2, 0.3, 0.2, 0.3])
         assert d.verdict == "continue"
 
     def test_cooldown_suppresses_rescale(self):
         flat = [0.2] * 12
         # rescaled at epoch 8: within the default 5-epoch cooldown until 13
-        d = neve_decide(flat, DEFAULTS, lr=0.1, last_rescale_epoch=8)
+        d = decide(flat, last_rescale=8)
         assert d.verdict == "continue"
-        d = neve_decide(flat + [0.2], DEFAULTS, lr=0.1, last_rescale_epoch=8)
+        d = decide(flat + [0.2], last_rescale=8)
         assert d.verdict == "rescale"
 
     def test_min_lr_floor(self):
         cfg = ControllerConfig(min_lr=0.005)
         flat = [0.2] * 6
-        d = neve_decide(flat, cfg, lr=0.1)
+        d = decide(flat, cfg, lr=0.1)
         assert d.verdict == "rescale" and d.new_lr == pytest.approx(0.01)
-        d = neve_decide(flat, cfg, lr=0.01)
+        d = decide(flat, cfg, lr=0.01)
         assert d.verdict == "rescale" and d.new_lr == 0.005
-        d = neve_decide(flat, cfg, lr=0.005)
+        d = decide(flat, cfg, lr=0.005)
         assert d.verdict == "continue"
 
     def test_rescale_strictly_decreases_lr(self):
@@ -76,30 +85,35 @@ class TestNeveDecide:
             level = 10.0 ** rng.uniform(-2, 0)
             hist = list(level * (1.0 + 0.01 * rng.standard_normal(10)))
             lr = 10.0 ** rng.uniform(-4, 0)
-            d = neve_decide(hist, DEFAULTS, lr=lr)
+            d = decide(hist, lr=lr)
             if d.verdict == "rescale":
                 assert d.new_lr < lr
 
     def test_alpha_power_law(self):
-        # replay a plateau-heavy series: after k rescales lr == alpha^k * lr0
+        # fold a plateau-heavy series: after k rescales lr == alpha^k * lr0
         cfg = ControllerConfig(epsilon=1e-9)
         lr0, lr = 0.5, 0.5
-        last = None
+        state = SchedulerState()
         rescales = 0
-        hist = []
-        for epoch in range(1, 40):
-            hist.append(0.3)
-            d = neve_decide(hist, cfg, lr, last)
+        for _ in range(1, 40):
+            state, d = neve_decide(cfg, state, 0.3, lr)
             if d.verdict == "rescale":
                 lr = d.new_lr
-                last = epoch
                 rescales += 1
         assert rescales >= 2
         assert lr == pytest.approx(cfg.alpha ** rescales * lr0, rel=1e-12)
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ConfigError):
-            neve_decide([], DEFAULTS, lr=0.1)
+    def test_missing_signal_rejected(self):
+        for sched in (DEFAULTS, BaselineSchedulerConfig(kind="vloss")):
+            with pytest.raises(ConfigError, match=sched.kind):
+                neve_decide(sched, SchedulerState(), None, 0.1)
+
+    def test_step_is_pure(self):
+        state = SchedulerState(epoch=5, window=(0.2,) * 5)
+        after, d = neve_decide(DEFAULTS, state, 0.2, 0.1)
+        assert state == SchedulerState(epoch=5, window=(0.2,) * 5)
+        assert d.verdict == "rescale"
+        assert (after.epoch, after.last_rescale, len(after.window)) == (6, 6, 6)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -108,6 +122,8 @@ class TestNeveDecide:
             ControllerConfig(patience=0)
         with pytest.raises(ConfigError):
             ControllerConfig(epsilon=0.0)
+        with pytest.raises(ConfigError, match="cooldown"):
+            ControllerConfig(cooldown=-1)
 
 
 class TestEpsilonAnalysis:
@@ -175,6 +191,8 @@ class TestBaselines:
         cfg = BaselineSchedulerConfig(kind="fixed")
         for epoch in (1, 50, 10_000):
             assert baseline_decide(cfg, None, 0.1, epoch).verdict == "continue"
+        with pytest.raises(ConfigError, match="epoch"):
+            baseline_decide(cfg, None, 0.1, 0)
 
     def test_step_decay_milestones(self):
         cfg = BaselineSchedulerConfig(kind="step_decay", milestones=(100, 150))
@@ -208,6 +226,7 @@ class TestBaselines:
         verdicts = [baseline_decide(cfg, series, 0.1, e).verdict
                     for e in range(1, 12)]
         assert verdicts[5] == "rescale"   # epoch 6
+        assert verdicts.count("rescale") == 1   # the rescale wait restarts after epoch 6
         assert verdicts[10] == "stop"     # epoch 11: 10 non-improving epochs
         assert "stop" not in verdicts[:10]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neve.controller import ControllerConfig
+from neve.controller import SchedulerState, neve_decide
 from neve.data import Dataset, write_idx
 from neve.errors import ConfigError
 from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
@@ -131,11 +131,8 @@ class TestRunTraining:
     def test_decision_column_replays_through_controller(self):
         cfg = tiny_cfg(max_epochs=60)
         res = run_training(cfg, seed=4)
-        ctrl = ControllerConfig(epsilon=cfg.scheduler.epsilon, alpha=cfg.scheduler.alpha,
-                                patience=cfg.scheduler.patience,
-                                plateau_rel_span=cfg.scheduler.plateau_rel_span)
-        replayed = replay_neve_decisions(res.velocity_series["noise"], ctrl,
-                                         cfg.optimizer.lr)
+        replayed = replay_neve_decisions(res.velocity_series["noise"],
+                                         cfg.scheduler_config(), cfg.optimizer.lr)
         assert [d.verdict for d in replayed] == [r.decision for r in res.records]
 
     def test_lr_column_is_alpha_power(self):
@@ -326,6 +323,60 @@ class TestSuite:
             summary = summarize_results("x", (1, 2), [fake(False), fake(True)])
         assert summary.failures == ((2, "boom"),)
         assert summary.test_accs == (0.5,)
+
+
+# each kind with settings that make it rescale (and stop, where it can) within 30 epochs
+REPLAY_SCHEDULERS = {
+    "neve": {"kind": "neve", "epsilon": 0.02, "patience": 2, "plateau_rel_span": 0.5,
+             "cooldown": 2},
+    "fixed": {"kind": "fixed"},
+    "step_decay": {"kind": "step_decay"},
+    "vloss": {"kind": "vloss", "vloss_patience": 2, "stop_patience": 4},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REPLAY_SCHEDULERS))
+def recorded_run(request):
+    """(config, result, signal series) of one recorded run per scheduler kind."""
+    kind = request.param
+    cfg = tiny_cfg(dataset={"name": "blobs", "n_samples": 300, "n_classes": 3, "sigma": 1.2,
+                            "validation_fraction": 0.2},
+                   optimizer={"kind": "sgd", "lr": 0.5, "momentum": 0.9,
+                              "weight_decay": 1e-4},
+                   batch_size=16, max_epochs=30, scheduler=REPLAY_SCHEDULERS[kind])
+    res = run_training(cfg, seed=5)
+    signals = [r.model_velocity if kind == "neve" else r.val_loss for r in res.records]
+    return cfg, res, signals
+
+
+class TestReplay:
+    def test_replay_reproduces_every_decision(self, recorded_run):
+        cfg, res, signals = recorded_run
+        replayed = replay_neve_decisions(signals, cfg.scheduler_config(), cfg.optimizer.lr)
+        assert replayed == res.decisions      # verdict, epoch, reason and new_lr
+        verdicts = {d.verdict for d in res.decisions}
+        assert "rescale" in verdicts or cfg.scheduler.kind == "fixed"
+        assert ("stop" in verdicts) == (cfg.scheduler.kind in ("neve", "vloss"))
+
+    def test_split_fold_matches_one_fold(self, recorded_run):
+        # fold series[:k], rebuild the state from its fields, fold the rest:
+        # the decisions of one fold, so a run can resume from a saved state
+        cfg, res, signals = recorded_run
+        sched = cfg.scheduler_config()
+
+        def fold(state, lr, series):
+            decisions = []
+            for signal in series:
+                state, d = neve_decide(sched, state, signal, lr)
+                decisions.append(d)
+                lr = d.new_lr if d.verdict == "rescale" else lr
+            return state, lr, decisions
+
+        for k in np.random.default_rng(11).integers(0, len(signals) + 1, size=8):
+            state, lr, head = fold(SchedulerState(), cfg.optimizer.lr, signals[:k])
+            saved = SchedulerState(**state._asdict())
+            _, _, tail = fold(saved, lr, signals[k:])
+            assert head + tail == res.decisions
 
 
 class TestCsv:
@@ -556,7 +607,9 @@ class TestFlags:
         ("--rel-span", "1", "scheduler.plateau_rel_span"),
         ("--factor", "2", "scheduler.factor"), ("--milestones", "5,5", "scheduler.milestones"),
         ("--vloss-patience", "0", "scheduler.vloss_patience"),
-        ("--stop-patience", "0", "scheduler.stop_patience")])
+        ("--stop-patience", "0", "scheduler.stop_patience"),
+        ("--mu-vel", "5", "scheduler.mu_vel"), ("--mu-vel", "-1", "scheduler.mu_vel"),
+        ("--cooldown", "-3", "scheduler.cooldown")])
     def test_out_of_range_scheduler_value_exits_2_naming_field(self, flag, value, key,
                                                                tmp_path, capsys):
         out = tmp_path / "out"

@@ -6,8 +6,7 @@ import pytest
 
 from neve.engine import ProbeCapture, Optimizer, backward_and_step, build_model
 from neve.errors import ConfigError
-from neve.velocity import (VelocityState, change_rate, model_velocity,
-                           normalize_capture, velocity_step)
+from neve.velocity import VelocityState, change_rate, normalize_capture, velocity_step
 
 
 def capture_of(*blocks):
@@ -149,16 +148,17 @@ class TestVelocityStep:
 
 
 class TestModelVelocity:
+    # the model velocity of an epoch is the mean of the new per-neuron velocities
     def test_mean_of_two(self):
-        state = VelocityState(mu=0.5, v=np.array([0.2, 0.4]), rho=None, history=())
-        assert model_velocity(state) == pytest.approx(0.3, abs=1e-15)
+        state = velocity_step(VelocityState.initial(2), np.array([0.8, 0.6]))
+        assert state.history[-1] == pytest.approx(0.3, abs=1e-15)
 
     def test_all_zero(self):
-        assert model_velocity(VelocityState.initial(5)) == 0.0
+        assert velocity_step(VelocityState.initial(5), np.ones(5)).history[-1] == 0.0
 
     def test_mean_of_three(self):
-        state = VelocityState(mu=0.5, v=np.array([0.1, 0.1, 0.4]), rho=None, history=())
-        assert model_velocity(state) == pytest.approx(0.2, abs=1e-15)
+        state = velocity_step(VelocityState.initial(3), np.array([0.9, 0.9, 0.6]))
+        assert state.history[-1] == pytest.approx(0.2, abs=1e-15)
 
     def test_empty_registry_rejected(self):
         with pytest.raises(ConfigError):
@@ -188,7 +188,7 @@ class TestInvariantProperties:
         s = velocity_step(VelocityState.initial(12), rho)
         s_p = velocity_step(VelocityState.initial(12), rho_p)
         npt.assert_allclose(s_p.v, s.v[perm], rtol=0, atol=1e-15)
-        assert model_velocity(s) == pytest.approx(model_velocity(s_p), abs=1e-15)
+        assert s.history[-1] == pytest.approx(s_p.history[-1], abs=1e-15)
 
     def test_frozen_parameters_contract_geometrically(self):
         # train 2 epochs, then freeze: rho == 1 and v halves every epoch
