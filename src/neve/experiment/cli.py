@@ -2,7 +2,9 @@
 
 Every flag in FLAGS overrides the matching key of the (optional) JSON
 config file. Flag values are checked by the config itself: an invalid
-one exits with code 2 and an error naming the field. The default output
+one exits with code 2 and an error naming the field, before the output
+directory is created. Every subcommand runs a list of variant configs
+through one driver, which writes each run's records. The default output
 directory comes from NEVE_OUT_DIR when set; the --out flag wins over both.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import get_args, get_origin
@@ -110,33 +113,6 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
         f.write("\n")
 
 
-def _run_seeds(cfg: ExperimentConfig, out: Path | None = None, tag: str = "",
-               dump: bool = False):
-    results = []
-    for seed in cfg.seeds:
-        dump_dir = None
-        if dump and out is not None:
-            dump_dir = out / f"velocity{tag}_seed{seed}"
-            dump_dir.mkdir(parents=True, exist_ok=True)
-        result = run_training(cfg, seed, dump_dir=dump_dir)
-        results.append(result)
-        if result.failed:
-            print(f"  seed {seed}: FAILED ({result.error})")
-        else:
-            final = result.final
-            end = (f"stopped at epoch {result.stop_epoch}"
-                   if result.stop_epoch is not None
-                   else f"reached max_epochs {final.epoch}")
-            print(f"  seed {seed}: {end}, test acc {final.test_acc:.4f}")
-    return results
-
-
-def _plot_run(result, out: Path, tag: str) -> None:
-    if result.failed or not result.records:
-        return
-    emit_plots(result, out, tag=tag)
-
-
 def _print_table(headers, rows) -> None:
     widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
               for i, h in enumerate(headers)]
@@ -161,58 +137,83 @@ def _write_summary_csv(path, summaries) -> None:
                     f"{s.std_stop!r},{' '.join(map(str, s.seeds))}\n")
 
 
+def _slug(label: str) -> str:
+    """File-name tag of a variant label: "vloss (30% val)" -> "vloss-30-val"."""
+    return re.sub(r"[^\w.]+", "-", label).strip("-")
+
+
+def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, column: str):
+    """Run every ``(label, tag, cfg)`` variant over its seeds.
+
+    Every variant config is checked, and no two tags may be equal, before
+    the output directory is created. Each run then writes
+    ``run_<tag>_seed<N>.csv``, its velocity and loss charts and, with
+    ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the empty tag drops
+    ``<tag>_``). Last come the table and the summary CSV. Returns the
+    output directory and one ``(cfg, results, summary)`` per variant.
+    """
+    if not variants:
+        raise ConfigError(f"{args.command}: no variants to run")
+    tags = set()
+    for label, tag, cfg in variants:
+        cfg.validate()
+        if tag in tags:
+            raise ConfigError(f"variant {label!r}: another variant has the tag {tag!r}, "
+                              "so their run files would collide")
+        tags.add(tag)
+    out = ensure_out_dir(args)
+    _echo_config(base, out)
+    runs = []
+    for label, tag, cfg in variants:
+        print(f"{args.command}: {label}")
+        results = []
+        for seed in cfg.seeds:
+            name = f"{tag}_seed{seed}" if tag else f"seed{seed}"
+            dump_dir = None
+            if cfg.dump_velocity and cfg.probe_velocity:
+                dump_dir = out / f"velocity_{name}"
+                dump_dir.mkdir(exist_ok=True)
+            result = run_training(cfg, seed, dump_dir=dump_dir)
+            results.append(result)
+            if result.records:
+                emit_csv(result.records, out / f"run_{name}.csv")
+            if result.failed:
+                print(f"  seed {seed}: FAILED ({result.error})")
+                continue
+            emit_plots(result, out, tag=f"_{name}")
+            end = (f"stopped at epoch {result.stop_epoch}" if result.stop_epoch is not None
+                   else f"reached max_epochs {result.final.epoch}")
+            print(f"  seed {seed}: {end}, test acc {result.final.test_acc:.4f}")
+        runs.append((cfg, results, summarize_results(label, tuple(cfg.seeds), results)))
+    summaries = [summary for _, _, summary in runs]
+    _print_table((column, "test acc [%]", "stop epoch"), [_summary_row(s) for s in summaries])
+    _write_summary_csv(out / summary_name, summaries)
+    return out, runs
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out = ensure_out_dir(args)
-    _echo_config(cfg, out)
-    print(f"train: scheduler={cfg.scheduler.kind} dataset={cfg.dataset.name} "
-          f"arch={cfg.arch} seeds={list(cfg.seeds)}")
-    results = _run_seeds(cfg, out, dump=cfg.dump_velocity)
-    for result in results:
-        if result.records:
-            emit_csv(result.records, out / f"run_seed{result.seed}.csv")
-            _plot_run(result, out, f"_seed{result.seed}")
-    summary = summarize_results(cfg.scheduler.kind, tuple(cfg.seeds), results)
-    _print_table(("scheduler", "test acc [%]", "stop epoch"), [_summary_row(summary)])
-    _write_summary_csv(out / "summary.csv", [summary])
+    _run_variants(args, cfg, [(cfg.scheduler.kind, "", cfg)], "summary.csv", "scheduler")
     return 0
 
 
 def cmd_compare(args) -> int:
     base = resolve_config(args)
-    out = ensure_out_dir(args)
-    _echo_config(base, out)
-    variants = [
-        ("neve (0% val)", base.replace(
-            scheduler=base.scheduler_with(kind="neve"),
-            dataset=base.dataset_with(validation_fraction=0.0))),
-        ("fixed (0% val)", base.replace(
-            scheduler=base.scheduler_with(kind="fixed"),
-            dataset=base.dataset_with(validation_fraction=0.0))),
-        ("step_decay (0% val)", base.replace(
-            scheduler=base.scheduler_with(kind="step_decay"),
-            dataset=base.dataset_with(validation_fraction=0.0))),
-        (f"vloss ({int(100 * args.vloss_fraction)}% val)", base.replace(
-            scheduler=base.scheduler_with(kind="vloss"),
-            dataset=base.dataset_with(validation_fraction=args.vloss_fraction))),
-    ]
-    summaries = []
-    acc_series = []
-    for label, cfg in variants:
-        print(f"compare: running {label}")
-        results = _run_seeds(cfg)
-        summaries.append(summarize_results(label, tuple(cfg.seeds), results))
-        first = results[0]
-        if first.records:
-            acc_series.append((label, [r.epoch for r in first.records],
-                               [r.test_acc for r in first.records]))
-    _print_table(("scheduler", "test acc [%]", "stop epoch"),
-                 [_summary_row(s) for s in summaries])
-    _write_summary_csv(out / "summary.csv", summaries)
+    variants = []
+    for kind, frac in (("neve", 0.0), ("fixed", 0.0), ("step_decay", 0.0),
+                       ("vloss", args.vloss_fraction)):
+        label = f"{kind} ({int(100 * frac)}% val)"
+        variants.append((label, _slug(label), base.replace(
+            scheduler=base.scheduler_with(kind=kind),
+            dataset=base.dataset_with(validation_fraction=frac))))
+    out, runs = _run_variants(args, base, variants, "summary.csv", "scheduler")
+    acc_series = [(summary.label, [r.epoch for r in results[0].records],
+                   [r.test_acc for r in results[0].records])
+                  for _, results, summary in runs if results[0].records]
     if acc_series:
         line_chart(out / "compare_accuracy.svg", acc_series,
                    title="Test accuracy by scheduler", xlabel="epoch",
@@ -222,24 +223,19 @@ def cmd_compare(args) -> int:
 
 def cmd_epsilon_sweep(args) -> int:
     base = resolve_config(args)
-    out = ensure_out_dir(args)
-    _echo_config(base, out)
-    grid = args.eps_grid
-    summaries = []
-    for eps in grid:
-        cfg = base.replace(scheduler=base.scheduler_with(kind="neve", epsilon=eps))
-        print(f"epsilon-sweep: eps={eps:g}")
-        results = _run_seeds(cfg)
-        summaries.append(summarize_results(f"eps={eps:g}", tuple(cfg.seeds), results))
-    _print_table(("epsilon", "test acc [%]", "stop epoch"),
-                 [(f"{eps:g}",) + _summary_row(s)[1:] for eps, s in zip(grid, summaries)])
-    _write_summary_csv(out / "epsilon_sweep.csv", summaries)
+    variants = []
+    for eps in args.eps_grid:
+        label = f"eps={eps:g}"
+        variants.append((label, _slug(label),
+                         base.replace(scheduler=base.scheduler_with(kind="neve", epsilon=eps))))
+    out, runs = _run_variants(args, base, variants, "epsilon_sweep.csv", "epsilon")
+    grid = [cfg.scheduler.epsilon for cfg, _, _ in runs]
     line_chart(out / "epsilon_stop_epochs.svg",
-               [("epochs to stop", grid, [s.mean_stop for s in summaries])],
+               [("epochs to stop", grid, [s.mean_stop for _, _, s in runs])],
                title="Training length vs stop threshold", xlabel="epsilon",
                ylabel="epochs", log_x=True)
     line_chart(out / "epsilon_accuracy.svg",
-               [("test accuracy", grid, [s.mean_acc for s in summaries])],
+               [("test accuracy", grid, [s.mean_acc for _, _, s in runs])],
                title="Accuracy vs stop threshold", xlabel="epsilon",
                ylabel="test accuracy", log_x=True)
     return 0
@@ -247,52 +243,43 @@ def cmd_epsilon_sweep(args) -> int:
 
 def cmd_aux_sweep(args) -> int:
     base = resolve_config(args)
-    out = ensure_out_dir(args)
-    _echo_config(base, out)
-    summaries = []
-
-    frac_rows = []
+    variants = []
     for frac in args.val_fracs:
-        cfg = base.replace(
+        label = f"val={frac:g}"
+        variants.append((label, _slug(label), base.replace(
             scheduler=base.scheduler_with(kind="fixed"),
             dataset=base.dataset_with(validation_fraction=frac),
-            probe_velocity=False, probe_aux=())
-        print(f"aux-sweep: validation fraction {frac:g}")
-        results = _run_seeds(cfg)
-        s = summarize_results(f"val={frac:g}", tuple(cfg.seeds), results)
-        summaries.append(s)
-        frac_rows.append((frac, s.mean_acc))
+            probe_velocity=False, probe_aux=())))
+    for source in args.aux_sources:
+        frac = base.dataset.validation_fraction
+        if source == "heldout" and frac <= 0:
+            frac = args.heldout_fraction
+        for count in args.aux_sizes:
+            label = f"{source}/{count}"
+            variants.append((label, _slug(label), base.replace(
+                scheduler=base.scheduler_with(kind="neve"),
+                dataset=base.dataset_with(validation_fraction=frac),
+                aux=base.aux_with(source=source, count=count))))
+    out, runs = _run_variants(args, base, variants, "aux_sweep.csv", "setting")
+    frac_rows = [(cfg.dataset.validation_fraction, s.mean_acc)
+                 for cfg, _, s in runs if cfg.scheduler.kind == "fixed"]
     if frac_rows:
         line_chart(out / "accuracy_vs_val_fraction.svg",
                    [("test accuracy", [r[0] for r in frac_rows],
                      [r[1] for r in frac_rows])],
                    title="Cost of holding out training data",
                    xlabel="validation fraction", ylabel="test accuracy")
-
-    size_series = []
-    for source in args.aux_sources:
-        accs = []
-        for count in args.aux_sizes:
-            frac = base.dataset.validation_fraction
-            if source == "heldout" and frac <= 0:
-                frac = args.heldout_fraction
-            cfg = base.replace(
-                scheduler=base.scheduler_with(kind="neve"),
-                dataset=base.dataset_with(validation_fraction=frac),
-                aux=base.aux_with(source=source, count=count))
-            print(f"aux-sweep: source={source} count={count}")
-            results = _run_seeds(cfg)
-            s = summarize_results(f"{source}/{count}", tuple(cfg.seeds), results)
-            summaries.append(s)
+    by_source = {}
+    for cfg, _, s in runs:
+        if cfg.scheduler.kind == "neve":
+            counts, accs = by_source.setdefault(cfg.aux.source, ([], []))
+            counts.append(cfg.aux.count)
             accs.append(s.mean_acc)
-        size_series.append((source, list(args.aux_sizes), accs))
-    if size_series:
-        line_chart(out / "accuracy_vs_aux_size.svg", size_series,
+    if by_source:
+        line_chart(out / "accuracy_vs_aux_size.svg",
+                   [(source, counts, accs) for source, (counts, accs) in by_source.items()],
                    title="Accuracy vs auxiliary-set size", xlabel="aux samples",
                    ylabel="test accuracy", log_x=True)
-    _print_table(("setting", "test acc [%]", "stop epoch"),
-                 [_summary_row(s) for s in summaries])
-    _write_summary_csv(out / "aux_sweep.csv", summaries)
     return 0
 
 
@@ -312,27 +299,21 @@ def cmd_epsilon_analysis(args) -> int:
 
 def cmd_optim_compare(args) -> int:
     base = resolve_config(args)
-    out = ensure_out_dir(args)
-    _echo_config(base, out)
-    summaries = []
-    vel_series = []
-    for kind in ("sgd", "adam"):
-        lr = base.optimizer.lr if kind == "sgd" else args.adam_lr
-        opt_spec = base.optimizer_with(kind=kind, lr=lr)
+    variants = []
+    for kind, lr in (("sgd", base.optimizer.lr), ("adam", args.adam_lr)):
         for sched in ("neve", "fixed"):
-            cfg = base.replace(optimizer=opt_spec,
-                               scheduler=base.scheduler_with(kind=sched))
-            print(f"optim-compare: {kind} + {sched}")
-            results = _run_seeds(cfg)
-            summaries.append(summarize_results(f"{kind}/{sched}", tuple(cfg.seeds),
-                                               results))
-            first = results[0]
-            if sched == "neve" and first.velocity_series:
-                vs = first.velocity_series[first.primary_source]
-                vel_series.append((kind, list(range(1, len(vs) + 1)), vs))
-    _print_table(("optimizer/scheduler", "test acc [%]", "stop epoch"),
-                 [_summary_row(s) for s in summaries])
-    _write_summary_csv(out / "optim_compare.csv", summaries)
+            label = f"{kind}/{sched}"
+            variants.append((label, _slug(label), base.replace(
+                optimizer=base.optimizer_with(kind=kind, lr=lr),
+                scheduler=base.scheduler_with(kind=sched))))
+    out, runs = _run_variants(args, base, variants, "optim_compare.csv",
+                              "optimizer/scheduler")
+    vel_series = []
+    for cfg, results, _ in runs:
+        first = results[0]
+        if cfg.scheduler.kind == "neve" and first.velocity_series:
+            vs = first.velocity_series[first.primary_source]
+            vel_series.append((cfg.optimizer.kind, list(range(1, len(vs) + 1)), vs))
     if vel_series:
         line_chart(out / "optim_velocity.svg", vel_series,
                    title="Model velocity by optimizer", xlabel="epoch",

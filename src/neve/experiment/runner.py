@@ -1,4 +1,4 @@
-"""Run orchestration: the train/probe/decide loop, suites and CSV output.
+"""Run orchestration: the train/probe/decide loop, summaries and CSV output.
 
 One run: capture an auxiliary snapshot before training, then per epoch
 train all batches, snapshot the aux set after the last optimizer step,
@@ -286,16 +286,6 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
                       stop_epochs=tuple(stops), mean_acc=mean_acc, std_acc=std_acc,
                       mean_stop=mean_stop, std_stop=std_stop,
                       failures=tuple(failures))
-
-
-def run_suite(cfg: ExperimentConfig, seeds=None, label: str | None = None) -> RunSummary:
-    """Run every seed independently and aggregate final-test-accuracy and
-    run-length statistics."""
-    seeds = tuple(seeds if seeds is not None else cfg.seeds)
-    if not seeds:
-        raise ConfigError("run_suite needs at least one seed")
-    results = [run_training(cfg, seed) for seed in seeds]
-    return summarize_results(label or cfg.scheduler.kind, seeds, results)
 
 
 def emit_plots(result: RunResult, out_dir, kinds=("velocity", "loss"),

@@ -60,3 +60,22 @@ def test_missing_file_and_extra_row(tmp_path, capsys):
     assert compare_outputs.main([str(a)]) == 2
     (tmp_path / "empty").mkdir()
     assert compare_outputs.main([str(tmp_path / "empty"), str(tmp_path / "empty")]) == 2
+
+
+def test_other_files_compared_byte_for_byte(tmp_path, capsys):
+    a = write_run(tmp_path / "a", ["1,0.5,0.9,0.1,continue,1.25\n"])
+    b = write_run(tmp_path / "b", ["1,0.5,0.9,0.1,continue,3.5\n"])
+    for root in (a, b):
+        (root / "config.json").write_text('{"seeds": [1]}\n')
+        (root / "loss_seed1.svg").write_text("<svg>1</svg>\n")
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "identical (2 CSV files, wall_seconds ignored; 2 other files byte for byte)")
+    (b / "loss_seed1.svg").write_text("<svg>2</svg>\n")
+    (b / "velocity_seed1.svg").write_text("<svg/>\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "config.json: identical" in out
+    assert "loss_seed1.svg: bytes differ" in out
+    assert f"velocity_seed1.svg: only in {b}" in out
+    assert out.splitlines()[-1] == "decision, learning_rate and accuracy columns match"

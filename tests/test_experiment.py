@@ -21,8 +21,8 @@ from neve.data import Dataset, write_idx
 from neve.errors import ConfigError
 from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
-                             records_to_csv, replay_neve_decisions, run_suite,
-                             run_training, summarize_results)
+                             records_to_csv, replay_neve_decisions, run_training,
+                             summarize_results)
 from neve.experiment import ExperimentConfig
 from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
 from neve.experiment.runner import RunResult, load_dataset
@@ -41,6 +41,11 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return config_from_dict(base)
+
+
+# a few-second blobs task for the CLI tests
+TINY_CLI = ["--dataset", "blobs", "--n-samples", "200", "--n-classes", "3",
+            "--arch", "mlp:2-8-3", "--seeds", "1"]
 
 
 class TestConfig:
@@ -65,6 +70,10 @@ class TestConfig:
     def test_idx_paths_required(self):
         with pytest.raises(ConfigError, match="dataset.train_images"):
             tiny_cfg(dataset={"name": "idx"})
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            config_from_dict({"seeds": []})
 
     def test_file_round_trip(self, tmp_path):
         # JSON turns every tuple into a list; loading turns them back,
@@ -287,8 +296,9 @@ class TestDatasetCache:
 
 class TestSuite:
     def test_single_seed_std_zero(self):
-        summary = run_suite(tiny_cfg(max_epochs=5, scheduler={"kind": "fixed"}),
-                            seeds=(1,))
+        result = run_training(tiny_cfg(max_epochs=5, scheduler={"kind": "fixed"}), seed=1)
+        summary = summarize_results("fixed", (1,), [result])
+        assert summary.test_accs == (result.final.test_acc,)
         assert summary.std_acc == 0.0
         assert summary.std_stop == 0.0
 
@@ -303,10 +313,6 @@ class TestSuite:
                                     [fake(0.90), fake(0.92), fake(0.94)])
         assert summary.mean_acc == pytest.approx(0.92, abs=1e-12)
         assert summary.std_acc == pytest.approx(0.016329931618554536, rel=1e-9)
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ConfigError):
-            run_suite(tiny_cfg(), seeds=())
 
     def test_failed_seed_excluded_with_warning(self):
         def fake(failed):
@@ -490,6 +496,8 @@ class TestCli:
         assert (tmp_path / "epsilon_stop_epochs.svg").exists()
         assert (tmp_path / "epsilon_accuracy.svg").exists()
         assert (tmp_path / "epsilon_sweep.csv").exists()
+        assert (tmp_path / "run_eps-0.01_seed1.csv").exists()
+        assert (tmp_path / "loss_eps-0.1_seed1.svg").exists()
 
     def test_aux_sweep_writes_curves(self, tmp_path, capsys):
         code = main(["aux-sweep", "--dataset", "blobs", "--n-samples", "200",
@@ -500,6 +508,8 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "accuracy_vs_val_fraction.svg").exists()
         assert (tmp_path / "accuracy_vs_aux_size.svg").exists()
+        assert (tmp_path / "run_val-0.2_seed1.csv").exists()
+        assert (tmp_path / "run_noise-20_seed1.csv").exists()
 
     def test_optim_compare_runs_both_optimizers(self, tmp_path, capsys):
         code = main(["optim-compare", "--dataset", "blobs", "--n-samples", "200",
@@ -509,6 +519,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sgd/neve" in out and "adam/neve" in out
         assert (tmp_path / "optim_compare.csv").exists()
+        assert (tmp_path / "run_adam-fixed_seed1.csv").exists()
 
     def test_epsilon_analysis_table_is_two_columns(self, capsys):
         assert main(["epsilon-analysis", "--eps-grid", "1e-3,1e-2"]) == 0
@@ -532,6 +543,48 @@ class TestCli:
         assert (env_dir / "run_seed1.csv").exists()
         assert main(args + ["--out", str(flag_dir)]) == 0
         assert (flag_dir / "run_seed1.csv").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["compare", "--vloss-fraction", "0"], "dataset.validation_fraction"),
+        (["epsilon-sweep", "--eps-grid", "1e-2,-1"], "scheduler.epsilon"),
+        (["aux-sweep", "--aux-sources", "noise,bogus"], "aux.source"),
+        (["aux-sweep", "--aux-sizes", "0"], "aux.count"),
+        (["optim-compare", "--adam-lr", "-1"], "optimizer.lr"),
+        (["epsilon-sweep", "--eps-grid", ","], "epsilon-sweep: no variants")])
+    def test_subcommand_value_checked_before_output(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + TINY_CLI + ["--max-epochs", "2", "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["epsilon-sweep", "--eps-grid", "1e-3,0.001"],
+                                      ["aux-sweep", "--aux-sizes", "10,10"]])
+    def test_variants_sharing_a_tag_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + TINY_CLI + ["--max-epochs", "2", "--out", str(out)]) == 2
+        assert "tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_dumps_velocity(self, tmp_path):
+        assert main(["compare", *TINY_CLI, "--max-epochs", "3", "--dump-velocity",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "run_neve-0-val_seed1.csv").read_text().splitlines()[1:]
+        dumps = sorted(p.name for p in (tmp_path / "velocity_neve-0-val_seed1").iterdir())
+        assert dumps == [f"velocity_epoch{e:04d}.csv" for e in range(1, len(rows) + 1)]
+
+    def test_per_run_records_match_direct_runs(self, tmp_path):
+        flags = [*TINY_CLI, "--max-epochs", "5"]
+        assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
+        assert main(["train", *flags, "--scheduler", "vloss", "--val-fraction", "0.3",
+                     "--dump-velocity", "--out", str(tmp_path / "train")]) == 0
+
+        def without_wall_seconds(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        assert (without_wall_seconds(tmp_path / "compare" / "run_vloss-30-val_seed1.csv")
+                == without_wall_seconds(tmp_path / "train" / "run_seed1.csv"))
+        assert sorted(p.name for p in (tmp_path / "train").iterdir()) == [
+            "config.json", "loss_seed1.svg", "run_seed1.csv", "summary.csv",
+            "velocity_seed1", "velocity_seed1.svg"]
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -1,10 +1,11 @@
-"""Compare the CSV outputs of two neve run directories.
+"""Compare the outputs of two neve run directories.
 
 Usage: python3 tools/compare_outputs.py DIR_A DIR_B
 
-Pairs every ``*.csv`` under the two directories by relative path (per-epoch
-records, summaries, epsilon sweeps, velocity dumps) and compares them cell
-by cell, ignoring the ``wall_seconds`` column. A file is reported as
+Pairs every file under the two directories by relative path. CSV files
+(per-epoch records, summaries, epsilon sweeps, velocity dumps) are
+compared cell by cell, ignoring the ``wall_seconds`` column; every other
+file (``config.json``, SVG charts) byte for byte. A file is reported as
 "identical", or with the largest relative and absolute difference of each
 numeric column that differs. The last line says whether the decision, learning-rate and
 accuracy columns match exactly. Exit status: 0 when every file is
@@ -65,16 +66,23 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     dir_a, dir_b = Path(argv[0]), Path(argv[1])
-    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*.csv")}
-    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*.csv")}
-    if not files_a | files_b:
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    csvs = {rel for rel in files_a | files_b if rel.suffix == ".csv"}
+    if not csvs:
         print(f"no CSV files under {dir_a} or {dir_b}", file=sys.stderr)
         return 2
-    same = keys_match = files_a == files_b
+    same = files_a == files_b
+    keys_match = csvs <= files_a & files_b
     worst = (0.0, "")
     for rel in sorted(files_a ^ files_b):
         print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
     for rel in sorted(files_a & files_b):
+        if rel.suffix != ".csv":
+            identical = (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+            same = same and identical
+            print(f"{rel}: {'identical' if identical else 'bytes differ'}")
+            continue
         diffs, problems = compare_file(dir_a / rel, dir_b / rel)
         if not diffs and not problems:
             print(f"{rel}: identical")
@@ -91,7 +99,8 @@ def main(argv: list[str]) -> int:
                 worst = max(worst, (d[0], f"{rel}: {name}"))
         print(f"{rel}: " + "; ".join(parts))
     if same:
-        print(f"identical ({len(files_a)} CSV files, wall_seconds ignored)")
+        print(f"identical ({len(csvs)} CSV files, wall_seconds ignored; "
+              f"{len(files_a) - len(csvs)} other files byte for byte)")
         return 0
     print(f"differ; largest relative difference {worst[0]:.3g} ({worst[1] or 'none numeric'})")
     print("decision, learning_rate and accuracy columns "
