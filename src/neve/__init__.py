@@ -9,9 +9,9 @@ once it falls below a threshold — no validation split required.
 from .controller import (BaselineSchedulerConfig, ControllerConfig,
                          ControllerDecision, EpsilonAnalysis, SchedulerState,
                          baseline_decide, epsilon_analysis, neve_decide, softmax_delta)
-from .data import (AugmentRecipe, AuxSet, Dataset, SplitSpec, augment, gen_blobs,
-                   gen_digits, hflip, load_cifar10, load_idx, make_aux_from_samples,
-                   make_aux_noise, split, standardize, write_idx)
+from .data import (AuxSet, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
+                   load_idx, make_aux_from_samples, make_aux_noise, split, standardize,
+                   write_idx)
 from .engine import (Model, Optimizer, ProbeCapture, backward_and_step, build_model,
                      evaluate)
 from .errors import ConfigError, DataFormatError, NeveError, NumericError
@@ -24,9 +24,9 @@ __all__ = [
     "BaselineSchedulerConfig", "ControllerConfig", "ControllerDecision",
     "EpsilonAnalysis", "SchedulerState", "baseline_decide", "epsilon_analysis",
     "neve_decide", "softmax_delta",
-    "AugmentRecipe", "AuxSet", "Dataset", "SplitSpec", "augment", "gen_blobs",
-    "gen_digits", "hflip", "load_cifar10", "load_idx", "make_aux_from_samples",
-    "make_aux_noise", "split", "standardize", "write_idx",
+    "AuxSet", "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
+    "load_idx", "make_aux_from_samples", "make_aux_noise", "split", "standardize",
+    "write_idx",
     "Model", "Optimizer", "ProbeCapture", "backward_and_step", "build_model",
     "evaluate",
     "ConfigError", "DataFormatError", "NeveError", "NumericError",

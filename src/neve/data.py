@@ -2,9 +2,11 @@
 
 Datasets and auxiliary sets are immutable after construction and safely
 shareable across concurrent runs; every random choice is driven by an
-explicit seed or a caller-supplied generator. The runner's
-``load_dataset`` reuses the last loaded (train, test) pair across runs
-and makes its arrays read-only, so an in-place write raises ValueError.
+explicit seed or a caller-supplied generator. The functions here take
+plain arguments; the run configuration's ``DatasetSpec`` names and
+checks them, and the runner's ``load_dataset`` reuses the last loaded
+(train, test) pair across runs and makes its arrays read-only, so an
+in-place write raises ValueError.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ class Dataset:
                        self.labels[indices], self.n_classes)
 
     def subset(self, n: int, seed: int = 0) -> "Dataset":
-        """Deterministic stratified subset of ``n`` samples."""
+        """Deterministic stratified subset of ``n >= 1`` samples."""
+        if n < 1:
+            raise ConfigError(f"{self.name}: a subset needs at least one sample, got {n}")
         if n >= len(self):
             return self
         per_class = _stratified_counts(self.labels, self.n_classes, n)
@@ -77,19 +81,6 @@ class AuxSet:
         return hashlib.sha256(self.samples.tobytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Validation holdout: fraction of the training data and the split seed."""
-
-    validation_fraction: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigError(
-                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
-
-
 def _stratified_counts(labels: np.ndarray, n_classes: int, total: int) -> list[int]:
     class_sizes = np.bincount(labels, minlength=n_classes)
     counts = [int(round(total * s / len(labels))) for s in class_sizes]
@@ -107,15 +98,17 @@ def _stratified_counts(labels: np.ndarray, n_classes: int, total: int) -> list[i
     return counts
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Label-stratified partition into (train, validation); deterministic,
-    disjoint and exhaustive."""
-    frac = spec.validation_fraction
+def split(dataset: Dataset, frac: float, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """Label-stratified partition into (train, validation) that holds out
+    ``frac`` of the samples, seeded by ``seed``; deterministic, disjoint
+    and exhaustive."""
+    if not 0.0 <= frac < 1.0:
+        raise ConfigError(f"validation fraction must lie in [0, 1), got {frac}")
     n_val = int(round(frac * len(dataset)))
     if n_val == 0:
         return dataset, dataset.take(np.array([], dtype=np.int64), f"{dataset.name}/val")
     val_counts = _stratified_counts(dataset.labels, dataset.n_classes, n_val)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     val_idx = []
     for c in range(dataset.n_classes):
         idx = np.flatnonzero(dataset.labels == c)
@@ -134,23 +127,15 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 # Synthetic generators
 
 
-def gen_blobs(n: int, k: int, centers=None, sigma: float = 0.5,
-              seed: int = 0) -> Dataset:
-    """``n`` points from ``k`` isotropic Gaussians with balanced classes."""
+def gen_blobs(n: int, k: int, sigma: float = 0.5, seed: int = 0) -> Dataset:
+    """``n`` points from ``k`` isotropic Gaussians with balanced classes,
+    centred on a circle of radius 2."""
     if k < 1 or n < k:
         raise ConfigError(f"need n >= k >= 1, got n={n}, k={k}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
-    if centers is None:
-        angles = 2.0 * np.pi * np.arange(k) / k
-        centers = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape[0] != k:
-        raise ConfigError(f"got {centers.shape[0]} centers for k={k} classes")
-    for a in range(k):
-        for b in range(a + 1, k):
-            if np.allclose(centers[a], centers[b]):
-                raise ConfigError(f"duplicate centers for classes {a} and {b}")
+    angles = 2.0 * np.pi * np.arange(k) / k
+    centers = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rng = np.random.default_rng(seed)
     counts = [n // k + (1 if c < n % k else 0) for c in range(k)]
     xs, ys = [], []
@@ -277,9 +262,8 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 
 
 def load_cifar10(paths, name: str = "cifar10") -> Dataset:
-    """Read CIFAR-10 binary batch files (concatenated 3073-byte records)."""
-    if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
-        paths = [paths]
+    """Read a sequence of CIFAR-10 binary batch files (concatenated
+    3073-byte records)."""
     all_images, all_labels = [], []
     for path in paths:
         with open(path, "rb") as f:
@@ -325,56 +309,27 @@ def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Augmentation
 
-AUGMENT_KINDS = ("none", "pad_crop_flip")
+AUGMENT_PAD = 4
 
 
-@dataclass(frozen=True)
-class AugmentRecipe:
-    """Training-batch augmentation; ``none`` leaves batches untouched.
-
-    ``pad_crop_flip`` zero-pads by ``pad``, randomly crops back to
-    ``crop`` (input size when None) and mirrors horizontally with
-    probability 1/2. Never applied to aux or evaluation passes.
-    """
-
-    kind: str = "none"
-    pad: int = 4
-    crop: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in AUGMENT_KINDS:
-            raise ConfigError(f"unknown augmentation recipe {self.kind!r}")
-
-
-def hflip(batch: np.ndarray) -> np.ndarray:
-    """Mirror (n, c, h, w) images along the width axis."""
-    return batch[..., ::-1].copy()
-
-
-def augment(batch: np.ndarray, recipe: AugmentRecipe,
-            rng: np.random.Generator) -> np.ndarray:
-    """Apply ``recipe`` to one training batch using the run's generator."""
-    if recipe.kind == "none":
-        return batch
+def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """pad_crop_flip on one (n, c, h, w) training batch: zero-pad each
+    image by ``AUGMENT_PAD``, crop an (h, w) window at a random offset and
+    mirror it along the width with probability 1/2. The generator draws
+    the offsets first, then the flips. Never applied to aux or evaluation
+    passes."""
     if batch.ndim != 4:
         raise ConfigError(
             f"pad_crop_flip needs (n, c, h, w) batches, got shape {batch.shape}")
     n, c, h, w = batch.shape
-    ch = recipe.crop or h
-    cw = recipe.crop or w
-    if ch > h + 2 * recipe.pad or cw > w + 2 * recipe.pad:
-        raise ConfigError(
-            f"crop {ch}x{cw} larger than padded image "
-            f"{h + 2 * recipe.pad}x{w + 2 * recipe.pad}")
-    padded = np.pad(batch, ((0, 0), (0, 0), (recipe.pad, recipe.pad),
-                            (recipe.pad, recipe.pad)))
-    offs = rng.integers(0, (h + 2 * recipe.pad - ch + 1, w + 2 * recipe.pad - cw + 1),
-                        size=(n, 2))
+    p = AUGMENT_PAD
+    padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
+    offs = rng.integers(0, (2 * p + 1, 2 * p + 1), size=(n, 2))
     flips = rng.random(n) < 0.5
-    out = np.empty((n, c, ch, cw))
+    out = np.empty((n, c, h, w))
     for i in range(n):
         r0, c0 = offs[i]
-        crop = padded[i, :, r0:r0 + ch, c0:c0 + cw]
+        crop = padded[i, :, r0:r0 + h, c0:c0 + w]
         out[i] = crop[:, :, ::-1] if flips[i] else crop
     return out
 

@@ -1,11 +1,11 @@
 """Model assembly, probed forward passes, training steps and evaluation.
 
 A model is an ordered stack of layers ending in a dense classification
-head whose logits feed a softmax cross-entropy loss. Probe points are
-registered automatically on every ReLU output and on the head's softmax
-output; a probed "neuron" is one output unit of a flat layer or one
-output channel of a convolutional layer (spatial positions are folded
-into the sample axis).
+head whose logits feed a softmax cross-entropy loss. A probed forward
+pass captures the output of every ReLU, in stack order, and then the
+head's softmax output; a probed "neuron" is one output unit of a flat
+activation or one channel of a (b, c, h, w) activation (spatial
+positions are folded into the sample axis).
 """
 
 from __future__ import annotations
@@ -19,33 +19,19 @@ from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
 
 
 @dataclass(frozen=True)
-class ProbePoint:
-    """One capture site: ``n_neurons`` rows are recorded at layer ``layer_index``."""
-
-    layer_index: int      # index into Model.layers; -1 marks the softmax head
-    kind: str             # "relu" or "softmax"
-    n_neurons: int
-    per_channel: bool     # True when the site sees (b, c, h, w) activations
-
-
-@dataclass(frozen=True)
 class ProbeCapture:
     """Post-activation outputs for every probed neuron over one batch.
 
-    ``outputs[k]`` has shape (n_neurons, vector_len) for probe point k;
-    row order follows the model's probe registry and is stable across
-    epochs for a fixed architecture and a fixed batch size.
+    ``outputs[k]`` has shape (neurons, vector_len) for the k-th capture
+    site (each ReLU in stack order, then the softmax head); the order is
+    stable across epochs for a fixed architecture and batch size.
     """
 
     outputs: tuple[np.ndarray, ...]
 
-    @property
-    def n_neurons(self) -> int:
-        return sum(o.shape[0] for o in self.outputs)
 
-
-def _capture_site(act: np.ndarray, per_channel: bool) -> np.ndarray:
-    if per_channel:
+def _capture_site(act: np.ndarray) -> np.ndarray:
+    if act.ndim == 4:
         b, c = act.shape[0], act.shape[1]
         # (b, c, h, w) -> (c, b*h*w): spatial positions join the sample axis
         return act.reshape(b, c, -1).transpose(1, 0, 2).reshape(c, -1).copy()
@@ -53,7 +39,8 @@ def _capture_site(act: np.ndarray, per_channel: bool) -> np.ndarray:
 
 
 class Model:
-    """Layer stack with deterministic parameters and a probe registry."""
+    """Layer stack with deterministic parameters. ``n_probed_neurons``
+    counts the rows a probed forward pass captures."""
 
     def __init__(self, layers: list, input_shape: tuple[int, ...], seed: int):
         self.layers = layers
@@ -61,37 +48,25 @@ class Model:
         self.seed = int(seed)
 
         shape = self.input_shape
-        shapes = [shape]
+        relu_neurons = 0
         for idx, layer in enumerate(self.layers):
             try:
                 shape = layer.output_shape(shape)
             except ConfigError as exc:
                 prev = self.layers[idx - 1].name if idx else "input"
                 raise ConfigError(f"layer {idx} ({layer.name}) after {prev}: {exc}") from exc
-            shapes.append(shape)
+            if isinstance(layer, ReLU):
+                relu_neurons += shape[0]
         if not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
         if len(shape) != 1:
             raise ConfigError(f"head output must be flat, got shape {shape}")
         self.n_classes = shape[0]
-        self._shapes = shapes
-
-        probes = []
-        for idx, layer in enumerate(self.layers):
-            if isinstance(layer, ReLU):
-                out = shapes[idx + 1]
-                per_channel = len(out) == 3
-                probes.append(ProbePoint(idx, "relu", out[0], per_channel))
-        probes.append(ProbePoint(-1, "softmax", self.n_classes, False))
-        self.probe_points = tuple(probes)
+        self.n_probed_neurons = relu_neurons + self.n_classes
 
         rng = np.random.default_rng(self.seed)
         for layer in self.layers:
             layer.init_params(rng)
-
-    @property
-    def n_probed_neurons(self) -> int:
-        return sum(p.n_neurons for p in self.probe_points)
 
     def n_parameters(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params.values())
@@ -121,13 +96,10 @@ class Model:
                 f"batch shape {x.shape[1:]} does not match input shape {self.input_shape}"
             )
         captured = [] if capture_probes else None
-        probe_iter = iter(p for p in self.probe_points if p.kind == "relu")
-        next_probe = next(probe_iter, None)
-        for idx, layer in enumerate(self.layers):
+        for layer in self.layers:
             x = layer.forward(x)
-            if captured is not None and next_probe is not None and next_probe.layer_index == idx:
-                captured.append(_capture_site(x, next_probe.per_channel))
-                next_probe = next(probe_iter, None)
+            if captured is not None and isinstance(layer, ReLU):
+                captured.append(_capture_site(x))
         logits = x
         if not np.isfinite(logits).all():
             idx = self._first_nonfinite_layer(inputs)
@@ -135,7 +107,7 @@ class Model:
                 f"non-finite activation at layer {idx} ({self.layers[idx].name})")
         probs = softmax(logits)
         if captured is not None:
-            captured.append(_capture_site(probs, False))
+            captured.append(_capture_site(probs))
             return logits, probs, ProbeCapture(tuple(captured))
         return logits, probs, None
 

@@ -12,13 +12,14 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import get_type_hints
 
 from ..controller import BaselineSchedulerConfig, ControllerConfig
-from ..data import AUGMENT_KINDS
 from ..errors import ConfigError
 
 AUX_SOURCES = ("noise", "heldout", "train")
+AUGMENT_KINDS = ("none", "pad_crop_flip")
 
 
 @functools.cache
@@ -55,7 +56,9 @@ class DatasetSpec:
     """What to train on and how to slice it.
 
     ``subset`` caps the training set (stratified) before the validation
-    split is carved out, mirroring a data-scarce regime.
+    split is carved out, mirroring a data-scarce regime. ``validate``
+    checks the fields, dotted names in its errors, before any output is
+    written; the data functions take their values as plain arguments.
     """
 
     name: str = "blobs"                  # blobs | digits | idx | cifar10
@@ -90,12 +93,34 @@ class DatasetSpec:
         if self.augment not in AUGMENT_KINDS:
             raise ConfigError(
                 f"dataset.augment must be one of {AUGMENT_KINDS}, got {self.augment!r}")
-        if self.name == "idx":
-            for key in ("train_images", "train_labels", "test_images", "test_labels"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"dataset.{key} is required for the idx dataset")
+        if self.subset is not None and self.subset < 1:
+            raise ConfigError(f"dataset.subset must be >= 1, got {self.subset}")
+        if self.name == "blobs" and self.n_classes < 1:
+            raise ConfigError(f"dataset.n_classes must be >= 1, got {self.n_classes}")
+        if self.name == "blobs" and self.sigma <= 0:
+            raise ConfigError(f"dataset.sigma must be > 0, got {self.sigma}")
+        least = {"blobs": self.n_classes, "digits": 10}.get(self.name, 0)
+        for key in ("n_samples", "test_samples"):
+            if getattr(self, key) < least:
+                raise ConfigError(f"dataset.{key} must be >= {least}, one sample per "
+                                  f"class, got {getattr(self, key)}")
         if self.name == "cifar10" and not self.cifar_train_paths:
             raise ConfigError("dataset.cifar_train_paths is required for cifar10")
+        for key, path in self.files():
+            if path is None:
+                raise ConfigError(f"dataset.{key} is required for the {self.name} dataset")
+            if not Path(path).is_file():
+                raise ConfigError(f"dataset.{key} is not an existing file: {path!r}")
+
+    def files(self) -> list[tuple[str, object]]:
+        """(field, path) of every file the dataset is read from."""
+        if self.name == "idx":
+            return [(key, getattr(self, key))
+                    for key in ("train_images", "train_labels", "test_images", "test_labels")]
+        if self.name == "cifar10":
+            return ([("cifar_train_paths", path) for path in self.cifar_train_paths]
+                    + [("cifar_test_paths", path) for path in self.cifar_test_paths])
+        return []
 
 
 @dataclass(frozen=True)

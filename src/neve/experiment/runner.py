@@ -1,7 +1,8 @@
 """Run orchestration: the train/probe/decide loop, summaries and CSV output.
 
 One run: capture an auxiliary snapshot before training, then per epoch
-train all batches, snapshot the aux set after the last optimizer step,
+train all batches (through ``data.augment`` when ``dataset.augment`` is
+``pad_crop_flip``), snapshot the aux set after the last optimizer step,
 turn snapshots into change rates and velocities, and ask the configured
 scheduler for a verdict (continue, rescale the learning rate, or stop).
 Identical (config, seed) pairs reproduce every recorded number except
@@ -96,10 +97,9 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     pair's sample and label arrays are read-only.
     """
     global _last_load
-    paths = {"idx": (spec.train_images, spec.train_labels, spec.test_images, spec.test_labels),
-             "cifar10": (*spec.cifar_train_paths, *spec.cifar_test_paths)}.get(spec.name, ())
+    stats = [os.stat(path) for _, path in spec.files()]
     key = (replace(spec, validation_fraction=0.0, augment="none"),
-           [(st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)])
+           [(st.st_size, st.st_mtime_ns) for st in stats])
     if _last_load[0] == key:
         return _last_load[1]
     if spec.name == "blobs":
@@ -119,12 +119,11 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
         test = data_mod.load_idx(spec.test_images, spec.test_labels,
                                  name=str(spec.test_labels))
     else:
-        train = data_mod.load_cifar10(list(spec.cifar_train_paths), name="cifar10-train")
+        train = data_mod.load_cifar10(spec.cifar_train_paths, name="cifar10-train")
         if spec.cifar_test_paths:
-            test = data_mod.load_cifar10(list(spec.cifar_test_paths), name="cifar10-test")
+            test = data_mod.load_cifar10(spec.cifar_test_paths, name="cifar10-test")
         else:
-            train, test = data_mod.split(
-                train, data_mod.SplitSpec(0.1, spec.split_seed + _TEST_SEED_OFFSET))
+            train, test = data_mod.split(train, 0.1, spec.split_seed + _TEST_SEED_OFFSET)
     if spec.subset is not None:
         train = train.subset(spec.subset, seed=spec.data_seed)
     if spec.normalize:
@@ -172,9 +171,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     """
     cfg.validate()
     train_full, test = load_dataset(cfg.dataset)
-    train, val = data_mod.split(
-        train_full, data_mod.SplitSpec(cfg.dataset.validation_fraction,
-                                       cfg.dataset.split_seed))
+    train, val = data_mod.split(train_full, cfg.dataset.validation_fraction,
+                                cfg.dataset.split_seed)
     model = build_model(cfg.arch, seed=seed, input_shape=train.input_shape)
     if test.n_classes != train_full.n_classes or train_full.n_classes > model.n_classes:
         raise ConfigError(
@@ -184,7 +182,6 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                     momentum=cfg.optimizer.momentum,
                     weight_decay=cfg.optimizer.weight_decay,
                     betas=cfg.optimizer.betas, eps=cfg.optimizer.eps)
-    recipe = data_mod.AugmentRecipe(cfg.dataset.augment)
     sched = cfg.scheduler_config()
     sched_state = SchedulerState()
 
@@ -210,8 +207,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
             for start in range(0, len(train), cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
                 xb = train.samples[idx]
-                if recipe.kind != "none":
-                    xb = data_mod.augment(xb, recipe, augment_rng)
+                if cfg.dataset.augment == "pad_crop_flip":
+                    xb = data_mod.augment(xb, augment_rng)
                 loss = backward_and_step(model, xb, train.labels[idx], opt)
                 loss_sum += loss * len(idx)
             train_loss = loss_sum / len(train)
@@ -288,13 +285,10 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
                       failures=tuple(failures))
 
 
-def emit_plots(result: RunResult, out_dir, kinds=("velocity", "loss"),
-               tag: str = "") -> list:
-    """Render run diagnostics as SVG line charts with a stop-epoch marker.
-
-    ``kinds`` selects among "velocity" (per aux source, log scale),
-    "loss" (train/test/val) and "lr"; returns the written paths.
-    """
+def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:
+    """Render ``velocity<tag>.svg`` (per aux source, log scale; only when
+    the run probed) and ``loss<tag>.svg`` (train/test/val) with a
+    stop-epoch marker; returns the written paths."""
     if not result.records:
         raise ConfigError("cannot plot an empty record list")
     out_dir = Path(out_dir)
@@ -303,31 +297,19 @@ def emit_plots(result: RunResult, out_dir, kinds=("velocity", "loss"),
     if result.stop_epoch is not None:
         marker = ((result.stop_epoch, f"stop @ {result.stop_epoch}"),)
     written = []
-    for kind in kinds:
-        path = out_dir / f"{kind}{tag}.svg"
-        if kind == "velocity":
-            if not result.velocity_series:
-                continue
-            series = [(src, list(range(1, len(vs) + 1)), vs)
-                      for src, vs in sorted(result.velocity_series.items())]
-            line_chart(path, series, title="Model velocity", xlabel="epoch",
-                       ylabel="model velocity", log_y=True, vlines=marker)
-        elif kind == "loss":
-            series = [("train loss", epochs, [r.train_loss for r in result.records]),
-                      ("test loss", epochs, [r.test_loss for r in result.records])]
-            if result.records[0].val_loss is not None:
-                series.append(("val loss", epochs,
-                               [r.val_loss for r in result.records]))
-            line_chart(path, series, title="Losses", xlabel="epoch",
-                       ylabel="cross-entropy", vlines=marker)
-        elif kind == "lr":
-            line_chart(path, [("learning rate", epochs,
-                               [r.learning_rate for r in result.records])],
-                       title="Learning rate", xlabel="epoch", ylabel="lr",
-                       log_y=True, vlines=marker)
-        else:
-            raise ConfigError(f"unknown plot kind {kind!r}")
-        written.append(path)
+    if result.velocity_series:
+        series = [(src, list(range(1, len(vs) + 1)), vs)
+                  for src, vs in sorted(result.velocity_series.items())]
+        written.append(out_dir / f"velocity{tag}.svg")
+        line_chart(written[-1], series, title="Model velocity", xlabel="epoch",
+                   ylabel="model velocity", log_y=True, vlines=marker)
+    series = [("train loss", epochs, [r.train_loss for r in result.records]),
+              ("test loss", epochs, [r.test_loss for r in result.records])]
+    if result.records[0].val_loss is not None:
+        series.append(("val loss", epochs, [r.val_loss for r in result.records]))
+    written.append(out_dir / f"loss{tag}.svg")
+    line_chart(written[-1], series, title="Losses", xlabel="epoch",
+               ylabel="cross-entropy", vlines=marker)
     return written
 
 

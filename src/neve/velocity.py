@@ -29,17 +29,13 @@ class ActivationSnapshot:
     """Normalized per-neuron outputs over the auxiliary set at one epoch.
 
     ``units[k]`` holds unit-norm rows (or zero rows where flagged) of
-    shape (n_neurons, vector_len) for probe point k; ``zero_flags[k]``
+    shape (neurons, vector_len) for capture site k; ``zero_flags[k]``
     marks neurons whose raw output vector had near-zero norm.
     """
 
     epoch: int
     units: tuple[np.ndarray, ...]
     zero_flags: tuple[np.ndarray, ...]
-
-    @property
-    def n_neurons(self) -> int:
-        return sum(u.shape[0] for u in self.units)
 
     def registry_signature(self) -> tuple[tuple[int, int], ...]:
         return tuple(u.shape for u in self.units)

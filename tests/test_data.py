@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from neve.data import (AugmentRecipe, SplitSpec, augment, gen_blobs, gen_digits,
-                       hflip, load_cifar10, load_idx, make_aux_from_samples,
-                       make_aux_noise, split, standardize, write_idx)
+from neve.data import (AUGMENT_PAD, augment, gen_blobs, gen_digits, load_cifar10,
+                       load_idx, make_aux_from_samples, make_aux_noise, split,
+                       standardize, write_idx)
 from neve.engine import Optimizer, backward_and_step, build_model, evaluate
 from neve.errors import ConfigError, DataFormatError
 
@@ -25,9 +25,9 @@ class TestBlobs:
         assert counts.sum() == 203
 
     def test_separable_blobs_are_learnable(self):
-        # margin >> sigma: a linear classifier fits to >= 99% train accuracy
-        centers = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        ds = gen_blobs(400, 2, centers=centers, sigma=0.1, seed=3)
+        # margin >> sigma (centers 4 apart): a linear classifier fits to
+        # >= 99% train accuracy
+        ds = gen_blobs(400, 2, sigma=0.1, seed=3)
         model = build_model("mlp:2-2", seed=0)
         opt = Optimizer(lr=0.5)
         for _ in range(60):
@@ -46,8 +46,6 @@ class TestBlobs:
             gen_blobs(1, 2)
         with pytest.raises(ConfigError):
             gen_blobs(10, 2, sigma=0.0)
-        with pytest.raises(ConfigError):
-            gen_blobs(10, 2, centers=[[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestDigits:
@@ -138,19 +136,19 @@ class TestCifar10:
 class TestSplit:
     def test_fraction_zero(self):
         ds = gen_blobs(100, 4, seed=0)
-        train, val = split(ds, SplitSpec(0.0))
+        train, val = split(ds, 0.0)
         assert len(train) == 100 and len(val) == 0
         assert train.samples.tobytes() == ds.samples.tobytes()
 
     def test_ten_percent_arithmetic(self):
         ds = gen_digits(500, seed=0)
-        train, val = split(ds, SplitSpec(0.1, seed=1))
+        train, val = split(ds, 0.1, seed=1)
         assert (len(train), len(val)) == (450, 50)
 
     def test_partition_disjoint_exhaustive_deterministic(self):
         ds = gen_blobs(300, 3, seed=5)
-        t1, v1 = split(ds, SplitSpec(0.25, seed=7))
-        t2, v2 = split(ds, SplitSpec(0.25, seed=7))
+        t1, v1 = split(ds, 0.25, seed=7)
+        t2, v2 = split(ds, 0.25, seed=7)
         assert t1.samples.tobytes() == t2.samples.tobytes()
         assert v1.samples.tobytes() == v2.samples.tobytes()
         joined = np.concatenate([t1.samples, v1.samples])
@@ -160,7 +158,7 @@ class TestSplit:
 
     def test_stratified_within_one(self):
         ds = gen_digits(1000, seed=0)
-        train, val = split(ds, SplitSpec(0.3, seed=2))
+        train, val = split(ds, 0.3, seed=2)
         for part, total in ((train, 700), (val, 300)):
             counts = np.bincount(part.labels, minlength=10)
             for c in range(10):
@@ -170,7 +168,19 @@ class TestSplit:
     def test_empty_train_class_rejected(self):
         ds = gen_blobs(4, 2, seed=0)
         with pytest.raises(ConfigError, match="class"):
-            split(ds, SplitSpec(0.9, seed=0))
+            split(ds, 0.9, seed=0)
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.0])
+    def test_fraction_outside_unit_interval_rejected(self, frac):
+        with pytest.raises(ConfigError, match="fraction"):
+            split(gen_blobs(100, 4, seed=0), frac)
+
+
+class TestSubset:
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_fewer_than_one_sample_rejected(self, n):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            gen_blobs(100, 4, seed=0).subset(n)
 
 
 class TestAuxSets:
@@ -206,36 +216,30 @@ class TestAuxSets:
 
 
 class TestAugment:
-    def test_double_flip_identity(self):
-        batch = np.random.default_rng(0).random((4, 1, 8, 8))
-        npt.assert_array_equal(hflip(hflip(batch)), batch)
-
     def test_pad_crop_preserves_shape(self):
         batch = np.random.default_rng(1).random((6, 3, 32, 32))
-        out = augment(batch, AugmentRecipe("pad_crop_flip", pad=4),
-                      np.random.default_rng(2))
+        out = augment(batch, np.random.default_rng(2))
         assert out.shape == batch.shape
 
-    def test_none_recipe_unchanged(self):
-        batch = np.random.default_rng(3).random((5, 1, 8, 8))
-        out = augment(batch, AugmentRecipe("none"), np.random.default_rng(4))
-        assert out.tobytes() == batch.tobytes()
-
-    def test_crop_larger_than_padded_rejected(self):
-        batch = np.zeros((2, 1, 8, 8))
-        with pytest.raises(ConfigError, match="crop"):
-            augment(batch, AugmentRecipe("pad_crop_flip", pad=1, crop=12),
-                    np.random.default_rng(0))
-
-    def test_unknown_recipe_rejected(self):
-        with pytest.raises(ConfigError):
-            AugmentRecipe("cutmix")
+    def test_each_sample_is_a_padded_window_plain_or_mirrored(self):
+        n, h, w, p = 64, 6, 7, AUGMENT_PAD
+        batch = np.random.default_rng(3).random((n, 2, h, w))
+        out = augment(batch, np.random.default_rng(4))
+        padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
+        mirrored = []
+        for x, y in zip(padded, out):
+            windows = [x[:, r:r + h, c:c + w]
+                       for r in range(2 * p + 1) for c in range(2 * p + 1)]
+            as_is = any(np.array_equal(win, y) for win in windows)
+            flipped = any(np.array_equal(win[:, :, ::-1], y) for win in windows)
+            assert as_is != flipped
+            mirrored.append(flipped)
+        assert 0 < sum(mirrored) < n
 
     def test_seeded_generator_reproduces(self):
         batch = np.random.default_rng(5).random((8, 1, 10, 10))
-        r = AugmentRecipe("pad_crop_flip", pad=2)
-        out1 = augment(batch, r, np.random.default_rng(42))
-        out2 = augment(batch, r, np.random.default_rng(42))
+        out1 = augment(batch, np.random.default_rng(42))
+        out2 = augment(batch, np.random.default_rng(42))
         assert out1.tobytes() == out2.tobytes()
 
 

@@ -75,8 +75,9 @@ class TestBuildModel:
     def test_mlp_probe_registry(self):
         # mlp[2,8,2]: one hidden relu + the softmax head
         m = build_model("mlp:2-8-2", seed=0)
-        assert len(m.probe_points) == 2
-        assert [p.n_neurons for p in m.probe_points] == [8, 2]
+        _, _, cap = m.forward(np.ones((5, 2)), capture_probes=True)
+        assert len(cap.outputs) == 2
+        assert [o.shape for o in cap.outputs] == [(8, 5), (2, 5)]
         assert m.n_probed_neurons == 10
 
     def test_conv_probe_granularity(self):
@@ -84,8 +85,11 @@ class TestBuildModel:
         arch = [{"kind": "conv", "out_channels": 4, "kernel": 3},
                 {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}]
         m = build_model(arch, seed=0, input_shape=(1, 8, 8))
-        assert [p.n_neurons for p in m.probe_points] == [4, 10]
-        assert m.probe_points[0].per_channel
+        _, _, cap = m.forward(np.ones((3, 1, 8, 8)), capture_probes=True)
+        assert [o.shape[0] for o in cap.outputs] == [4, 10]
+        assert m.n_probed_neurons == 14
+        # per channel: the 3 samples' 6x6 positions form each channel's vector
+        assert cap.outputs[0].shape == (4, 3 * 6 * 6)
 
     def test_incompatible_layers_named(self):
         arch = [{"kind": "dense", "out": 4}, {"kind": "relu"},

@@ -78,8 +78,11 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         # JSON turns every tuple into a list; loading turns them back,
         # except in arch, whose list of layer dicts stays a list
+        batches = [str(tmp_path / name) for name in ("b1.bin", "b2.bin")]
+        for path in batches:
+            Path(path).touch()
         conv = tiny_cfg(
-            dataset={"name": "cifar10", "cifar_train_paths": ["b1.bin", "b2.bin"],
+            dataset={"name": "cifar10", "cifar_train_paths": batches,
                      "validation_fraction": 0.2},
             arch=[{"kind": "conv", "out_channels": 4, "kernel": 3},
                   {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}],
@@ -408,16 +411,10 @@ class TestPlots:
     def test_emit_plots_marks_stop_epoch(self, tmp_path):
         res = run_training(tiny_cfg(max_epochs=60), seed=1)
         from neve.experiment import emit_plots
-        written = emit_plots(res, tmp_path, kinds=("velocity", "loss", "lr"))
-        assert [p.name for p in written] == ["velocity.svg", "loss.svg", "lr.svg"]
+        written = emit_plots(res, tmp_path)
+        assert [p.name for p in written] == ["velocity.svg", "loss.svg"]
         for p in written:
             assert f"stop @ {res.stop_epoch}" in p.read_text()
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        res = run_training(tiny_cfg(max_epochs=2, scheduler={"kind": "fixed"}), seed=1)
-        from neve.experiment import emit_plots
-        with pytest.raises(ConfigError, match="plot kind"):
-            emit_plots(res, tmp_path, kinds=("sparkline",))
 
 
 class TestSvg:
@@ -669,6 +666,46 @@ class TestFlags:
         assert main(["train", flag, value, "--out", str(out)]) == 2
         assert f"error: {key} " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--subset", "-5"], "dataset.subset"), (["--subset", "0"], "dataset.subset"),
+        (["--n-samples", "3"], "dataset.n_samples"),
+        (["--test-samples", "0"], "dataset.test_samples"),
+        (["--n-classes", "0"], "dataset.n_classes"), (["--sigma", "0"], "dataset.sigma"),
+        (["--dataset", "digits", "--n-samples", "9"], "dataset.n_samples"),
+        (["--dataset", "digits", "--test-samples", "9"], "dataset.test_samples")])
+    def test_out_of_range_dataset_value_exits_2_naming_field(self, argv, key,
+                                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", *argv, "--out", str(out)]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["train_images", "test_labels"])
+    def test_missing_idx_file_exits_2_naming_field(self, missing, tmp_path, capsys):
+        paths = {key: tmp_path / key for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")}
+        for part in ("train", "test"):
+            write_idx(Dataset(part, np.zeros((10, 1, 4, 4)), np.arange(10) % 2, 2),
+                      paths[f"{part}_images"], paths[f"{part}_labels"])
+        paths[missing] = tmp_path / "nope" / "a"
+        out = tmp_path / "out"
+        argv = ["train", "--dataset", "idx", "--arch", "mlp:16-2", "--out", str(out)]
+        for key, path in paths.items():
+            argv += ["--" + key.replace("_", "-"), str(path)]
+        assert main(argv) == 2
+        assert f"error: dataset.{missing} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_cifar_file_names_field(self, tmp_path):
+        with pytest.raises(ConfigError, match="dataset.cifar_train_paths "):
+            tiny_cfg(dataset={"name": "cifar10",
+                              "cifar_train_paths": [str(tmp_path / "nope")]})
+        batch = tmp_path / "data_batch_1.bin"
+        batch.touch()
+        with pytest.raises(ConfigError, match="dataset.cifar_test_paths "):
+            tiny_cfg(dataset={"name": "cifar10", "cifar_train_paths": [str(batch)],
+                              "cifar_test_paths": [str(tmp_path / "nope")]})
 
     @pytest.mark.parametrize("budget,decay_epochs", [(1, []), (2, [1]), (3, [1, 2]),
                                                      (4, [2, 3]), (9, [4, 6])])

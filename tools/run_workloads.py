@@ -1,0 +1,63 @@
+"""Run the benchmark's workloads through the CLI of one neve source tree.
+
+Usage: python3 tools/run_workloads.py SRC OUT [--seed N]
+
+For each workload named in ``perfbench/workloads.py`` (the copy next to
+this tool, so that two trees get the same arguments), runs
+``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
+imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
+numpy loads. Each workload writes its run directory ``OUT/<name>``.
+Two such OUT directories, one per tree, are what
+``tools/compare_outputs.py`` compares for the same-behaviour check.
+Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
+Standard library only; nothing under ``perfbench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
+    p.add_argument("out", type=Path, help="output root; one directory per workload")
+    p.add_argument("--seed", type=int, default=7, help="benchmark seed (default 7)")
+    args = p.parse_args(argv)
+    if not (args.src / "src" / "neve" / "__init__.py").is_file():
+        print(f"{args.src} is not a neve source tree (no src/neve)", file=sys.stderr)
+        return 2
+    workloads = load_workloads()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str((args.src / "src").resolve()))
+    failed = []
+    for name in workloads.WORKLOADS:
+        out_dir = args.out / name
+        out_dir.mkdir(parents=True, exist_ok=True)
+        cli = workloads.cli_args(name, args.seed, out_dir)
+        print(f"{name}: neve {' '.join(cli)}", flush=True)
+        proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *cli],
+                              env=env, stdout=subprocess.DEVNULL)
+        if proc.returncode != 0:
+            print(f"{name}: exited with {proc.returncode}", file=sys.stderr)
+            failed.append(name)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
