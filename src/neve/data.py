@@ -160,6 +160,11 @@ _DIGIT_FONT = {
 }
 
 
+def digits_max_shift(size: int = 28) -> int:
+    """Largest shift ``gen_digits`` takes: a glyph of 7+ rows stays on the canvas."""
+    return (size - 7) // 2
+
+
 def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2,
                size: int = 28) -> Dataset:
     """Procedural 10-class digit images: a 5x7 glyph font upscaled onto a
@@ -167,10 +172,10 @@ def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2,
     noise. Values are quantized to the u8 grid so IDX round-trips exactly."""
     if n < 10:
         raise ConfigError(f"need at least one sample per class, got n={n}")
+    if not 0 <= shift <= digits_max_shift(size):
+        raise ConfigError(f"shift {shift} outside [0, {digits_max_shift(size)}] for size {size}")
     scale = max(1, (size - 2 * shift - 2) // 7)
     glyph_h, glyph_w = 7 * scale, 5 * scale
-    if glyph_h + 2 * shift > size or glyph_w + 2 * shift > size:
-        raise ConfigError(f"shift {shift} too large for canvas size {size}")
     templates = {}
     for d, rows in _DIGIT_FONT.items():
         mask = np.array([[int(ch) for ch in row] for row in rows], dtype=np.float64)

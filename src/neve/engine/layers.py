@@ -1,21 +1,41 @@
 """Feedforward layers with hand-derived backward passes.
 
-Every layer works on float64 numpy arrays. ``forward`` caches whatever the
-matching ``backward`` needs; ``backward`` consumes the most recent cache,
-fills ``grads`` for trainable layers and returns the gradient w.r.t. the
-layer input; a trainable layer given ``input_grad=False`` skips that
-gradient and returns None. Single-threaded use: one forward, then at most
-one backward.
+Every layer works on float64 numpy arrays. ``forward`` keeps what the
+matching ``backward`` needs, or, given ``record=False``, keeps nothing.
+``backward`` reads that state (NeveError when there is none), fills
+``grads`` for trainable layers and returns the gradient w.r.t. the layer
+input; a trainable layer given ``input_grad=False`` skips that gradient
+and returns None. Single-threaded use: one recording forward, then at
+most one backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NeveError
 
 
-class Dense:
+class _Layer:
+    """Backward state kept by one forward; defaults of a parameter-free layer."""
+
+    params: dict = {}
+    grads: dict = {}
+    _saved = None
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        pass
+
+    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        return input_shape
+
+    def _recorded(self):
+        if self._saved is None:
+            raise NeveError(f"{self.name}: backward needs a forward with record=True first")
+        return self._saved
+
+
+class Dense(_Layer):
     """Affine map ``y = x @ W + b`` on flat inputs of shape (batch, in)."""
 
     def __init__(self, in_features: int, out_features: int):
@@ -27,7 +47,6 @@ class Dense:
         self.out_features = out_features
         self.params = {"W": np.zeros((in_features, out_features)), "b": np.zeros(out_features)}
         self.grads = {}
-        self._x = None
 
     @property
     def name(self) -> str:
@@ -47,17 +66,17 @@ class Dense:
             )
         return (self.out_features,)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
+        self._saved = x if record else None
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        self.grads["W"] = self._x.T @ grad
+        self.grads["W"] = self._recorded().T @ grad
         self.grads["b"] = grad.sum(axis=0)
         return grad @ self.params["W"].T if input_grad else None
 
 
-class Conv2d:
+class Conv2d(_Layer):
     """2-D convolution on (batch, channels, height, width) inputs.
 
     Activations live in channel-major, batch-last (c, h, w, b) buffers;
@@ -91,7 +110,6 @@ class Conv2d:
             "b": np.zeros(out_channels),
         }
         self.grads = {}
-        self._cache = None
 
     @property
     def name(self) -> str:
@@ -140,17 +158,17 @@ class Conv2d:
                 xp[:, i:i + s * oh:s, j:j + s * ow:s] += cols[:, i, j]
         return xp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
         b = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
         cols = self._im2col(x)
         out = self.params["W"].reshape(self.out_channels, -1) @ cols
         out += self.params["b"][:, None]
-        self._cache = (x.shape, cols)
+        self._saved = (x.shape, cols) if record else None
         return out.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        x_shape, cols = self._cache
+        x_shape, cols = self._recorded()
         g = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
         self.grads["W"] = (g @ cols.T).reshape(self.params["W"].shape)
         self.grads["b"] = g.sum(axis=1)
@@ -160,52 +178,40 @@ class Conv2d:
         return self._col2im(w_mat.T @ g, x_shape)
 
 
-class ReLU:
+class ReLU(_Layer):
     """Elementwise ``max(0, x)``; a probe point in every architecture."""
 
-    params: dict = {}
-    grads: dict = {}
     name = "relu"
 
-    def __init__(self):
-        self._mask = None
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
+        out = np.maximum(x, 0.0)
+        if x.min() == -np.inf:   # -inf * 0 = NaN keeps it visible to the logits scan
+            out = x * (x > 0)
+        self._saved = out if record else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        return grad * (self._recorded() > 0)
 
 
-class Flatten:
+class Flatten(_Layer):
     """Collapse all non-batch axes into one."""
 
-    params: dict = {}
-    grads: dict = {}
     name = "flatten"
-
-    def __init__(self):
-        self._shape = None
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
+        self._saved = x.shape if record else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
+        shape = self._recorded()
+        if len(shape) != 4:
+            return grad.reshape(shape)
+        # the conv stack's batch-last layout: (c, h, w, b) viewed as (b, c, h, w)
+        return np.ascontiguousarray(grad.T).reshape(*shape[1:], shape[0]).transpose(3, 0, 1, 2)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -78,18 +78,22 @@ class Model:
                 yield idx, layer.params, layer.grads
 
     def forward(self, batch: np.ndarray, capture_probes: bool = False):
-        """Run the stack on ``batch``.
+        """Inference pass over ``batch``: no layer keeps backward state.
 
         Returns (logits, probabilities, capture) where ``capture`` is a
         ProbeCapture when requested and None otherwise. Only the logits
         are scanned for non-finite values: NaN and +-inf reach them through
-        every layer (a ReLU turns -inf into NaN as -inf * 0). When the
-        scan fails, the stack is run again with a check after each layer,
-        and the NumericError names the first layer whose output is not
-        finite. A value that never reaches the logits (say, in a border
-        row a strided conv skips) cannot change the loss or the gradients
-        and is not reported.
+        every layer (a ReLU turns -inf into NaN). When the scan fails, the
+        stack is run again with a check after each layer, and the
+        NumericError names the first layer whose output is not finite. A
+        value that never reaches the logits (say, in a border row a strided
+        conv skips) cannot change the loss or the gradients and is not
+        reported.
         """
+        return self._pass(batch, capture_probes, record=False)
+
+    def _pass(self, batch: np.ndarray, capture_probes: bool, record: bool):
+        """``forward``; each layer keeps its backward state when ``record``."""
         x = inputs = np.asarray(batch, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ConfigError(
@@ -97,7 +101,7 @@ class Model:
             )
         captured = [] if capture_probes else None
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, record=record)
             if captured is not None and isinstance(layer, ReLU):
                 captured.append(_capture_site(x))
         logits = x
@@ -114,7 +118,7 @@ class Model:
     def _first_nonfinite_layer(self, x: np.ndarray) -> int:
         """Index of the first layer whose output on ``x`` is not finite."""
         for idx, layer in enumerate(self.layers):
-            x = layer.forward(x)
+            x = layer.forward(x, record=False)
             if not np.isfinite(x).all():
                 return idx
         return len(self.layers) - 1
@@ -189,17 +193,17 @@ def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = 
 
 
 def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Forward plus backward pass: fills every layer's ``grads`` with the
-    mean cross-entropy gradient and returns the loss. No parameter update.
-    The layers before the first trainable one run no backward, and the
-    first trainable one computes no input gradient."""
+    """Recording forward plus backward pass: fills every layer's ``grads``
+    with the mean cross-entropy gradient and returns the loss. No parameter
+    update. The layers before the first trainable one run no backward, and
+    the first trainable one computes no input gradient."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ConfigError(
             f"labels must lie in [0, {model.n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    logits, probs, _ = model.forward(batch)
+    logits, probs, _ = model._pass(batch, False, record=True)
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss; halting the run")

@@ -17,8 +17,8 @@ class Optimizer:
     SGD follows the momentum-buffer convention (buf = m*buf + g;
     p -= lr*buf) and Adam the bias-corrected moment estimates with
     defaults beta=(0.9, 0.999), eps=1e-8. Weight decay is plain L2
-    added to the gradient. Moment buffers are allocated lazily and
-    always match parameter shapes.
+    added to the gradient. Moment buffers are allocated lazily, always
+    match parameter shapes and are updated in place.
     """
 
     def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
@@ -54,17 +54,20 @@ class Optimizer:
                     if self.momentum:
                         buf = self._buffers.get(key)
                         if buf is None:
-                            buf = np.zeros_like(p)
-                        buf = self.momentum * buf + g
-                        self._buffers[key] = buf
+                            buf = self._buffers[key] = np.zeros_like(p)
+                        buf *= self.momentum
+                        buf += g
                         g = buf
                     p -= self.lr * g
                 else:
-                    m, v = self._buffers.get(key, (np.zeros_like(p), np.zeros_like(p)))
+                    if key not in self._buffers:
+                        self._buffers[key] = (np.zeros_like(p), np.zeros_like(p))
+                    m, v = self._buffers[key]
                     b1, b2 = self.betas
-                    m = b1 * m + (1.0 - b1) * g
-                    v = b2 * v + (1.0 - b2) * g * g
-                    self._buffers[key] = (m, v)
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
                     m_hat = m / (1.0 - b1 ** self._t)
                     v_hat = v / (1.0 - b2 ** self._t)
                     p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -21,7 +21,7 @@ from typing import get_args, get_origin
 from ..controller import epsilon_analysis
 from ..errors import ConfigError, NeveError
 from .config import ExperimentConfig, config_from_file, field_types, merge_overrides
-from .runner import emit_csv, emit_plots, run_training, summarize_results
+from .runner import emit_csv, emit_plots, load_checked, run_training, summarize_results
 from .svg import line_chart
 
 DEFAULT_OUT = "neve-out"
@@ -145,18 +145,19 @@ def _slug(label: str) -> str:
 def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, column: str):
     """Run every ``(label, tag, cfg)`` variant over its seeds.
 
-    Every variant config is checked, and no two tags may be equal, before
-    the output directory is created. Each run then writes
-    ``run_<tag>_seed<N>.csv``, its velocity and loss charts and, with
-    ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the empty tag drops
-    ``<tag>_``). Last come the table and the summary CSV. Returns the
-    output directory and one ``(cfg, results, summary)`` per variant.
+    Every variant config and its dataset's class counts are checked, and
+    no two tags may be equal, before the output directory is created.
+    Each run then writes ``run_<tag>_seed<N>.csv``, its velocity and loss
+    charts and, with ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the
+    empty tag drops ``<tag>_``). Last come the table and the summary CSV.
+    Returns the output directory and one ``(cfg, results, summary)`` per variant.
     """
     if not variants:
         raise ConfigError(f"{args.command}: no variants to run")
     tags = set()
     for label, tag, cfg in variants:
         cfg.validate()
+        load_checked(cfg)
         if tag in tags:
             raise ConfigError(f"variant {label!r}: another variant has the tag {tag!r}, "
                               "so their run files would collide")

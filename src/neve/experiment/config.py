@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from ..controller import BaselineSchedulerConfig, ControllerConfig
+from ..data import digits_max_shift
 from ..errors import ConfigError
 
 AUX_SOURCES = ("noise", "heldout", "train")
@@ -99,6 +100,9 @@ class DatasetSpec:
             raise ConfigError(f"dataset.n_classes must be >= 1, got {self.n_classes}")
         if self.name == "blobs" and self.sigma <= 0:
             raise ConfigError(f"dataset.sigma must be > 0, got {self.sigma}")
+        most = digits_max_shift()
+        if self.name == "digits" and not 0 <= self.shift <= most:
+            raise ConfigError(f"dataset.shift must lie in [0, {most}], got {self.shift}")
         least = {"blobs": self.n_classes, "digits": 10}.get(self.name, 0)
         for key in ("n_samples", "test_samples"):
             if getattr(self, key) < least:

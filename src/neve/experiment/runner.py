@@ -135,6 +135,17 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     return train, test
 
 
+def load_checked(cfg: ExperimentConfig, seed: int = 0):
+    """(train, test, model); ConfigError unless both splits' class count fits the head."""
+    train, test = load_dataset(cfg.dataset)
+    model = build_model(cfg.arch, seed=seed, input_shape=train.input_shape)
+    if test.n_classes != train.n_classes or train.n_classes > model.n_classes:
+        raise ConfigError(f"the train split ({train.name}) has {train.n_classes} classes and the "
+                          f"test split ({test.name}) has {test.n_classes}; they must agree and "
+                          f"fit the {model.n_classes}-way model head")
+    return train, test, model
+
+
 def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
     """Freeze one AuxSet per requested velocity source."""
     sources = set(cfg.probe_aux)
@@ -170,14 +181,9 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     records accumulated so far.
     """
     cfg.validate()
-    train_full, test = load_dataset(cfg.dataset)
+    train_full, test, model = load_checked(cfg, seed)
     train, val = data_mod.split(train_full, cfg.dataset.validation_fraction,
                                 cfg.dataset.split_seed)
-    model = build_model(cfg.arch, seed=seed, input_shape=train.input_shape)
-    if test.n_classes != train_full.n_classes or train_full.n_classes > model.n_classes:
-        raise ConfigError(
-            f"{train_full.name} has {train_full.n_classes} classes and {test.name} has "
-            f"{test.n_classes}; they must agree and fit the {model.n_classes}-way model head")
     opt = Optimizer(kind=cfg.optimizer.kind, lr=cfg.optimizer.lr,
                     momentum=cfg.optimizer.momentum,
                     weight_decay=cfg.optimizer.weight_decay,

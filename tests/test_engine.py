@@ -5,13 +5,15 @@ independent of the backward pass: it only calls the forward pass and the
 loss, perturbing one parameter entry at a time.
 """
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from neve.engine import (Conv2d, Dense, Optimizer, backward_and_step, build_model,
                          compute_gradients, cross_entropy, evaluate)
-from neve.errors import ConfigError, NumericError
+from neve.errors import ConfigError, NeveError, NumericError
 
 FD_STEP = 1e-5
 
@@ -179,6 +181,41 @@ class TestForward:
                         m.forward(x, capture_probes=capture)
 
 
+class TestInferencePass:
+    """``Model.forward`` keeps no backward state; the recording pass of
+    ``compute_gradients`` computes the same numbers."""
+
+    @pytest.mark.parametrize("arch,input_shape", [
+        ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
+    def test_bit_identical_to_recording_pass(self, arch, input_shape):
+        x = np.random.default_rng(8).standard_normal((6, *input_shape))
+        m = build_model(arch, seed=4, input_shape=input_shape)
+        logits, probs, cap = m.forward(x, capture_probes=True)
+        rec_logits, rec_probs, rec_cap = m._pass(x, True, record=True)
+        assert logits.tobytes() == rec_logits.tobytes()
+        assert probs.tobytes() == rec_probs.tobytes()
+        assert len(cap.outputs) == len(rec_cap.outputs) == 3
+        for a, b in zip(cap.outputs, rec_cap.outputs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("arch,input_shape", [
+        ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
+    @pytest.mark.parametrize("inference", ["forward", "evaluate"])
+    def test_backward_after_inference_raises(self, arch, input_shape, inference):
+        rng = np.random.default_rng(9)
+        m = build_model(arch, seed=4, input_shape=input_shape)
+        x = rng.standard_normal((6, *input_shape))
+        y = rng.integers(0, 3, size=6)
+        m._pass(x, False, record=True)      # every layer now holds backward state
+        if inference == "forward":
+            m.forward(x)
+        else:
+            evaluate(m, x, y)
+        for layer in m.layers:
+            with pytest.raises(NeveError, match=re.escape(f"{layer.name}: backward needs a")):
+                layer.backward(np.ones(1))
+
+
 class TestGradients:
     def test_fd_oracle_random_mlp(self):
         # random [4,5,3] stack, 8 samples, as the reference configuration
@@ -206,7 +243,7 @@ class TestGradients:
         y = rng.integers(0, 3, size=6)
         compute_gradients(m, x, y)
         got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
-        _, probs, _ = m.forward(x)
+        _, probs, _ = m._pass(x, False, record=True)
         grad = probs.copy()
         grad[np.arange(6), y] -= 1.0
         grad /= 6
@@ -384,6 +421,21 @@ class TestOptimizers:
         step = before - w
         mask = np.abs(g) > 1e-6
         npt.assert_allclose(step[mask], 1e-3 * np.sign(g)[mask], rtol=1e-2)
+
+    def test_adam_matches_reference_recurrence(self):
+        m, opt, x, y = self._setup("adam", lr=1e-2, weight_decay=1e-3)
+        w_layer = m.layers[0]
+        m1 = v1 = 0.0
+        for t in range(1, 4):
+            w_before = w_layer.params["W"].copy()
+            compute_gradients(m, x, y)
+            g = w_layer.grads["W"] + 1e-3 * w_before
+            m1 = 0.9 * m1 + (1.0 - 0.9) * g
+            v1 = 0.999 * v1 + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m1 / (1.0 - 0.9 ** t), v1 / (1.0 - 0.999 ** t)
+            expected = w_before - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            opt.step(m)
+            assert np.array_equal(w_layer.params["W"], expected)
 
     def test_convex_quadratic_monotone_descent(self):
         # 200 SGD steps on a single linear layer with squared loss

@@ -681,6 +681,27 @@ class TestFlags:
         assert f"error: {key} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shift,ok", [(-1, False), (10, True), (11, False), (20, False)])
+    def test_digits_shift_checked_before_output(self, shift, ok, tmp_path, capsys):
+        conf = tmp_path / "shift.json"
+        conf.write_text(json.dumps({"dataset": {"shift": shift}}))
+        argv = ["train", "--config", str(conf), "--dataset", "digits"]
+        if ok:
+            assert resolve_config(build_parser().parse_args(argv)).dataset.shift == shift
+            return
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "error: dataset.shift must lie in [0, 10]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_count_mismatch_checked_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--n-classes", "6", "--arch", "mlp:2-8-4",
+                     "--out", str(out)]) == 2
+        assert ("the train split (blobs) has 6 classes and the test split (blobs) has 6; "
+                "they must agree and fit the 4-way model head") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["train_images", "test_labels"])
     def test_missing_idx_file_exits_2_naming_field(self, missing, tmp_path, capsys):
         paths = {key: tmp_path / key for key in
