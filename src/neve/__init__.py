@@ -12,8 +12,7 @@ from .controller import (BaselineSchedulerConfig, ControllerConfig,
 from .data import (AuxSet, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                    load_idx, make_aux_from_samples, make_aux_noise, split, standardize,
                    write_idx)
-from .engine import (Model, Optimizer, ProbeCapture, backward_and_step, build_model,
-                     evaluate)
+from .engine import Model, Optimizer, backward_and_step, build_model, evaluate
 from .errors import ConfigError, DataFormatError, NeveError, NumericError
 from .velocity import (ActivationSnapshot, VelocityState, change_rate,
                        normalize_capture, velocity_step)
@@ -27,8 +26,7 @@ __all__ = [
     "AuxSet", "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
     "load_idx", "make_aux_from_samples", "make_aux_noise", "split", "standardize",
     "write_idx",
-    "Model", "Optimizer", "ProbeCapture", "backward_and_step", "build_model",
-    "evaluate",
+    "Model", "Optimizer", "backward_and_step", "build_model", "evaluate",
     "ConfigError", "DataFormatError", "NeveError", "NumericError",
     "ActivationSnapshot", "VelocityState", "change_rate", "normalize_capture",
     "velocity_step",

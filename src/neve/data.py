@@ -57,13 +57,8 @@ class Dataset:
             raise ConfigError(f"{self.name}: a subset needs at least one sample, got {n}")
         if n >= len(self):
             return self
-        per_class = _stratified_counts(self.labels, self.n_classes, n)
-        rng = np.random.default_rng(seed)
-        picked = []
-        for c in range(self.n_classes):
-            idx = np.flatnonzero(self.labels == c)
-            picked.append(rng.permutation(idx)[:per_class[c]])
-        return self.take(np.sort(np.concatenate(picked)), f"{self.name}[{n}]")
+        return self.take(_stratified_draw(self.labels, self.n_classes, n, seed),
+                         f"{self.name}[{n}]")
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,15 @@ def _stratified_counts(labels: np.ndarray, n_classes: int, total: int) -> list[i
     return counts
 
 
+def _stratified_draw(labels: np.ndarray, n_classes: int, total: int, seed: int) -> np.ndarray:
+    """Sorted indices of ``total`` rows, each class's share drawn as the
+    first rows of its permutation, class 0 first, from ``default_rng(seed)``."""
+    counts = _stratified_counts(labels, n_classes, total)
+    rng = np.random.default_rng(seed)
+    return np.sort(np.concatenate([rng.permutation(np.flatnonzero(labels == c))[:counts[c]]
+                                   for c in range(n_classes)]))
+
+
 def split(dataset: Dataset, frac: float, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Label-stratified partition into (train, validation) that holds out
     ``frac`` of the samples, seeded by ``seed``; deterministic, disjoint
@@ -107,18 +111,13 @@ def split(dataset: Dataset, frac: float, seed: int = 0) -> tuple[Dataset, Datase
     n_val = int(round(frac * len(dataset)))
     if n_val == 0:
         return dataset, dataset.take(np.array([], dtype=np.int64), f"{dataset.name}/val")
-    val_counts = _stratified_counts(dataset.labels, dataset.n_classes, n_val)
-    rng = np.random.default_rng(seed)
-    val_idx = []
-    for c in range(dataset.n_classes):
-        idx = np.flatnonzero(dataset.labels == c)
-        if len(idx) - val_counts[c] < 1:
-            raise ConfigError(
-                f"validation_fraction {frac} would leave class {c} empty in the train part")
-        val_idx.append(rng.permutation(idx)[:val_counts[c]])
-    val_idx = np.sort(np.concatenate(val_idx))
+    val_idx = _stratified_draw(dataset.labels, dataset.n_classes, n_val, seed)
     mask = np.ones(len(dataset), dtype=bool)
     mask[val_idx] = False
+    left = np.bincount(dataset.labels[mask], minlength=dataset.n_classes)
+    if left.min() < 1:
+        raise ConfigError(f"validation_fraction {frac} would leave class {left.argmin()} "
+                          "empty in the train part")
     return (dataset.take(np.flatnonzero(mask), f"{dataset.name}/train"),
             dataset.take(val_idx, f"{dataset.name}/val"))
 

@@ -1,12 +1,11 @@
 """Minimal deterministic feedforward training engine with activation probes."""
 
 from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
-from .model import (Model, ProbeCapture, backward_and_step, build_model,
-                    compute_gradients, evaluate)
+from .model import Model, backward_and_step, build_model, compute_gradients, evaluate
 from .optim import Optimizer
 
 __all__ = [
     "Conv2d", "Dense", "Flatten", "ReLU", "cross_entropy", "softmax",
-    "Model", "ProbeCapture", "backward_and_step", "build_model",
-    "compute_gradients", "evaluate", "Optimizer",
+    "Model", "backward_and_step", "build_model", "compute_gradients", "evaluate",
+    "Optimizer",
 ]

@@ -60,10 +60,9 @@ class Dense(_Layer):
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1 or input_shape[0] != self.in_features:
-            raise ConfigError(
-                f"{self.name} expects flat input of width {self.in_features}, "
-                f"got shape {input_shape}"
-            )
+            hint = "; insert a flatten layer" if len(input_shape) != 1 else ""
+            raise ConfigError(f"{self.name} expects flat input of width {self.in_features}, "
+                              f"got shape {input_shape}{hint}")
         return (self.out_features,)
 
     def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
@@ -134,11 +133,9 @@ class Conv2d(_Layer):
             raise ConfigError(f"{self.name} kernel does not fit input {input_shape}")
         return (self.out_channels, oh, ow)
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
+    def _im2col(self, x: np.ndarray, oh: int, ow: int) -> np.ndarray:
+        b, c = x.shape[:2]
         k, s, p = self.kernel, self.stride, self.pad
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
         xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (p, p), (p, p), (0, 0)))
         cols = np.empty((c, k, k, oh, ow, b))
         for i in range(k):
@@ -146,11 +143,9 @@ class Conv2d(_Layer):
                 cols[:, i, j] = xp[:, i:i + s * oh:s, j:j + s * ow:s]
         return cols.reshape(c * k * k, oh * ow * b)
 
-    def _col2im(self, cols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+    def _col2im(self, cols: np.ndarray, x_shape: tuple, oh: int, ow: int) -> np.ndarray:
         b, c, h, w = x_shape
         k, s, p = self.kernel, self.stride, self.pad
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
         cols = cols.reshape(c, k, k, oh, ow, b)
         xp = np.zeros((c, h + 2 * p, w + 2 * p, b))
         for i in range(k):
@@ -161,21 +156,21 @@ class Conv2d(_Layer):
     def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
         b = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
-        cols = self._im2col(x)
+        cols = self._im2col(x, oh, ow)
         out = self.params["W"].reshape(self.out_channels, -1) @ cols
         out += self.params["b"][:, None]
-        self._saved = (x.shape, cols) if record else None
+        self._saved = (x.shape, oh, ow, cols) if record else None
         return out.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        x_shape, cols = self._recorded()
+        x_shape, oh, ow, cols = self._recorded()
         g = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
         self.grads["W"] = (g @ cols.T).reshape(self.params["W"].shape)
         self.grads["b"] = g.sum(axis=1)
         if not input_grad:
             return None
         w_mat = self.params["W"].reshape(self.out_channels, -1)
-        return self._col2im(w_mat.T @ g, x_shape)
+        return self._col2im(w_mat.T @ g, x_shape, oh, ow)
 
 
 class ReLU(_Layer):

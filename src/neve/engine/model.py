@@ -10,7 +10,7 @@ positions are folded into the sample axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -18,53 +18,70 @@ from ..errors import ConfigError, NumericError
 from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
 
 
-@dataclass(frozen=True)
-class ProbeCapture:
-    """Post-activation outputs for every probed neuron over one batch.
-
-    ``outputs[k]`` has shape (neurons, vector_len) for the k-th capture
-    site (each ReLU in stack order, then the softmax head); the order is
-    stable across epochs for a fixed architecture and batch size.
-    """
-
-    outputs: tuple[np.ndarray, ...]
-
-
 def _capture_site(act: np.ndarray) -> np.ndarray:
     if act.ndim == 4:
         b, c = act.shape[0], act.shape[1]
-        # (b, c, h, w) -> (c, b*h*w): spatial positions join the sample axis
-        return act.reshape(b, c, -1).transpose(1, 0, 2).reshape(c, -1).copy()
+        # (b, c, h, w) -> (c, b*h*w), a copy: spatial positions join the sample axis
+        return act.reshape(b, c, -1).transpose(1, 0, 2).reshape(c, -1)
     return act.T.copy()
 
 
+# layer kind -> its size keys and their defaults; None marks a required key
+LAYER_KEYS = {"dense": {"out": None},
+              "conv": {"out_channels": None, "kernel": None, "stride": 1, "pad": 0},
+              "relu": {}, "flatten": {}}
+
+
+def _layer(desc, shape: tuple[int, ...]):
+    """The layer a layer dict describes, sized for input of ``shape``."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind not in LAYER_KEYS:
+        raise ConfigError(f"a layer is a dict whose 'kind' is one of {', '.join(LAYER_KEYS)}, "
+                          f"got {desc!r}")
+    for key in desc:
+        if key != "kind" and key not in LAYER_KEYS[kind]:
+            raise ConfigError(f"{kind} layer has unknown key {key!r}; its keys are "
+                              f"{', '.join(['kind', *LAYER_KEYS[kind]])}")
+    sizes = {}
+    for key, default in LAYER_KEYS[kind].items():
+        value = desc.get(key, default)
+        if value is None:
+            raise ConfigError(f"{kind} layer needs the key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{kind} layer key {key!r} must be an integer, got {value!r}")
+        sizes[key] = int(value)
+    if kind == "dense":
+        return Dense(shape[0], sizes["out"])
+    if kind == "conv":
+        return Conv2d(shape[0], **sizes)
+    return ReLU() if kind == "relu" else Flatten()
+
+
 class Model:
-    """Layer stack with deterministic parameters. ``n_probed_neurons``
-    counts the rows a probed forward pass captures."""
+    """Layer stack built from layer dicts (``LAYER_KEYS``) by one walk that
+    sizes each layer for the shape before it (ConfigError naming ``arch[i]``
+    on a bad dict or shape), checks for a dense head and counts probed rows
+    in ``n_probed_neurons``; parameters come in stack order from ``seed``."""
 
-    def __init__(self, layers: list, input_shape: tuple[int, ...], seed: int):
-        self.layers = layers
+    def __init__(self, descs: list, input_shape: tuple[int, ...], seed: int):
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.seed = int(seed)
-
+        self.layers = []
         shape = self.input_shape
         relu_neurons = 0
-        for idx, layer in enumerate(self.layers):
+        for idx, desc in enumerate(descs):
             try:
-                shape = layer.output_shape(shape)
+                self.layers.append(_layer(desc, shape))
+                shape = self.layers[-1].output_shape(shape)
             except ConfigError as exc:
-                prev = self.layers[idx - 1].name if idx else "input"
-                raise ConfigError(f"layer {idx} ({layer.name}) after {prev}: {exc}") from exc
-            if isinstance(layer, ReLU):
+                raise ConfigError(f"arch[{idx}]: {exc}") from exc
+            if isinstance(self.layers[-1], ReLU):
                 relu_neurons += shape[0]
-        if not isinstance(self.layers[-1], Dense):
+        if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
-        if len(shape) != 1:
-            raise ConfigError(f"head output must be flat, got shape {shape}")
         self.n_classes = shape[0]
         self.n_probed_neurons = relu_neurons + self.n_classes
 
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(int(seed))
         for layer in self.layers:
             layer.init_params(rng)
 
@@ -80,15 +97,15 @@ class Model:
     def forward(self, batch: np.ndarray, capture_probes: bool = False):
         """Inference pass over ``batch``: no layer keeps backward state.
 
-        Returns (logits, probabilities, capture) where ``capture`` is a
-        ProbeCapture when requested and None otherwise. Only the logits
-        are scanned for non-finite values: NaN and +-inf reach them through
-        every layer (a ReLU turns -inf into NaN). When the scan fails, the
-        stack is run again with a check after each layer, and the
-        NumericError names the first layer whose output is not finite. A
-        value that never reaches the logits (say, in a border row a strided
-        conv skips) cannot change the loss or the gradients and is not
-        reported.
+        Returns (logits, probabilities, capture): ``capture`` is None unless
+        requested, else a tuple of (neurons, vector_len) blocks, one per
+        capture site in stack order. Only the logits are scanned for
+        non-finite values: NaN and +-inf reach them through every layer (a
+        ReLU turns -inf into NaN). When the scan fails, the stack is run
+        again with a check after each layer, and the NumericError names the
+        first layer whose output is not finite. A value that never reaches
+        the logits (say, in a border row a strided conv skips) cannot change
+        the loss or the gradients and is not reported.
         """
         return self._pass(batch, capture_probes, record=False)
 
@@ -110,10 +127,9 @@ class Model:
             raise NumericError(
                 f"non-finite activation at layer {idx} ({self.layers[idx].name})")
         probs = softmax(logits)
-        if captured is not None:
-            captured.append(_capture_site(probs))
-            return logits, probs, ProbeCapture(tuple(captured))
-        return logits, probs, None
+        if captured is None:
+            return logits, probs, None
+        return logits, probs, (*captured, _capture_site(probs))
 
     def _first_nonfinite_layer(self, x: np.ndarray) -> int:
         """Index of the first layer whose output on ``x`` is not finite."""
@@ -124,72 +140,36 @@ class Model:
         return len(self.layers) - 1
 
 
-def _parse_mlp_spec(spec: str) -> tuple[list, tuple[int, ...]]:
-    body = spec.split(":", 1)[1]
-    try:
-        widths = [int(w) for w in body.replace(",", "-").split("-") if w]
-    except ValueError:
-        raise ConfigError(f"cannot parse mlp widths from {spec!r}") from None
-    if len(widths) < 2:
-        raise ConfigError(f"mlp spec needs at least input and output widths: {spec!r}")
-    layers: list = []
-    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-        layers.append(Dense(a, b))
-        if i < len(widths) - 2:
-            layers.append(ReLU())
-    return layers, (widths[0],)
-
-
-def _layers_from_dicts(descs: list[dict], input_shape: tuple[int, ...]) -> list:
-    layers: list = []
-    shape = tuple(input_shape)
-    for i, desc in enumerate(descs):
-        kind = desc.get("kind")
-        if kind == "dense":
-            if len(shape) != 1:
-                raise ConfigError(
-                    f"layer {i}: dense after non-flat shape {shape}; insert a flatten layer"
-                )
-            layers.append(Dense(shape[0], int(desc["out"])))
-        elif kind == "conv":
-            if len(shape) != 3:
-                raise ConfigError(f"layer {i}: conv needs (c, h, w) input, has {shape}")
-            layers.append(Conv2d(shape[0], int(desc["out_channels"]), int(desc["kernel"]),
-                                 int(desc.get("stride", 1)), int(desc.get("pad", 0))))
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        else:
-            raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
-        shape = layers[-1].output_shape(shape)
-    return layers
-
-
 def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = None) -> Model:
-    """Build a model from an architecture description.
-
-    ``arch_spec`` is either the string shorthand ``"mlp:IN-H1-...-OUT"``
-    (dense/ReLU chain, all widths listed) or a list of layer dicts
-    ({"kind": "dense"|"conv"|"relu"|"flatten", ...}), in which case
-    ``input_shape`` is required. Parameters are a pure function of
-    (architecture, seed).
-    """
+    """Build a model from an architecture description: a list of layer
+    dicts (``LAYER_KEYS``), which needs ``input_shape``, or the shorthand
+    ``"mlp:IN-H1-...-OUT"`` for a dense/ReLU chain. The shorthand expands
+    into layer dicts, led by a flatten layer when ``input_shape`` is not
+    flat, whose size must be ``IN``. Parameters are a pure function of
+    (architecture, seed)."""
     if isinstance(arch_spec, str):
-        if not arch_spec.startswith("mlp:"):
-            raise ConfigError(f"unknown architecture shorthand {arch_spec!r}")
-        layers, inferred = _parse_mlp_spec(arch_spec)
-        if input_shape is not None and tuple(input_shape) != inferred:
-            if int(np.prod(input_shape)) != inferred[0]:
-                raise ConfigError(
-                    f"mlp input width {inferred[0]} does not match input shape {input_shape}"
-                )
-            layers.insert(0, Flatten())
-            inferred = tuple(input_shape)
-        return Model(layers, inferred, seed)
-    if input_shape is None:
+        kind, _, body = arch_spec.partition(":")
+        try:
+            widths = [int(w) for w in body.replace(",", "-").split("-") if w]
+        except ValueError:
+            widths = []
+        if kind != "mlp" or len(widths) < 2:
+            raise ConfigError(f"arch {arch_spec!r} is not an 'mlp:IN-H1-...-OUT' shorthand "
+                              "with two or more widths")
+        input_shape = (widths[0],) if input_shape is None else input_shape
+        if int(np.prod(input_shape)) != widths[0]:
+            raise ConfigError(
+                f"mlp input width {widths[0]} does not match input shape {input_shape}")
+        arch_spec = [{"kind": "flatten"}] if len(input_shape) != 1 else []
+        for width in widths[1:-1]:
+            arch_spec += [{"kind": "dense", "out": width}, {"kind": "relu"}]
+        arch_spec.append({"kind": "dense", "out": widths[-1]})
+    elif not isinstance(arch_spec, (list, tuple)):
+        raise ConfigError("arch must be an 'mlp:IN-H1-...-OUT' string or a list of layer "
+                          f"dicts, got {arch_spec!r}")
+    elif input_shape is None:
         raise ConfigError("input_shape is required for a structured architecture spec")
-    return Model(_layers_from_dicts(list(arch_spec), tuple(input_shape)), tuple(input_shape), seed)
+    return Model(arch_spec, input_shape, seed)
 
 
 def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:

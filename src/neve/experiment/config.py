@@ -239,14 +239,16 @@ class ExperimentConfig:
         if self.scheduler.kind == "vloss" and self.dataset.validation_fraction <= 0:
             raise ConfigError(
                 "scheduler.kind 'vloss' requires dataset.validation_fraction > 0")
-        if self.scheduler.kind == "neve" and not self.probe_velocity:
-            raise ConfigError("scheduler.kind 'neve' requires probe_velocity")
-        sources = set(self.probe_aux)
-        if self.probe_velocity:
-            sources.add(self.aux.source)
-        if "heldout" in sources and self.dataset.validation_fraction <= 0:
+        if not self.probe_velocity and (self.scheduler.kind == "neve" or self.probe_aux):
+            needs = "scheduler.kind 'neve'" if self.scheduler.kind == "neve" else "probe_aux"
+            raise ConfigError(f"{needs} requires probe_velocity")
+        if "heldout" in self.probed_sources() and self.dataset.validation_fraction <= 0:
             raise ConfigError(
                 "aux source 'heldout' requires dataset.validation_fraction > 0")
+
+    def probed_sources(self) -> list[str]:
+        """The aux sources a run tracks velocity on, sorted; none without probes."""
+        return sorted({self.aux.source, *self.probe_aux}) if self.probe_velocity else []
 
     def scheduler_config(self) -> ControllerConfig | BaselineSchedulerConfig:
         """The scheduler of the configured kind, for ``neve_decide``. Step

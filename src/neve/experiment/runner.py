@@ -16,7 +16,7 @@ import io
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,6 @@ from ..errors import ConfigError, NumericError
 from ..velocity import VelocityState, change_rate, normalize_capture, velocity_step
 from .config import ExperimentConfig
 from .svg import line_chart
-
-CSV_HEADER = ("epoch,train_loss,train_acc,test_loss,test_acc,val_loss,"
-              "model_velocity,learning_rate,decision,wall_seconds")
 
 _TEST_SEED_OFFSET = 1000003
 
@@ -52,6 +49,10 @@ class RunRecord:
     learning_rate: float
     decision: str
     wall_seconds: float
+
+
+# the per-epoch CSV schema: one column per RunRecord field, in field order
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
 @dataclass
@@ -148,11 +149,8 @@ def load_checked(cfg: ExperimentConfig, seed: int = 0):
 
 def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
     """Freeze one AuxSet per requested velocity source."""
-    sources = set(cfg.probe_aux)
-    if cfg.probe_velocity:
-        sources.add(cfg.aux.source)
     aux_sets = {}
-    for src in sorted(sources):
+    for src in cfg.probed_sources():
         if src == "noise":
             aux_sets[src] = data_mod.make_aux_noise(cfg.aux.count, train.input_shape,
                                                     cfg.aux.seed)
@@ -191,7 +189,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     sched = cfg.scheduler_config()
     sched_state = SchedulerState()
 
-    aux_sets = build_aux_sets(cfg, train, val) if cfg.probe_velocity else {}
+    aux_sets = build_aux_sets(cfg, train, val)
     primary = cfg.aux.source if cfg.probe_velocity else None
     states = {src: VelocityState.initial(model.n_probed_neurons, cfg.scheduler.mu_vel)
               for src in aux_sets}
@@ -319,10 +317,10 @@ def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:
     return written
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _fmt(value, kind: str) -> str:
+    if kind in ("int", "str"):
+        return str(value)
+    return "" if value is None else repr(float(value))
 
 
 def records_to_csv(records) -> str:
@@ -332,11 +330,7 @@ def records_to_csv(records) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for r in records:
-        buf.write(",".join([
-            str(r.epoch), _fmt(r.train_loss), _fmt(r.train_acc), _fmt(r.test_loss),
-            _fmt(r.test_acc), _fmt(r.val_loss), _fmt(r.model_velocity),
-            _fmt(r.learning_rate), r.decision, _fmt(r.wall_seconds),
-        ]) + "\n")
+        buf.write(",".join(_fmt(getattr(r, f.name), f.type) for f in fields(r)) + "\n")
     return buf.getvalue()
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine.model import ProbeCapture
 from .errors import ConfigError
 
 ZERO_NORM_EPS = 1e-12
@@ -41,12 +40,12 @@ class ActivationSnapshot:
         return tuple(u.shape for u in self.units)
 
 
-def normalize_capture(raw: ProbeCapture, epoch: int) -> ActivationSnapshot:
-    """Unit-normalize each neuron's output vector; near-zero vectors are
-    zero-flagged and stored as zeros instead of dividing by ~0."""
+def normalize_capture(raw: tuple[np.ndarray, ...], epoch: int) -> ActivationSnapshot:
+    """Unit-normalize each neuron's row of a capture's (neurons, vector_len)
+    blocks; near-zero rows are zero-flagged and kept as zeros, not divided by ~0."""
     units = []
     flags = []
-    for block in raw.outputs:
+    for block in raw:
         norms = np.linalg.norm(block, axis=1)
         dead = norms < ZERO_NORM_EPS
         safe = np.where(dead, 1.0, norms)

@@ -116,9 +116,8 @@ def test_c03_change_rate_bounds_and_degeneracy():
         dead_b = rng.random(n) < 0.03
         a[dead_a] = 0.0
         b[dead_b] = 0.0
-        from neve.engine import ProbeCapture
-        snap_a = normalize_capture(ProbeCapture((a,)), 0)
-        snap_b = normalize_capture(ProbeCapture((b,)), 1)
+        snap_a = normalize_capture((a,), 0)
+        snap_b = normalize_capture((b,), 1)
         rho = change_rate(snap_a, snap_b)
         assert np.isfinite(rho).all()
         assert rho.min() >= -1.0 and rho.max() <= 1.0
@@ -336,12 +335,15 @@ def test_c12_probe_overhead_bound():
                     dataset={**DIGITS["dataset"], "test_samples": 500},
                     scheduler={"kind": "fixed"})
         run_training(config_from_dict(dict(base, max_epochs=2)), 1)  # warmup
-        # min over epochs: machine load only ever adds time
-        t_with = min(r.wall_seconds for r in
-                     run_training(config_from_dict(base), 1).records)
-        t_without = min(r.wall_seconds for r in
-                        run_training(config_from_dict(dict(base, probe_velocity=False)),
-                                     1).records)
+        # min over epochs and runs: machine load only ever adds time. In the
+        # order with, without, without, with, one slowdown can raise both
+        # probed runs only by also spanning both bare runs between them.
+        best = {True: float("inf"), False: float("inf")}
+        for probed in (True, False, False, True):
+            records = run_training(config_from_dict(dict(base, probe_velocity=probed)),
+                                   1).records
+            best[probed] = min(best[probed], *(r.wall_seconds for r in records))
+        t_with, t_without = best[True], best[False]
         ratio = t_with / t_without
         print(f"\n  per-epoch wall: probed={t_with * 1e3:.1f}ms "
               f"bare={t_without * 1e3:.1f}ms ratio={ratio:.3f}")

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from neve.data import (AUGMENT_PAD, augment, gen_blobs, gen_digits, load_cifar10,
+from neve.data import (AUGMENT_PAD, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                        load_idx, make_aux_from_samples, make_aux_noise, split,
                        standardize, write_idx)
 from neve.engine import Optimizer, backward_and_step, build_model, evaluate
@@ -181,6 +181,36 @@ class TestSubset:
     def test_fewer_than_one_sample_rejected(self, n):
         with pytest.raises(ConfigError, match="at least one sample"):
             gen_blobs(100, 4, seed=0).subset(n)
+
+    @staticmethod
+    def source():
+        """157 rows of unequal classes; row i holds the value i in both columns."""
+        labels = np.random.default_rng(3).choice(4, size=157, p=[0.4, 0.3, 0.2, 0.1])
+        return Dataset("toy", np.arange(157.0)[:, None] * np.ones(2), labels, 4)
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (40, 5), (97, 11), (156, 2)])
+    def test_stratified_draw_of_source_rows(self, n, seed):
+        ds = self.source()
+        sub = ds.subset(n, seed=seed)
+        assert len(sub) == n
+        counts = np.bincount(sub.labels, minlength=4)
+        proportional = n * np.bincount(ds.labels, minlength=4) / len(ds)
+        assert np.all(np.abs(counts - proportional) <= 1)
+        rows = sub.samples[:, 0].astype(int)
+        npt.assert_array_equal(sub.samples, ds.samples[rows])
+        npt.assert_array_equal(sub.labels, ds.labels[rows])
+        # reference: the first counts[c] rows of each class's permutation,
+        # class 0 first, all from one generator seeded with `seed`
+        rng = np.random.default_rng(seed)
+        reference = np.sort(np.concatenate(
+            [rng.permutation(np.flatnonzero(ds.labels == c))[:counts[c]] for c in range(4)]))
+        npt.assert_array_equal(rows, reference)
+
+    def test_seed_decides_the_rows(self):
+        ds = self.source()
+        rows = {seed: ds.subset(60, seed=seed).samples.tobytes() for seed in (1, 2)}
+        assert ds.subset(60, seed=1).samples.tobytes() == rows[1]
+        assert rows[1] != rows[2]
 
 
 class TestAuxSets:

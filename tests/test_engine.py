@@ -78,8 +78,8 @@ class TestBuildModel:
         # mlp[2,8,2]: one hidden relu + the softmax head
         m = build_model("mlp:2-8-2", seed=0)
         _, _, cap = m.forward(np.ones((5, 2)), capture_probes=True)
-        assert len(cap.outputs) == 2
-        assert [o.shape for o in cap.outputs] == [(8, 5), (2, 5)]
+        assert len(cap) == 2
+        assert [o.shape for o in cap] == [(8, 5), (2, 5)]
         assert m.n_probed_neurons == 10
 
     def test_conv_probe_granularity(self):
@@ -88,10 +88,22 @@ class TestBuildModel:
                 {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}]
         m = build_model(arch, seed=0, input_shape=(1, 8, 8))
         _, _, cap = m.forward(np.ones((3, 1, 8, 8)), capture_probes=True)
-        assert [o.shape[0] for o in cap.outputs] == [4, 10]
+        assert [o.shape[0] for o in cap] == [4, 10]
         assert m.n_probed_neurons == 14
         # per channel: the 3 samples' 6x6 positions form each channel's vector
-        assert cap.outputs[0].shape == (4, 3 * 6 * 6)
+        assert cap[0].shape == (4, 3 * 6 * 6)
+
+    def test_shorthand_and_layer_dicts_build_the_same_model(self):
+        dicts = [{"kind": "flatten"}, {"kind": "dense", "out": 8}, {"kind": "relu"},
+                 {"kind": "dense", "out": 3}]
+        a = build_model("mlp:16-8-3", seed=5, input_shape=(1, 4, 4))
+        b = build_model(dicts, seed=5, input_shape=(1, 4, 4))
+        assert [layer.name for layer in a.layers] == [layer.name for layer in b.layers]
+        assert len(a.layers) == 4
+        for (_, pa, _), (_, pb, _) in zip(a.trainable(), b.trainable(), strict=True):
+            assert pa.keys() == pb.keys()
+            for name in pa:
+                assert pa[name].tobytes() == pb[name].tobytes()
 
     def test_incompatible_layers_named(self):
         arch = [{"kind": "dense", "out": 4}, {"kind": "relu"},
@@ -120,14 +132,14 @@ class TestForward:
         m.layers[0].params["b"] = np.zeros(4)
         x = np.abs(np.random.default_rng(0).standard_normal((5, 2))) + 0.1
         _, _, cap = m.forward(x, capture_probes=True)
-        npt.assert_array_equal(cap.outputs[0], np.zeros((4, 5)))
+        npt.assert_array_equal(cap[0], np.zeros((4, 5)))
 
     def test_probe_capture_deterministic(self):
         m = build_model("mlp:6-5-4-3", seed=11)
         x = np.random.default_rng(1).standard_normal((7, 6))
         _, _, c1 = m.forward(x, capture_probes=True)
         _, _, c2 = m.forward(x, capture_probes=True)
-        for a, b in zip(c1.outputs, c2.outputs):
+        for a, b in zip(c1, c2):
             assert a.tobytes() == b.tobytes()
 
     def test_probe_shapes_stable_across_steps(self):
@@ -139,7 +151,7 @@ class TestForward:
         _, _, before = m.forward(x, capture_probes=True)
         backward_and_step(m, x, y, opt)
         _, _, after = m.forward(x, capture_probes=True)
-        assert [o.shape for o in before.outputs] == [o.shape for o in after.outputs]
+        assert [o.shape for o in before] == [o.shape for o in after]
 
     def test_conv_capture_flattens_spatial(self):
         arch = [{"kind": "conv", "out_channels": 3, "kernel": 3, "pad": 1},
@@ -147,8 +159,8 @@ class TestForward:
         m = build_model(arch, seed=0, input_shape=(1, 5, 5))
         x = np.random.default_rng(3).standard_normal((4, 1, 5, 5))
         _, _, cap = m.forward(x, capture_probes=True)
-        assert cap.outputs[0].shape == (3, 4 * 5 * 5)
-        assert cap.outputs[1].shape == (2, 4)
+        assert cap[0].shape == (3, 4 * 5 * 5)
+        assert cap[1].shape == (2, 4)
 
     def test_batch_shape_mismatch(self):
         m = build_model("mlp:4-3", seed=0)
@@ -194,8 +206,8 @@ class TestInferencePass:
         rec_logits, rec_probs, rec_cap = m._pass(x, True, record=True)
         assert logits.tobytes() == rec_logits.tobytes()
         assert probs.tobytes() == rec_probs.tobytes()
-        assert len(cap.outputs) == len(rec_cap.outputs) == 3
-        for a, b in zip(cap.outputs, rec_cap.outputs):
+        assert len(cap) == len(rec_cap) == 3
+        for a, b in zip(cap, rec_cap):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("arch,input_shape", [

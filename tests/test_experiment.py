@@ -694,6 +694,49 @@ class TestFlags:
         assert "error: dataset.shift must lie in [0, 10]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset,arch,named", [
+        ("digits", [{"kind": "conv", "out_channels": 4, "kernal": 3}],
+         "arch[0]: conv layer has unknown key 'kernal'"),
+        ("digits", [{"kind": "conv", "out_channels": 4}],
+         "arch[0]: conv layer needs the key 'kernel'"),
+        ("digits", [{"kind": "conv", "out_channels": 4, "kernel": 3, "stride": True}],
+         "arch[0]: conv layer key 'stride' must be an integer, got True"),
+        ("blobs", [{"kind": "dense"}], "arch[0]: dense layer needs the key 'out'"),
+        ("blobs", [{"kind": "dense", "out": "x"}],
+         "arch[0]: dense layer key 'out' must be an integer, got 'x'"),
+        ("blobs", [{"kind": "dense", "out": 4.7}],
+         "arch[0]: dense layer key 'out' must be an integer, got 4.7"),
+        ("blobs", [{"kind": "dense", "out": 8}, {"kind": "relu", "bogus": 1},
+                   {"kind": "dense", "out": 4}],
+         "arch[1]: relu layer has unknown key 'bogus'"),
+        ("blobs", [{"kind": "pool"}], "arch[0]: a layer is a dict whose 'kind' is "
+                                      "one of dense, conv, relu, flatten, got {'kind': 'pool'}"),
+        ("blobs", ["relu"], "arch[0]: a layer is a dict whose 'kind' is one of "
+                            "dense, conv, relu, flatten, got 'relu'"),
+        ("blobs", 5, "arch must be an 'mlp:IN-H1-...-OUT' string or a list of layer dicts"),
+        ("blobs", {"kind": "dense", "out": 4}, "arch must be an 'mlp:IN-H1-...-OUT' string"),
+        ("blobs", "mlp:2", "arch 'mlp:2' is not an 'mlp:IN-H1-...-OUT' shorthand"),
+        ("blobs", "mlp:2-x-4", "arch 'mlp:2-x-4' is not an 'mlp:IN-H1-...-OUT' shorthand"),
+        ("blobs", "cnn:2-4", "arch 'cnn:2-4' is not an 'mlp:IN-H1-...-OUT' shorthand"),
+        ("blobs", "mlp:3-4", "mlp input width 3 does not match input shape (2,)")])
+    def test_malformed_arch_exits_2_naming_layer_and_key(self, dataset, arch, named,
+                                                         tmp_path, capsys):
+        conf = tmp_path / "arch.json"
+        conf.write_text(json.dumps({"arch": arch}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), "--dataset", dataset,
+                     "--n-samples", "100", "--test-samples", "50", "--out", str(out)]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_aux_without_probing_exits_2_naming_both(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--scheduler", "fixed", "--no-probe", "--probe-aux", "train",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "probe_aux" in err and "probe_velocity" in err
+        assert not out.exists()
+
     def test_class_count_mismatch_checked_before_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["train", "--n-classes", "6", "--arch", "mlp:2-8-4",

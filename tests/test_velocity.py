@@ -4,13 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from neve.engine import ProbeCapture, Optimizer, backward_and_step, build_model
+from neve.engine import Optimizer, backward_and_step, build_model
 from neve.errors import ConfigError
 from neve.velocity import VelocityState, change_rate, normalize_capture, velocity_step
 
 
 def capture_of(*blocks):
-    return ProbeCapture(tuple(np.asarray(b, dtype=np.float64) for b in blocks))
+    return tuple(np.asarray(b, dtype=np.float64) for b in blocks)
 
 
 def snapshot_of(epoch, *blocks):
