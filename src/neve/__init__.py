@@ -6,9 +6,8 @@ decays the learning rate when that movement plateaus, and stops training
 once it falls below a threshold — no validation split required.
 """
 
-from .controller import (BaselineSchedulerConfig, ControllerConfig,
-                         ControllerDecision, EpsilonAnalysis, SchedulerState,
-                         baseline_decide, epsilon_analysis, neve_decide, softmax_delta)
+from .controller import (ControllerDecision, EpsilonAnalysis, SchedulerSpec,
+                         SchedulerState, epsilon_analysis, neve_decide, softmax_delta)
 from .data import (AuxSet, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                    load_idx, make_aux_from_samples, make_aux_noise, split, standardize,
                    write_idx)
@@ -20,9 +19,8 @@ from .velocity import (ActivationSnapshot, VelocityState, change_rate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineSchedulerConfig", "ControllerConfig", "ControllerDecision",
-    "EpsilonAnalysis", "SchedulerState", "baseline_decide", "epsilon_analysis",
-    "neve_decide", "softmax_delta",
+    "ControllerDecision", "EpsilonAnalysis", "SchedulerSpec", "SchedulerState",
+    "epsilon_analysis", "neve_decide", "softmax_delta",
     "AuxSet", "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
     "load_idx", "make_aux_from_samples", "make_aux_noise", "split", "standardize",
     "write_idx",

@@ -2,13 +2,15 @@
 
 ``neve_decide(sched, state, signal, lr) -> (state, decision)`` folds one
 epoch's signal into an immutable ``SchedulerState`` and decides: continue,
-rescale the learning rate, or stop. neve (``ControllerConfig``) reads the
-model velocity: it stops once the velocity falls below epsilon, and
-otherwise rescales the learning rate by alpha when the velocity has
-plateaued (relative span of the last patience+1 entries within a small
-fraction of their mean); stop takes precedence over a rescale. Of the
-reference schedulers (``BaselineSchedulerConfig``), vloss reads the
-validation loss, while fixed and step decay ignore the signal.
+rescale the learning rate, or stop. ``sched`` is a ``SchedulerSpec``, the
+one scheduler config. neve reads the model velocity: it stops once the
+velocity falls below ``epsilon``, and otherwise rescales the learning rate
+by ``alpha`` (not below ``min_lr``) when the velocity has plateaued
+(relative span of the last ``patience``+1 entries within
+``plateau_rel_span`` of their mean) at least ``cooldown`` epochs after the
+last rescale; stop takes precedence over a rescale. vloss reads the
+validation loss (``vloss_patience``, ``stop_patience``, ``factor``), while
+step_decay (``milestones``, ``factor``) and fixed ignore the signal.
 
 Also provided: the closed-form analysis of how much a softmax output can
 move when the head's velocity sits exactly at epsilon.
@@ -18,64 +20,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
-    """Knobs of the velocity controller.
+class SchedulerSpec:
+    """Exactly one scheduler drives the run: neve, fixed, step_decay or vloss.
+    ``validate`` checks every range whatever the kind, because one spec
+    drives every kind in ``neve compare``. A ``cooldown`` of None means
+    ``patience``, and a ``min_lr`` of None sets no floor."""
 
-    cooldown defaults to ``patience`` when left as None; min_lr is an
-    optional floor below which no further rescale is issued.
-    """
-
-    kind: ClassVar[str] = "neve"
+    kind: str = "neve"
+    # velocity controller
     epsilon: float = 1e-3
     alpha: float = 0.1
     patience: int = 5
+    mu_vel: float = 0.5
     plateau_rel_span: float = 0.05
     cooldown: int | None = None
     min_lr: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.plateau_rel_span < 1.0:
-            raise ConfigError(
-                f"plateau_rel_span must lie in (0, 1), got {self.plateau_rel_span}"
-            )
-        if self.cooldown is not None and self.cooldown < 0:
-            raise ConfigError(f"cooldown must be >= 0, got {self.cooldown}")
-
-
-@dataclass(frozen=True)
-class BaselineSchedulerConfig:
-    """Reference schedulers: fixed, step_decay (milestones + factor) and
-    vloss (rescale after ``patience`` epochs without a new best validation
-    loss, stop after ``stop_patience`` consecutive non-improving epochs)."""
-
-    kind: str
+    # step decay
     milestones: tuple[int, ...] = ()
     factor: float = 0.1
-    patience: int = 5
+    # validation-loss scheduler
+    vloss_patience: int = 5
     stop_patience: int = 10
 
-    def __post_init__(self):
-        if self.kind not in ("fixed", "step_decay", "vloss"):
-            raise ConfigError(f"unknown baseline scheduler kind {self.kind!r}")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ConfigError(f"milestones must be strictly increasing: {self.milestones}")
-        if not 0.0 < self.factor < 1.0:
-            raise ConfigError(f"factor must lie in (0, 1), got {self.factor}")
-        for name in ("patience", "stop_patience"):
+    def validate(self) -> None:
+        if self.kind not in ("neve", "fixed", "step_decay", "vloss"):
+            raise ConfigError(f"scheduler.kind: unknown scheduler {self.kind!r}")
+        # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
+        if not 0.0 <= self.mu_vel < 1.0:
+            raise ConfigError(f"scheduler.mu_vel must lie in [0, 1), got {self.mu_vel}")
+        for name in ("alpha", "plateau_rel_span", "factor"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(
+                    f"scheduler.{name} must lie in (0, 1), got {getattr(self, name)}")
+        if self.epsilon <= 0.0:
+            raise ConfigError(f"scheduler.epsilon must be positive, got {self.epsilon}")
+        for name in ("patience", "vloss_patience", "stop_patience"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"scheduler.{name} must be >= 1, got {getattr(self, name)}")
+        if self.cooldown is not None and self.cooldown < 0:
+            raise ConfigError(f"scheduler.cooldown must be >= 0, got {self.cooldown}")
+        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
+            raise ConfigError(
+                f"scheduler.milestones must be strictly increasing: {self.milestones}")
+
+
+# These aliases and baseline_decide stay only because the benchmark's tests import them.
+ControllerConfig = SchedulerSpec
+
+
+def BaselineSchedulerConfig(kind: str, patience: int = 5, **fields) -> SchedulerSpec:
+    return SchedulerSpec(kind=kind, vloss_patience=patience, **fields)
 
 
 CONTINUE = "continue"
@@ -117,9 +117,12 @@ def neve_decide(sched, state: SchedulerState, signal,
                 lr: float) -> tuple[SchedulerState, ControllerDecision]:
     """Fold one epoch into ``state`` and decide; returns ``(state, decision)``.
 
-    ``sched`` is a ``ControllerConfig`` or a ``BaselineSchedulerConfig``;
-    ``signal`` is the epoch's model velocity (neve) or validation loss
-    (vloss), ignored by fixed and step_decay; ``lr`` is the epoch's rate.
+    ``sched`` is a ``SchedulerSpec``: neve reads ``epsilon``, ``alpha``,
+    ``patience``, ``plateau_rel_span``, ``cooldown`` and ``min_lr``; vloss
+    reads ``vloss_patience``, ``stop_patience`` and ``factor``; step_decay
+    reads ``milestones`` and ``factor``; fixed reads none. ``signal`` is the
+    epoch's model velocity (neve) or validation loss (vloss), ignored by
+    fixed and step_decay; ``lr`` is the epoch's rate.
     """
     kind, epoch = sched.kind, state.epoch + 1
     if signal is None and kind in ("neve", "vloss"):
@@ -154,7 +157,7 @@ def neve_decide(sched, state: SchedulerState, signal,
         if state.stop_wait >= sched.stop_patience:
             return state, ControllerDecision(
                 STOP, epoch, f"validation loss flat for {state.stop_wait} epochs")
-        if state.rescale_wait >= sched.patience:
+        if state.rescale_wait >= sched.vloss_patience:
             return _rescale(state._replace(rescale_wait=0),
                             f"validation loss flat for {state.rescale_wait} epochs",
                             sched.factor * lr)
@@ -165,11 +168,12 @@ def neve_decide(sched, state: SchedulerState, signal,
     return state, ControllerDecision(CONTINUE, epoch)
 
 
-def baseline_decide(cfg: BaselineSchedulerConfig, signals, lr: float,
+def baseline_decide(cfg: SchedulerSpec, signals, lr: float,
                     epoch: int) -> ControllerDecision:
     """Decision of a reference scheduler at ``epoch``, folded from epoch 1.
     ``signals`` is the per-epoch validation-loss series (epoch 1 first),
     required for the vloss kind and ignored otherwise."""
+    cfg.validate()
     if epoch < 1:
         raise ConfigError(f"epoch must be >= 1, got {epoch}")
     if cfg.kind != "vloss":
@@ -186,6 +190,7 @@ def baseline_decide(cfg: BaselineSchedulerConfig, signals, lr: float,
 def replay_neve_decisions(signals, sched, initial_lr: float) -> list[ControllerDecision]:
     """Re-derive a run's decisions by folding its recorded per-epoch signal
     series; used to audit recorded runs against the pure step."""
+    sched.validate()
     state, lr, out = SchedulerState(), initial_lr, []
     for signal in signals:
         state, decision = neve_decide(sched, state, signal, lr)

@@ -13,9 +13,9 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
-from ..controller import BaselineSchedulerConfig, ControllerConfig
+from ..controller import SchedulerSpec
 from ..data import digits_max_shift
 from ..errors import ConfigError
 
@@ -29,12 +29,43 @@ def field_types(cls) -> dict:
     return get_type_hints(cls)
 
 
+# scalar annotation -> (what one value must be, what the items of a list must be)
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings"), bool: ("true or false", "booleans")}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON scalar fits a scalar annotation; an int is a number, a bool is neither."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _typed(value, hint, name: str):
+    """``value`` checked against its field annotation, lists made tuples."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value):
+            return tuple(value)
+        what = f"a list of {_KINDS[args[0]][1]}"
+    else:
+        optional = type(None) in args                           # X | None
+        scalar = args[0] if optional else hint
+        if (optional and value is None) or _fits(value, scalar):
+            return value
+        what = _KINDS[scalar][0] + (" or null" if optional else "")
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _from_dict(cls, raw: dict, prefix: str):
     """Build ``cls`` from plain dicts, recursing into nested specs.
 
-    The field annotations drive the conversion: JSON lists become tuples,
-    except where a field is annotated ``object`` (``arch`` keeps its list
-    of layer dicts). Unknown keys raise ConfigError naming the dotted field.
+    The field annotations drive the conversion: each value must fit its
+    field's type (an int field takes no bool or float, a float field takes
+    an int, ``X | None`` takes null) and JSON lists become tuples. A field
+    annotated ``object`` (``arch``, a layer-dict list) is left to the
+    architecture walk. Unknown keys and misfits raise ConfigError naming
+    the dotted field.
     """
     hints = field_types(cls)
     kwargs = {}
@@ -46,8 +77,8 @@ def _from_dict(cls, raw: dict, prefix: str):
             if not isinstance(value, dict):
                 raise ConfigError(f"config field '{prefix}{key}' must be a mapping")
             value = _from_dict(hint, value, f"{prefix}{key}.")
-        elif isinstance(value, list) and hint is not object:
-            value = tuple(value)
+        elif hint is not object:
+            value = _typed(value, hint, prefix + key)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -81,8 +112,8 @@ class DatasetSpec:
     train_labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    cifar_train_paths: tuple = ()
-    cifar_test_paths: tuple = ()
+    cifar_train_paths: tuple[str, ...] = ()
+    cifar_test_paths: tuple[str, ...] = ()
 
     def validate(self) -> None:
         if self.name not in ("blobs", "digits", "idx", "cifar10"):
@@ -133,64 +164,23 @@ class OptimizerSpec:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    betas: tuple = (0.9, 0.999)
+    betas: tuple[float, ...] = (0.9, 0.999)
     eps: float = 1e-8
 
     def validate(self) -> None:
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"optimizer.kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if self.lr < 0:
-            raise ConfigError(f"optimizer.lr must be non-negative, got {self.lr}")
-
-
-@dataclass(frozen=True)
-class SchedulerSpec:
-    """Exactly one scheduler drives the run: neve, fixed, step_decay or vloss."""
-
-    kind: str = "neve"
-    # velocity controller
-    epsilon: float = 1e-3
-    alpha: float = 0.1
-    patience: int = 5
-    mu_vel: float = 0.5
-    plateau_rel_span: float = 0.05
-    cooldown: int | None = None
-    min_lr: float | None = None
-    # step decay
-    milestones: tuple[int, ...] = ()
-    factor: float = 0.1
-    # validation-loss scheduler
-    vloss_patience: int = 5
-    stop_patience: int = 10
-
-    def config_for(self, kind: str, milestones: tuple[int, ...]
-                   ) -> ControllerConfig | BaselineSchedulerConfig:
-        """The scheduler config of ``kind`` built from these fields."""
-        if kind == "neve":
-            return ControllerConfig(epsilon=self.epsilon, alpha=self.alpha,
-                                    patience=self.patience,
-                                    plateau_rel_span=self.plateau_rel_span,
-                                    cooldown=self.cooldown, min_lr=self.min_lr)
-        return BaselineSchedulerConfig(kind=kind, milestones=milestones, factor=self.factor,
-                                       patience=self.vloss_patience,
-                                       stop_patience=self.stop_patience)
-
-    def validate(self) -> None:
-        if self.kind not in ("neve", "fixed", "step_decay", "vloss"):
-            raise ConfigError(f"scheduler.kind: unknown scheduler {self.kind!r}")
-        # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
-        if not 0.0 <= self.mu_vel < 1.0:
-            raise ConfigError(f"scheduler.mu_vel must lie in [0, 1), got {self.mu_vel}")
-        # The two config types own the ranges. Both are built whatever the
-        # kind, because one spec drives every kind in `neve compare`.
-        for kind in ("neve", "step_decay"):
-            try:
-                self.config_for(kind, self.milestones)
-            except ConfigError as exc:
-                msg = str(exc)
-                if kind != "neve" and msg.startswith("patience"):   # it is vloss_patience
-                    msg = "vloss_" + msg
-                raise ConfigError(f"scheduler.{msg}") from None
+        for key in ("lr", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ConfigError(
+                    f"optimizer.{key} must be non-negative, got {getattr(self, key)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(
+                f"optimizer.betas must be two values in [0, 1), got {list(self.betas)}")
+        if self.eps <= 0:
+            raise ConfigError(f"optimizer.eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +222,8 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         for src in self.probe_aux:
             if src not in AUX_SOURCES:
                 raise ConfigError(
@@ -250,17 +242,16 @@ class ExperimentConfig:
         """The aux sources a run tracks velocity on, sorted; none without probes."""
         return sorted({self.aux.source, *self.probe_aux}) if self.probe_velocity else []
 
-    def scheduler_config(self) -> ControllerConfig | BaselineSchedulerConfig:
-        """The scheduler of the configured kind, for ``neve_decide``. Step
-        decay without milestones decays at 1/2 and 3/4 of the epoch budget,
-        each epoch once and none before epoch 1, so a budget below 4 decays
-        less."""
+    def scheduler_config(self) -> SchedulerSpec:
+        """The scheduler spec ``neve_decide`` reads. Step decay without
+        milestones decays at 1/2 and 3/4 of the epoch budget, each epoch
+        once and none before epoch 1, so a budget below 4 decays less."""
         s = self.scheduler
-        milestones = s.milestones
-        if s.kind == "step_decay" and not milestones:
-            half, three_quarters = self.max_epochs // 2, (3 * self.max_epochs) // 4
-            milestones = tuple(m for m in sorted({half, three_quarters}) if m >= 1)
-        return s.config_for(s.kind, tuple(milestones))
+        if s.kind != "step_decay" or s.milestones:
+            return s
+        half, three_quarters = self.max_epochs // 2, (3 * self.max_epochs) // 4
+        return dataclasses.replace(
+            s, milestones=tuple(m for m in sorted({half, three_quarters}) if m >= 1))
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from neve.controller import (ControllerConfig, SchedulerState, epsilon_analysis,
+from neve.controller import (SchedulerSpec, SchedulerState, epsilon_analysis,
                              neve_decide)
 from neve.data import gen_blobs, make_aux_noise
 from neve.engine import Optimizer, backward_and_step, build_model
@@ -171,7 +171,7 @@ def test_c05_frozen_model_sanity():
         t0 = time.perf_counter()
         ds = gen_blobs(400, 3, sigma=0.5, seed=0)
         aux = make_aux_noise(50, (2,), seed=1)
-        ctrl = ControllerConfig()
+        ctrl = SchedulerSpec()
 
         def frozen_loop(warm_epochs):
             model = build_model("mlp:2-16-3", seed=3)
@@ -323,7 +323,7 @@ def test_c11_reproducibility_and_replay():
         strip = lambda res: [",".join(line.split(",")[:-1])
                              for line in records_to_csv(res.records).splitlines()]
         assert strip(a) == strip(b)
-        ctrl = ControllerConfig()
+        ctrl = SchedulerSpec()
         replayed = replay_neve_decisions(a.velocity_series["noise"], ctrl,
                                          cfg.optimizer.lr)
         assert [d.verdict for d in replayed] == [r.decision for r in a.records]

@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from neve.controller import (BaselineSchedulerConfig, ControllerConfig, SchedulerState,
-                             baseline_decide, epsilon_analysis, neve_decide,
+from neve.controller import (SchedulerSpec, SchedulerState, baseline_decide,
+                             epsilon_analysis, neve_decide, replay_neve_decisions,
                              softmax_delta)
 from neve.errors import ConfigError
 
-DEFAULTS = ControllerConfig()
+DEFAULTS = SchedulerSpec()
 
 
 def grid_max_delta(eps, n=100_000):
@@ -70,7 +70,7 @@ class TestNeveDecide:
         assert d.verdict == "rescale"
 
     def test_min_lr_floor(self):
-        cfg = ControllerConfig(min_lr=0.005)
+        cfg = SchedulerSpec(min_lr=0.005)
         flat = [0.2] * 6
         d = decide(flat, cfg, lr=0.1)
         assert d.verdict == "rescale" and d.new_lr == pytest.approx(0.01)
@@ -91,7 +91,7 @@ class TestNeveDecide:
 
     def test_alpha_power_law(self):
         # fold a plateau-heavy series: after k rescales lr == alpha^k * lr0
-        cfg = ControllerConfig(epsilon=1e-9)
+        cfg = SchedulerSpec(epsilon=1e-9)
         lr0, lr = 0.5, 0.5
         state = SchedulerState()
         rescales = 0
@@ -104,7 +104,7 @@ class TestNeveDecide:
         assert lr == pytest.approx(cfg.alpha ** rescales * lr0, rel=1e-12)
 
     def test_missing_signal_rejected(self):
-        for sched in (DEFAULTS, BaselineSchedulerConfig(kind="vloss")):
+        for sched in (DEFAULTS, SchedulerSpec(kind="vloss")):
             with pytest.raises(ConfigError, match=sched.kind):
                 neve_decide(sched, SchedulerState(), None, 0.1)
 
@@ -116,14 +116,12 @@ class TestNeveDecide:
         assert (after.epoch, after.last_rescale, len(after.window)) == (6, 6, 6)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ControllerConfig(alpha=1.5)
-        with pytest.raises(ConfigError):
-            ControllerConfig(patience=0)
-        with pytest.raises(ConfigError):
-            ControllerConfig(epsilon=0.0)
-        with pytest.raises(ConfigError, match="cooldown"):
-            ControllerConfig(cooldown=-1)
+        for field, value in (("alpha", 1.5), ("patience", 0), ("epsilon", 0.0),
+                             ("cooldown", -1)):
+            with pytest.raises(ConfigError, match=rf"^scheduler\.{field} "):
+                SchedulerSpec(**{field: value}).validate()
+            with pytest.raises(ConfigError, match=rf"^scheduler\.{field} "):
+                replay_neve_decisions([0.2] * 8, SchedulerSpec(**{field: value}), 0.1)
 
 
 class TestEpsilonAnalysis:
@@ -188,14 +186,14 @@ class TestSoftmaxDelta:
 
 class TestBaselines:
     def test_fixed_always_continues(self):
-        cfg = BaselineSchedulerConfig(kind="fixed")
+        cfg = SchedulerSpec(kind="fixed")
         for epoch in (1, 50, 10_000):
             assert baseline_decide(cfg, None, 0.1, epoch).verdict == "continue"
         with pytest.raises(ConfigError, match="epoch"):
             baseline_decide(cfg, None, 0.1, 0)
 
     def test_step_decay_milestones(self):
-        cfg = BaselineSchedulerConfig(kind="step_decay", milestones=(100, 150))
+        cfg = SchedulerSpec(kind="step_decay", milestones=(100, 150))
         lr = 0.1
         for epoch in range(1, 200):
             d = baseline_decide(cfg, None, lr, epoch)
@@ -206,13 +204,13 @@ class TestBaselines:
         assert baseline_decide(cfg, None, 0.1, 100).new_lr == pytest.approx(0.01)
 
     def test_vloss_improving_series_continues(self):
-        cfg = BaselineSchedulerConfig(kind="vloss", patience=5, stop_patience=10)
+        cfg = SchedulerSpec(kind="vloss", vloss_patience=5, stop_patience=10)
         series = [1.0 / t for t in range(1, 31)]
         for epoch in range(1, 31):
             assert baseline_decide(cfg, series, 0.1, epoch).verdict == "continue"
 
     def test_vloss_flat_rescales_at_sixth_epoch(self):
-        cfg = BaselineSchedulerConfig(kind="vloss", patience=5, stop_patience=50)
+        cfg = SchedulerSpec(kind="vloss", vloss_patience=5, stop_patience=50)
         series = [0.7] * 6
         for epoch in range(1, 6):
             assert baseline_decide(cfg, series, 0.1, epoch).verdict == "continue"
@@ -221,7 +219,7 @@ class TestBaselines:
         assert d.new_lr == pytest.approx(0.01)
 
     def test_vloss_stops_after_stop_patience(self):
-        cfg = BaselineSchedulerConfig(kind="vloss", patience=5, stop_patience=10)
+        cfg = SchedulerSpec(kind="vloss", vloss_patience=5, stop_patience=10)
         series = [0.5] + [0.7] * 10
         verdicts = [baseline_decide(cfg, series, 0.1, e).verdict
                     for e in range(1, 12)]
@@ -231,16 +229,17 @@ class TestBaselines:
         assert "stop" not in verdicts[:10]
 
     def test_vloss_requires_series(self):
-        cfg = BaselineSchedulerConfig(kind="vloss")
+        cfg = SchedulerSpec(kind="vloss")
         with pytest.raises(ConfigError):
             baseline_decide(cfg, None, 0.1, 1)
         with pytest.raises(ConfigError):
             baseline_decide(cfg, [0.5], 0.1, 2)
 
     def test_invalid_configs(self):
-        with pytest.raises(ConfigError):
-            BaselineSchedulerConfig(kind="cosine")
-        with pytest.raises(ConfigError):
-            BaselineSchedulerConfig(kind="step_decay", milestones=(10, 10))
-        with pytest.raises(ConfigError):
-            BaselineSchedulerConfig(kind="vloss", patience=0)
+        for fields, named in (({"kind": "cosine"}, "kind"),
+                              ({"kind": "step_decay", "milestones": (10, 10)}, "milestones"),
+                              ({"kind": "vloss", "vloss_patience": 0}, "vloss_patience")):
+            with pytest.raises(ConfigError, match=rf"^scheduler\.{named}[: ]"):
+                SchedulerSpec(**fields).validate()
+            with pytest.raises(ConfigError, match=rf"^scheduler\.{named}[: ]"):
+                baseline_decide(SchedulerSpec(**fields), [0.5] * 12, 0.1, 12)

@@ -547,10 +547,38 @@ class TestCli:
         (["aux-sweep", "--aux-sources", "noise,bogus"], "aux.source"),
         (["aux-sweep", "--aux-sizes", "0"], "aux.count"),
         (["optim-compare", "--adam-lr", "-1"], "optimizer.lr"),
-        (["epsilon-sweep", "--eps-grid", ","], "epsilon-sweep: no variants")])
+        (["epsilon-sweep", "--eps-grid", ","], "epsilon-sweep: no variants"),
+        (["train", "--momentum", "-1.5"], "optimizer.momentum"),
+        (["train", "--momentum", "1"], "optimizer.momentum"),
+        (["train", "--weight-decay", "-5"], "optimizer.weight_decay"),
+        (["train", {"optimizer": {"kind": "adam", "betas": [0.9]}}], "optimizer.betas"),
+        (["train", {"optimizer": {"betas": [0.9, 1.0]}}], "optimizer.betas"),
+        (["train", {"optimizer": {"eps": 0}}], "optimizer.eps"),
+        (["train", "--seeds", "3,3"], "seeds"),
+        (["compare", "--seeds", "1,2,1"], "seeds"),
+        # a config file's values must fit their fields' types
+        (["train", {"max_epochs": "5"}], "max_epochs"),
+        (["train", {"max_epochs": True}], "max_epochs"),
+        (["train", {"batch_size": 2.5}], "batch_size"),
+        (["train", {"seeds": [1.5]}], "seeds"),
+        (["train", {"aux": {"count": True}}], "aux.count"),
+        (["train", {"optimizer": {"lr": False}}], "optimizer.lr"),
+        (["train", {"optimizer": {"kind": 1}}], "optimizer.kind"),
+        (["train", {"scheduler": {"cooldown": 1.5}}], "scheduler.cooldown"),
+        (["train", {"scheduler": {"milestones": "3,5"}}], "scheduler.milestones"),
+        (["train", {"probe_aux": "noise"}], "probe_aux"),
+        (["train", {"probe_velocity": 1}], "probe_velocity"),
+        (["train", {"dataset": {"train_images": 5}}], "dataset.train_images"),
+        (["train", {"dataset": {"cifar_train_paths": [1]}}], "dataset.cifar_train_paths")])
     def test_subcommand_value_checked_before_output(self, argv, key, tmp_path, capsys):
+        if isinstance(argv[-1], dict):          # the content of a config file
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], "--config", str(conf)]
         out = tmp_path / "out"
-        assert main(argv + TINY_CLI + ["--max-epochs", "2", "--out", str(out)]) == 2
+        # the case's own flags come last, so they win over TINY_CLI's
+        assert main(argv[:1] + TINY_CLI + argv[1:] + ["--max-epochs", "2",
+                                                      "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
