@@ -65,6 +65,8 @@ class SchedulerSpec:
                 raise ConfigError(f"scheduler.{name} must be >= 1, got {getattr(self, name)}")
         if self.cooldown is not None and self.cooldown < 0:
             raise ConfigError(f"scheduler.cooldown must be >= 0, got {self.cooldown}")
+        if any(m < 1 for m in self.milestones):   # epochs count from 1; earlier ones never fire
+            raise ConfigError(f"scheduler.milestones must be epochs >= 1, got {self.milestones}")
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ConfigError(
                 f"scheduler.milestones must be strictly increasing: {self.milestones}")

@@ -7,6 +7,11 @@ matching ``backward`` needs, or, given ``record=False``, keeps nothing.
 input; a trainable layer given ``input_grad=False`` skips that gradient
 and returns None. Single-threaded use: one recording forward, then at
 most one backward.
+
+``Dense.forward`` and ``ReLU.forward`` take an ``out`` array to write
+into (the model's reused inference buffers, or the ReLU's own input);
+without it they return a fresh array and never write to their input.
+``ReLU.backward`` multiplies into a 2-D gradient it is given and returns it.
 """
 
 from __future__ import annotations
@@ -65,9 +70,12 @@ class Dense(_Layer):
                               f"got shape {input_shape}{hint}")
         return (self.out_features,)
 
-    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, record: bool = True,
+                out: np.ndarray | None = None) -> np.ndarray:
         self._saved = x if record else None
-        return x @ self.params["W"] + self.params["b"]
+        out = np.matmul(x, self.params["W"], out=out)
+        out += self.params["b"]
+        return out
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.grads["W"] = self._recorded().T @ grad
@@ -178,15 +186,18 @@ class ReLU(_Layer):
 
     name = "relu"
 
-    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
-        out = np.maximum(x, 0.0)
+    def forward(self, x: np.ndarray, record: bool = True,
+                out: np.ndarray | None = None) -> np.ndarray:
         if x.min() == -np.inf:   # -inf * 0 = NaN keeps it visible to the logits scan
             out = x * (x > 0)
+        else:
+            out = np.maximum(x, 0.0, out=out)
         self._saved = out if record else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * (self._recorded() > 0)
+        # a 4-D gradient from a conv is a strided view; a product there would cost a copy later
+        return np.multiply(grad, self._recorded() > 0, out=grad if grad.ndim == 2 else None)
 
 
 class Flatten(_Layer):

@@ -6,6 +6,15 @@ pass captures the output of every ReLU, in stack order, and then the
 head's softmax output; a probed "neuron" is one output unit of a flat
 activation or one channel of a (b, c, h, w) activation (spatial
 positions are folded into the sample axis).
+
+The inference pass (``Model.forward``, ``evaluate``, probe snapshots)
+reuses one output buffer per hidden dense layer, sized to the largest
+batch seen; a smaller batch writes a row prefix of it, and
+``release_buffers`` frees them. Every pass applies a ReLU in place to a
+2-D activation that an earlier layer of the same pass produced, never to
+the caller's batch or to a 4-D conv activation. What a pass returns is
+fresh: the logits (the head writes no buffer), the probabilities and the
+capture blocks, which are copies.
 """
 
 from __future__ import annotations
@@ -84,6 +93,18 @@ class Model:
         rng = np.random.default_rng(int(seed))
         for layer in self.layers:
             layer.init_params(rng)
+        self._buffers: dict[int, np.ndarray] = {}   # hidden dense index -> inference output
+
+    def release_buffers(self) -> None:
+        """Free the inference buffers; the next inference pass makes new ones."""
+        self._buffers.clear()
+
+    def _buffer(self, idx: int, rows: int) -> np.ndarray:
+        """First ``rows`` rows of layer ``idx``'s inference buffer, grown to fit."""
+        buf = self._buffers.get(idx)
+        if buf is None or len(buf) < rows:
+            buf = self._buffers[idx] = np.empty((rows, self.layers[idx].out_features))
+        return buf[:rows]
 
     def n_parameters(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params.values())
@@ -105,31 +126,44 @@ class Model:
         again with a check after each layer, and the NumericError names the
         first layer whose output is not finite. A value that never reaches
         the logits (say, in a border row a strided conv skips) cannot change
-        the loss or the gradients and is not reported.
+        the loss or the gradients and is not reported. The returned arrays
+        are fresh: none aliases a buffer that a later pass overwrites.
         """
         return self._pass(batch, capture_probes, record=False)
 
     def _pass(self, batch: np.ndarray, capture_probes: bool, record: bool):
         """``forward``; each layer keeps its backward state when ``record``."""
+        logits, captured = self._logits(batch, capture_probes, record)
+        probs = softmax(logits)
+        if captured is None:
+            return logits, probs, None
+        return logits, probs, (*captured, _capture_site(probs))
+
+    def _logits(self, batch: np.ndarray, capture_probes: bool, record: bool):
+        """(logits, ReLU capture blocks or None) of ``_pass``, without the softmax."""
         x = inputs = np.asarray(batch, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ConfigError(
                 f"batch shape {x.shape[1:]} does not match input shape {self.input_shape}"
             )
         captured = [] if capture_probes else None
-        for layer in self.layers:
-            x = layer.forward(x, record=record)
+        owned = False   # x was made by this pass; a flatten view of the batch is not
+        head = len(self.layers) - 1
+        for idx, layer in enumerate(self.layers):
+            if isinstance(layer, ReLU) and owned and x.ndim == 2:
+                x = layer.forward(x, record=record, out=x)
+            elif isinstance(layer, Dense) and idx < head and not record:
+                x = layer.forward(x, record=False, out=self._buffer(idx, len(x)))
+            else:
+                x = layer.forward(x, record=record)
+            owned = owned or not isinstance(layer, Flatten)
             if captured is not None and isinstance(layer, ReLU):
                 captured.append(_capture_site(x))
-        logits = x
-        if not np.isfinite(logits).all():
+        if not np.isfinite(x).all():
             idx = self._first_nonfinite_layer(inputs)
             raise NumericError(
                 f"non-finite activation at layer {idx} ({self.layers[idx].name})")
-        probs = softmax(logits)
-        if captured is None:
-            return logits, probs, None
-        return logits, probs, (*captured, _capture_site(probs))
+        return x, captured
 
     def _first_nonfinite_layer(self, x: np.ndarray) -> int:
         """Index of the first layer whose output on ``x`` is not finite."""
@@ -183,12 +217,12 @@ def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> fl
             f"labels must lie in [0, {model.n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    logits, probs, _ = model._pass(batch, False, record=True)
+    logits, _ = model._logits(batch, False, record=True)
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss; halting the run")
     n = len(labels)
-    grad = probs.copy()
+    grad = softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     # backprop ends at the first trainable layer: nothing reads its input gradient
@@ -208,7 +242,8 @@ def backward_and_step(model: Model, batch: np.ndarray, labels: np.ndarray, opt) 
 
 def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
              batch_size: int = 512) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset; never mutates parameters."""
+    """Mean loss and accuracy over a dataset; never mutates parameters.
+    Runs the inference pass without the softmax, which the loss does not read."""
     if len(samples) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
     labels = np.asarray(labels)
@@ -217,7 +252,7 @@ def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
     for start in range(0, len(samples), batch_size):
         xb = samples[start:start + batch_size]
         yb = labels[start:start + batch_size]
-        logits, _, _ = model.forward(xb)
+        logits, _ = model._logits(xb, False, record=False)
         losses.append(cross_entropy(logits, yb) * len(yb))
         correct += int((logits.argmax(axis=1) == yb).sum())
     return float(np.sum(losses) / len(samples)), correct / len(samples)

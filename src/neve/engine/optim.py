@@ -18,7 +18,9 @@ class Optimizer:
     p -= lr*buf) and Adam the bias-corrected moment estimates with
     defaults beta=(0.9, 0.999), eps=1e-8. Weight decay is plain L2
     added to the gradient. Moment buffers are allocated lazily, always
-    match parameter shapes and are updated in place.
+    match parameter shapes and are updated in place. So is one scratch
+    array per parameter, which holds ``wd*p + g`` and ``lr*g``: an SGD
+    step allocates nothing after the first.
     """
 
     def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
@@ -35,6 +37,7 @@ class Optimizer:
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
         self._buffers: dict = {}
+        self._scratch: dict = {}
         self._t = 0
 
     def step(self, model) -> None:
@@ -47,9 +50,12 @@ class Optimizer:
                         f"gradient shape {g.shape} != parameter shape {p.shape} "
                         f"at layer {idx}/{name}"
                     )
-                if self.weight_decay:
-                    g = g + self.weight_decay * p
                 key = (idx, name)
+                scratch = self._scratch.get(key)
+                if scratch is None:
+                    scratch = self._scratch[key] = np.empty_like(p)
+                if self.weight_decay:
+                    g = np.add(np.multiply(p, self.weight_decay, out=scratch), g, out=scratch)
                 if self.kind == "sgd":
                     if self.momentum:
                         buf = self._buffers.get(key)
@@ -58,7 +64,7 @@ class Optimizer:
                         buf *= self.momentum
                         buf += g
                         g = buf
-                    p -= self.lr * g
+                    p -= np.multiply(g, self.lr, out=scratch)
                 else:
                     if key not in self._buffers:
                         self._buffers[key] = (np.zeros_like(p), np.zeros_like(p))

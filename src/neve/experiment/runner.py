@@ -250,6 +250,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                 break
     except NumericError as exc:
         failed, error = True, str(exc)
+    model.release_buffers()   # the result keeps the model, not its inference buffers
 
     series = {src: list(state.history) for src, state in states.items()}
     return RunResult(seed=seed, records=records, decisions=decisions,

@@ -6,11 +6,13 @@ loss, perturbing one parameter entry at a time.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from neve.data import gen_blobs
 from neve.engine import (Conv2d, Dense, Optimizer, backward_and_step, build_model,
                          compute_gradients, cross_entropy, evaluate)
 from neve.errors import ConfigError, NeveError, NumericError
@@ -228,6 +230,89 @@ class TestInferencePass:
                 layer.backward(np.ones(1))
 
 
+class TestInferenceBuffers:
+    """The inference pass reuses hidden dense outputs across calls; nothing
+    it returns aliases them, and the caller's batch is never written."""
+
+    @pytest.mark.parametrize("arch,input_shape", [
+        ("mlp:16-8-6-3", (1, 4, 4)), ("mlp:5-7-7-3", (5,)), (TWO_CONV, (1, 6, 6))])
+    def test_results_survive_a_later_forward(self, arch, input_shape):
+        rng = np.random.default_rng(21)
+        m = build_model(arch, seed=4, input_shape=input_shape)
+        for first, second in ((6, 9), (9, 4)):
+            out = m.forward(rng.standard_normal((first, *input_shape)), capture_probes=True)
+            kept = [a.copy() for a in (out[0], out[1], *out[2])]
+            m.forward(rng.standard_normal((second, *input_shape)), capture_probes=True)
+            for got, want in zip((out[0], out[1], *out[2]), kept, strict=True):
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def reference_evaluate(m, x, y, batch_size):
+        """``evaluate`` over plain numpy ops, with fresh arrays per batch."""
+        dense = [layer.params for layer in m.layers if isinstance(layer, Dense)]
+        losses, correct = [], 0
+        for start in range(0, len(x), batch_size):
+            h, yb = x[start:start + batch_size], y[start:start + batch_size]
+            for p in dense[:-1]:
+                h = np.maximum(h @ p["W"] + p["b"], 0.0)
+            logits = h @ dense[-1]["W"] + dense[-1]["b"]
+            losses.append(cross_entropy(logits, yb) * len(yb))
+            correct += int((logits.argmax(axis=1) == yb).sum())
+        return float(np.sum(losses) / len(x)), correct / len(x)
+
+    @pytest.mark.parametrize("before", ["smaller", "larger"])
+    def test_evaluate_matches_fresh_forwards(self, before):
+        # 1100 rows in batches of 512 leave a 76-row tail; a smaller run
+        # first makes the buffers grow, a larger one makes 512 a prefix
+        rng = np.random.default_rng(22)
+        m = build_model("mlp:3-32-16-4", seed=6)
+        x = rng.standard_normal((1100, 3))
+        y = rng.integers(0, 4, size=1100)
+        rows, batch = (100, 512) if before == "smaller" else (1500, 1024)
+        evaluate(m, rng.standard_normal((rows, 3)), rng.integers(0, 4, size=rows), batch)
+        for _ in range(2):
+            got = evaluate(m, x, y)
+            assert got == self.reference_evaluate(m, x, y, 512)
+
+    @pytest.mark.parametrize("lead,input_shape", [([], (6,)), ([{"kind": "flatten"}], (1, 2, 3))])
+    def test_read_only_batch_through_a_leading_relu(self, lead, input_shape):
+        # a flatten of the batch is a view of it, so the ReLU after it may not work in place
+        arch = [*lead, {"kind": "relu"}, {"kind": "dense", "out": 4}, {"kind": "relu"},
+                {"kind": "dense", "out": 3}]
+        m = build_model(arch, seed=1, input_shape=input_shape)
+        x = np.random.default_rng(23).standard_normal((7, *input_shape))
+        keep = x.copy()
+        x.setflags(write=False)
+        y = np.arange(7) % 3
+        m.forward(x, capture_probes=True)
+        evaluate(m, x, y)
+        compute_gradients(m, x, y)
+        assert np.array_equal(x, keep)
+
+    def test_second_evaluate_allocates_less_than_one_activation(self):
+        # one 512x64 float64 activation is 256 KiB; the hidden outputs are
+        # reused, so a second evaluate allocates only per-batch logits and loss terms
+        blobs = gen_blobs(3000, 6, sigma=0.6, seed=3)
+        m = build_model("mlp:2-64-64-6", seed=2)
+        evaluate(m, blobs.samples, blobs.labels)
+        tracemalloc.start()
+        try:
+            evaluate(m, blobs.samples, blobs.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 64 * 8
+
+    def test_release_buffers(self):
+        m = build_model("mlp:3-8-2", seed=0)
+        x = np.random.default_rng(24).standard_normal((5, 3))
+        logits = m.forward(x)[0].copy()
+        assert m._buffers
+        m.release_buffers()
+        assert not m._buffers
+        assert np.array_equal(m.forward(x)[0], logits)
+
+
 class TestGradients:
     def test_fd_oracle_random_mlp(self):
         # random [4,5,3] stack, 8 samples, as the reference configuration
@@ -421,6 +506,24 @@ class TestOptimizers:
             opt.step(m)
             npt.assert_allclose(w_layer.params["W"], expected, rtol=0, atol=1e-15)
             assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_weight_decay_bit_exact(self, momentum):
+        m, opt, x, y = self._setup("sgd", lr=0.1, momentum=momentum, weight_decay=1e-3)
+        bufs = {}
+        for _ in range(3):
+            compute_gradients(m, x, y)
+            expected = {}
+            for i, params, grads in m.trainable():
+                for n, p in params.items():
+                    g = grads[n] + 1e-3 * p
+                    if momentum:
+                        g = bufs[(i, n)] = g if (i, n) not in bufs else 0.9 * bufs[(i, n)] + g
+                    expected[(i, n)] = p - 0.1 * g
+            opt.step(m)
+            for i, params, _ in m.trainable():
+                for n in ("W", "b"):
+                    assert np.array_equal(params[n], expected[(i, n)]), (i, n)
 
     def test_adam_first_step_size(self):
         # with bias correction the first Adam step is ~lr * sign(g)

@@ -120,6 +120,15 @@ class TestRunTraining:
         assert res.final.decision == "stop"
         assert res.final.model_velocity < 1e-3
 
+    @pytest.mark.parametrize("lr", [0.1, 1e300])
+    def test_result_model_holds_no_inference_buffers(self, lr):
+        # lr 1e300 overflows the weights in the first epoch: a NumericError run
+        optimizer = {"kind": "sgd", "lr": lr, "momentum": 0.9, "weight_decay": 1e-4}
+        with np.errstate(all="ignore"):
+            res = run_training(tiny_cfg(optimizer=optimizer, max_epochs=3), seed=1)
+        assert res.failed == (lr > 1)
+        assert res.model._buffers == {}
+
     def test_no_records_after_stop(self):
         res = run_training(tiny_cfg(max_epochs=60), seed=1)
         assert res.records[-1].epoch == res.stop_epoch
@@ -684,6 +693,7 @@ class TestFlags:
         ("--patience", "0", "scheduler.patience"),
         ("--rel-span", "1", "scheduler.plateau_rel_span"),
         ("--factor", "2", "scheduler.factor"), ("--milestones", "5,5", "scheduler.milestones"),
+        ("--milestones", "0,3", "scheduler.milestones"),
         ("--vloss-patience", "0", "scheduler.vloss_patience"),
         ("--stop-patience", "0", "scheduler.stop_patience"),
         ("--mu-vel", "5", "scheduler.mu_vel"), ("--mu-vel", "-1", "scheduler.mu_vel"),

@@ -7,6 +7,9 @@ this tool, so that two trees get the same arguments), runs
 ``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
 imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
 numpy loads. Each workload writes its run directory ``OUT/<name>``.
+One small ``optim-compare`` run (blobs; SGD with momentum and Adam, each
+under neve and fixed, weight decay 1e-3) follows into ``OUT/optim-compare``,
+so the comparison also covers the Adam path, which no workload takes.
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
 Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
@@ -33,6 +36,15 @@ def load_workloads():
     return module
 
 
+def optim_compare_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra optim-compare run; a function of the seed alone."""
+    return ["optim-compare", "--out", str(out_dir), "--seeds", str(3 * seed + 1),
+            "--data-seed", str(seed), "--aux-seed", str(seed), "--dataset", "blobs",
+            "--n-samples", "600", "--test-samples", "300", "--arch", "mlp:2-32-32-4",
+            "--batch-size", "64", "--max-epochs", "15", "--momentum", "0.9",
+            "--weight-decay", "1e-3", "--adam-lr", "0.01"]
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
@@ -46,10 +58,13 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str((args.src / "src").resolve()))
     failed = []
-    for name in workloads.WORKLOADS:
+    for name in (*workloads.WORKLOADS, "optim-compare"):
         out_dir = args.out / name
         out_dir.mkdir(parents=True, exist_ok=True)
-        cli = workloads.cli_args(name, args.seed, out_dir)
+        if name == "optim-compare":
+            cli = optim_compare_args(args.seed, out_dir)
+        else:
+            cli = workloads.cli_args(name, args.seed, out_dir)
         print(f"{name}: neve {' '.join(cli)}", flush=True)
         proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *cli],
                               env=env, stdout=subprocess.DEVNULL)
