@@ -327,14 +327,16 @@ def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             f"pad_crop_flip needs (n, c, h, w) batches, got shape {batch.shape}")
     n, c, h, w = batch.shape
     p = AUGMENT_PAD
-    padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
-    offs = rng.integers(0, (2 * p + 1, 2 * p + 1), size=(n, 2))
-    flips = rng.random(n) < 0.5
-    out = np.empty((n, c, h, w))
-    for i in range(n):
-        r0, c0 = offs[i]
-        crop = padded[i, :, r0:r0 + h, c0:c0 + w]
-        out[i] = crop[:, :, ::-1] if flips[i] else crop
+    padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    padded[:, :, p:p + h, p:p + w] = batch
+    rows, cols = rng.integers(0, (2 * p + 1, 2 * p + 1), size=(n, 2)).T
+    flips = np.flatnonzero(rng.random(n) < 0.5)
+    view = np.lib.stride_tricks.sliding_window_view
+    # view(...)[i, :, r, q] is sample i's (c, h, w) crop at offset (r, q); mirrored,
+    # the crop at column offset q is the mirrored image's crop at offset 2p - q
+    out = view(padded, (h, w), axis=(2, 3))[np.arange(n), :, rows, cols]
+    mirrored = view(padded[..., ::-1], (h, w), axis=(2, 3))
+    out[flips] = mirrored[flips, :, rows[flips], 2 * p - cols[flips]]
     return out
 
 

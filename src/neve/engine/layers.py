@@ -9,9 +9,12 @@ and returns None. Single-threaded use: one recording forward, then at
 most one backward.
 
 ``Dense.forward`` and ``ReLU.forward`` take an ``out`` array to write
-into (the model's reused inference buffers, or the ReLU's own input);
-without it they return a fresh array and never write to their input.
-``ReLU.backward`` multiplies into a 2-D gradient it is given and returns it.
+into (the model's workspace, or the ReLU's own input), and
+``Conv2d.forward`` takes flat ``cols`` and ``out`` arrays of the exact
+size; without them each makes fresh arrays and never writes to its
+input. ``ReLU.backward`` multiplies into the gradient it is given and
+returns it; ``Conv2d.backward`` writes its input gradient's ``cols``
+over its recorded ones and then keeps no state.
 """
 
 from __future__ import annotations
@@ -93,11 +96,13 @@ class Conv2d(_Layer):
     is contiguous again. im2col lays the input patches out as a
     (c*k*k, oh*ow*b) matrix whose rows follow the (c, ki, kj) order of the
     flattened kernel and whose columns run over (output row, output
-    column, sample); each of its k*k slice copies moves contiguous runs of
-    b samples. Each pass is then one 2-D GEMM: forward
-    ``W (f, c*k*k) @ cols``; backward ``g @ cols.T`` for the weights and
-    ``W.T @ g`` for the input, with ``g`` the output gradient as
-    (f, oh*ow*b).
+    column, sample); each of its k*k taps copies the in-range window of
+    the unpadded input in contiguous runs of b samples and zeroes only
+    the border strips that fall in the padding. col2im adds the taps back
+    in the same order into an unpadded (c, h, w, b) buffer. Each pass is
+    then one 2-D GEMM: forward ``W (f, c*k*k) @ cols``; backward
+    ``g @ cols.T`` for the weights and ``W.T @ g`` for the input, with
+    ``g`` the output gradient as (f, oh*ow*b).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -141,31 +146,47 @@ class Conv2d(_Layer):
             raise ConfigError(f"{self.name} kernel does not fit input {input_shape}")
         return (self.out_channels, oh, ow)
 
-    def _im2col(self, x: np.ndarray, oh: int, ow: int) -> np.ndarray:
-        b, c = x.shape[:2]
-        k, s, p = self.kernel, self.stride, self.pad
-        xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (p, p), (p, p), (0, 0)))
-        cols = np.empty((c, k, k, oh, ow, b))
+    def _im2col(self, x: np.ndarray, oh: int, ow: int,
+                cols: np.ndarray | None = None) -> np.ndarray:
+        b, c, h, w = x.shape
+        k, s = self.kernel, self.stride
+        xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+        if cols is None:
+            cols = np.empty(c * k * k * oh * ow * b)
+        taps = cols.reshape(c, k, k, oh, ow, b)
         for i in range(k):
+            r0, r1, ri = _tap_span(i - self.pad, s, oh, h)
             for j in range(k):
-                cols[:, i, j] = xp[:, i:i + s * oh:s, j:j + s * ow:s]
-        return cols.reshape(c * k * k, oh * ow * b)
+                q0, q1, qj = _tap_span(j - self.pad, s, ow, w)
+                tap = taps[:, i, j]
+                tap[:, :r0] = 0.0
+                tap[:, r1:] = 0.0
+                tap[:, r0:r1, :q0] = 0.0
+                tap[:, r0:r1, q1:] = 0.0
+                tap[:, r0:r1, q0:q1] = xt[:, ri:ri + s * (r1 - r0):s, qj:qj + s * (q1 - q0):s]
+        return taps.reshape(c * k * k, oh * ow * b)
 
     def _col2im(self, cols: np.ndarray, x_shape: tuple, oh: int, ow: int) -> np.ndarray:
         b, c, h, w = x_shape
-        k, s, p = self.kernel, self.stride, self.pad
-        cols = cols.reshape(c, k, k, oh, ow, b)
-        xp = np.zeros((c, h + 2 * p, w + 2 * p, b))
+        k, s = self.kernel, self.stride
+        taps = cols.reshape(c, k, k, oh, ow, b)
+        xg = np.zeros((c, h, w, b))
         for i in range(k):
+            r0, r1, ri = _tap_span(i - self.pad, s, oh, h)
             for j in range(k):
-                xp[:, i:i + s * oh:s, j:j + s * ow:s] += cols[:, i, j]
-        return xp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2)
+                q0, q1, qj = _tap_span(j - self.pad, s, ow, w)
+                xg[:, ri:ri + s * (r1 - r0):s, qj:qj + s * (q1 - q0):s] += taps[:, i, j, r0:r1, q0:q1]
+        return xg.transpose(3, 0, 1, 2)
 
-    def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, record: bool = True, cols: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
         b = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
-        cols = self._im2col(x, oh, ow)
-        out = self.params["W"].reshape(self.out_channels, -1) @ cols
+        cols = self._im2col(x, oh, ow, cols)
+        w_mat = self.params["W"].reshape(self.out_channels, -1)
+        if out is not None:
+            out = out.reshape(self.out_channels, -1)
+        out = np.matmul(w_mat, cols, out=out)
         out += self.params["b"][:, None]
         self._saved = (x.shape, oh, ow, cols) if record else None
         return out.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
@@ -178,7 +199,18 @@ class Conv2d(_Layer):
         if not input_grad:
             return None
         w_mat = self.params["W"].reshape(self.out_channels, -1)
-        return self._col2im(w_mat.T @ g, x_shape, oh, ow)
+        # the weight gradient was the last reader of cols: its input gradient goes
+        # there, so a second backward would read garbage and must raise instead
+        self._saved = None
+        return self._col2im(np.matmul(w_mat.T, g, out=cols), x_shape, oh, ow)
+
+
+def _tap_span(offset: int, stride: int, n_out: int, n_in: int) -> tuple[int, int, int]:
+    """(lo, hi, start): the output positions [lo, hi) whose input index
+    ``offset + stride * o`` lies inside [0, n_in), and the input index of ``lo``."""
+    lo = min(n_out, max(0, -(offset // stride)))
+    hi = max(lo, min(n_out, (n_in - 1 - offset) // stride + 1))
+    return lo, hi, offset + stride * lo
 
 
 class ReLU(_Layer):
@@ -196,8 +228,10 @@ class ReLU(_Layer):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        # a 4-D gradient from a conv is a strided view; a product there would cost a copy later
-        return np.multiply(grad, self._recorded() > 0, out=grad if grad.ndim == 2 else None)
+        # every gradient reaching a ReLU was made by the backward pass, and a
+        # 4-D one is a (b, c, h, w) view of a batch-last buffer, as is the
+        # recorded output: in place keeps that layout for the conv below
+        return np.multiply(grad, self._recorded() > 0, out=grad)
 
 
 class Flatten(_Layer):

@@ -7,18 +7,24 @@ head's softmax output; a probed "neuron" is one output unit of a flat
 activation or one channel of a (b, c, h, w) activation (spatial
 positions are folded into the sample axis).
 
-The inference pass (``Model.forward``, ``evaluate``, probe snapshots)
-reuses one output buffer per hidden dense layer, sized to the largest
-batch seen; a smaller batch writes a row prefix of it, and
-``release_buffers`` frees them. Every pass applies a ReLU in place to a
-2-D activation that an earlier layer of the same pass produced, never to
-the caller's batch or to a 4-D conv activation. What a pass returns is
-fresh: the logits (the head writes no buffer), the probabilities and the
-capture blocks, which are copies.
+The model owns a workspace of flat buffers, each grown to the largest
+need seen; a smaller batch uses a prefix. The inference pass
+(``Model.forward``, ``evaluate``, probe snapshots) writes each hidden
+dense output into one of them. Both passes write each conv's output
+into one per conv and its im2col ``cols`` into one shared buffer: an
+inference pass starts every conv's ``cols`` at offset 0, since they are
+dead once its GEMM has run, and a recording pass packs them one after
+another, since backward reads them all. So training's recorded state
+lives in the memory evaluation uses. ``release_buffers`` frees it all.
+Every pass applies a ReLU in place to an activation an earlier layer of
+the same pass produced, never to the caller's batch. What a pass
+returns is fresh: the logits (the head writes no buffer), the
+probabilities and the capture blocks, which are copies.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -29,9 +35,8 @@ from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
 
 def _capture_site(act: np.ndarray) -> np.ndarray:
     if act.ndim == 4:
-        b, c = act.shape[0], act.shape[1]
         # (b, c, h, w) -> (c, b*h*w), a copy: spatial positions join the sample axis
-        return act.reshape(b, c, -1).transpose(1, 0, 2).reshape(c, -1)
+        return np.array(act.transpose(1, 0, 2, 3), order="C").reshape(act.shape[1], -1)
     return act.T.copy()
 
 
@@ -77,14 +82,20 @@ class Model:
         self.layers = []
         shape = self.input_shape
         relu_neurons = 0
+        self._conv_sizes = {}   # conv index -> (cols, output) values per sample
         for idx, desc in enumerate(descs):
             try:
                 self.layers.append(_layer(desc, shape))
                 shape = self.layers[-1].output_shape(shape)
             except ConfigError as exc:
                 raise ConfigError(f"arch[{idx}]: {exc}") from exc
-            if isinstance(self.layers[-1], ReLU):
+            layer = self.layers[-1]
+            if isinstance(layer, ReLU):
                 relu_neurons += shape[0]
+            elif isinstance(layer, Conv2d):
+                f, oh, ow = shape
+                self._conv_sizes[idx] = (layer.in_channels * layer.kernel ** 2 * oh * ow,
+                                         f * oh * ow)
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
         self.n_classes = shape[0]
@@ -93,18 +104,19 @@ class Model:
         rng = np.random.default_rng(int(seed))
         for layer in self.layers:
             layer.init_params(rng)
-        self._buffers: dict[int, np.ndarray] = {}   # hidden dense index -> inference output
+        self._buffers: dict = {}   # layer index -> its output; "cols" -> the conv cols
 
     def release_buffers(self) -> None:
-        """Free the inference buffers; the next inference pass makes new ones."""
+        """Free the workspace; the next pass makes a new one."""
         self._buffers.clear()
 
-    def _buffer(self, idx: int, rows: int) -> np.ndarray:
-        """First ``rows`` rows of layer ``idx``'s inference buffer, grown to fit."""
-        buf = self._buffers.get(idx)
-        if buf is None or len(buf) < rows:
-            buf = self._buffers[idx] = np.empty((rows, self.layers[idx].out_features))
-        return buf[:rows]
+    def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        """A ``shape`` view of the front of workspace buffer ``key``, grown to fit."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def n_parameters(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params.values())
@@ -149,11 +161,21 @@ class Model:
         captured = [] if capture_probes else None
         owned = False   # x was made by this pass; a flatten view of the batch is not
         head = len(self.layers) - 1
+        b = len(x)
+        per_conv = [n_cols * b for n_cols, _ in self._conv_sizes.values()]
+        if per_conv:
+            cols = self._buffer("cols", ((sum if record else max)(per_conv),))
+        start = 0
         for idx, layer in enumerate(self.layers):
-            if isinstance(layer, ReLU) and owned and x.ndim == 2:
+            if isinstance(layer, ReLU) and owned:
                 x = layer.forward(x, record=record, out=x)
+            elif isinstance(layer, Conv2d):
+                n_cols, n_out = self._conv_sizes[idx]
+                x = layer.forward(x, record=record, cols=cols[start:start + n_cols * b],
+                                  out=self._buffer(idx, (n_out * b,)))
+                start += n_cols * b if record else 0
             elif isinstance(layer, Dense) and idx < head and not record:
-                x = layer.forward(x, record=False, out=self._buffer(idx, len(x)))
+                x = layer.forward(x, record=False, out=self._buffer(idx, (b, layer.out_features)))
             else:
                 x = layer.forward(x, record=record)
             owned = owned or not isinstance(layer, Flatten)

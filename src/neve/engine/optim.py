@@ -19,8 +19,10 @@ class Optimizer:
     defaults beta=(0.9, 0.999), eps=1e-8. Weight decay is plain L2
     added to the gradient. Moment buffers are allocated lazily, always
     match parameter shapes and are updated in place. So is one scratch
-    array per parameter, which holds ``wd*p + g`` and ``lr*g``: an SGD
-    step allocates nothing after the first.
+    array per parameter, which holds ``wd*p + g`` and the step, and Adam
+    keeps one more for its other temporaries: no step allocates anything
+    after the first. Each in-place product or quotient keeps the operands
+    of the textbook expression, so the bits do not change.
     """
 
     def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
@@ -67,13 +69,17 @@ class Optimizer:
                     p -= np.multiply(g, self.lr, out=scratch)
                 else:
                     if key not in self._buffers:
-                        self._buffers[key] = (np.zeros_like(p), np.zeros_like(p))
-                    m, v = self._buffers[key]
+                        self._buffers[key] = (np.zeros_like(p), np.zeros_like(p),
+                                              np.empty_like(p))
+                    m, v, tmp = self._buffers[key]
                     b1, b2 = self.betas
                     m *= b1
-                    m += (1.0 - b1) * g
+                    m += np.multiply(g, 1.0 - b1, out=tmp)
                     v *= b2
-                    v += (1.0 - b2) * g * g
-                    m_hat = m / (1.0 - b1 ** self._t)
-                    v_hat = v / (1.0 - b2 ** self._t)
-                    p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                    v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+                    # g is dead now, so scratch may take lr * m_hat
+                    step = np.multiply(np.divide(m, 1.0 - b1 ** self._t, out=scratch),
+                                       self.lr, out=scratch)
+                    denom = np.sqrt(np.divide(v, 1.0 - b2 ** self._t, out=tmp), out=tmp)
+                    denom += self.eps
+                    p -= np.divide(step, denom, out=step)

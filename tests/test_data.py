@@ -266,6 +266,31 @@ class TestAugment:
             mirrored.append(flipped)
         assert 0 < sum(mirrored) < n
 
+    @staticmethod
+    def loop_augment(batch, rng):
+        """pad_crop_flip one sample at a time, drawing offsets then flips."""
+        n, c, h, w = batch.shape
+        p = AUGMENT_PAD
+        padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
+        offs = rng.integers(0, (2 * p + 1, 2 * p + 1), size=(n, 2))
+        flips = rng.random(n) < 0.5
+        out = np.empty((n, c, h, w))
+        for i in range(n):
+            r0, c0 = offs[i]
+            crop = padded[i, :, r0:r0 + h, c0:c0 + w]
+            out[i] = crop[:, :, ::-1] if flips[i] else crop
+        return out
+
+    @pytest.mark.parametrize("shape", [(40, 1, 28, 28), (33, 3, 8, 11), (1, 3, 5, 4)])
+    def test_matches_per_sample_loop(self, shape):
+        batch = np.random.default_rng(6).standard_normal(shape)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            out = augment(batch, rng)
+            assert out.tobytes() == self.loop_augment(batch, ref_rng).tobytes()
+            assert out.shape == shape and out.flags.c_contiguous
+        assert rng.random() == ref_rng.random()
+
     def test_seeded_generator_reproduces(self):
         batch = np.random.default_rng(5).random((8, 1, 10, 10))
         out1 = augment(batch, np.random.default_rng(42))

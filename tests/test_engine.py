@@ -313,6 +313,82 @@ class TestInferenceBuffers:
         assert np.array_equal(m.forward(x)[0], logits)
 
 
+class TestConvWorkspace:
+    """Both passes of a conv stack share the model's workspace: one cols
+    buffer and one output buffer per conv, used as prefixes."""
+
+    @staticmethod
+    def fresh_logits(m, x):
+        """Logits of a walk in which every layer makes fresh arrays."""
+        for layer in m.layers:
+            x = layer.forward(x, record=False)
+        return x
+
+    @pytest.mark.parametrize("rows", [7, 1])
+    def test_results_survive_a_training_step_and_a_later_forward(self, rows):
+        # the first pass sizes the workspace, so the later ones overwrite
+        # what the captured pass wrote; with one sample a reshape of a conv
+        # activation is a view, so a capture must copy
+        rng = np.random.default_rng(25)
+        m = build_model(TWO_CONV, seed=4, input_shape=(1, 6, 6))
+        m.forward(rng.standard_normal((11, 1, 6, 6)), capture_probes=True)
+        out = m.forward(rng.standard_normal((rows, 1, 6, 6)), capture_probes=True)
+        kept = [a.copy() for a in (out[0], out[1], *out[2])]
+        compute_gradients(m, rng.standard_normal((5, 1, 6, 6)), rng.integers(0, 3, size=5))
+        m.forward(rng.standard_normal((rows, 1, 6, 6)), capture_probes=True)
+        for got, want in zip((out[0], out[1], *out[2]), kept, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_evaluate_with_a_tail_matches_fresh_forwards(self):
+        # 50 rows in batches of 16 leave a 2-row tail; a training step in
+        # between packs its cols where evaluation starts every conv's
+        rng = np.random.default_rng(26)
+        m = build_model(TWO_CONV, seed=6, input_shape=(1, 6, 6))
+        x = rng.standard_normal((50, 1, 6, 6))
+        y = rng.integers(0, 3, size=50)
+        want_loss, want_correct = 0.0, 0
+        for start in range(0, 50, 16):
+            logits = self.fresh_logits(m, x[start:start + 16])
+            want_loss += cross_entropy(logits, y[start:start + 16]) * len(logits)
+            want_correct += int((logits.argmax(axis=1) == y[start:start + 16]).sum())
+        want = (float(want_loss / 50), want_correct / 50)
+        for _ in range(2):
+            assert evaluate(m, x, y, batch_size=16) == want
+            grads = compute_gradients(m, x[:20], y[:20])
+            assert evaluate(m, x, y, batch_size=16) == want
+            assert compute_gradients(m, x[:20], y[:20]) == grads
+
+    def test_second_evaluate_allocates_less_than_one_batch_of_cols(self):
+        # the first conv's cols of one 512-row batch are 9 * 14 * 14 * 512
+        # doubles (7.2 MB); a second evaluate reuses the workspace and
+        # allocates only the batch-last copy of each input batch and the flatten
+        arch = [{"kind": "conv", "out_channels": 8, "kernel": 3, "stride": 2, "pad": 1},
+                {"kind": "relu"},
+                {"kind": "conv", "out_channels": 16, "kernel": 3, "stride": 2, "pad": 1},
+                {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}]
+        rng = np.random.default_rng(27)
+        m = build_model(arch, seed=2, input_shape=(1, 28, 28))
+        x = rng.standard_normal((1100, 1, 28, 28))
+        y = rng.integers(0, 10, size=1100)
+        evaluate(m, x, y)
+        tracemalloc.start()
+        try:
+            evaluate(m, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 14 * 14 * 512 * 8
+
+    def test_release_buffers_empties_the_conv_workspace(self):
+        m = build_model(TWO_CONV, seed=0, input_shape=(1, 6, 6))
+        x = np.random.default_rng(28).standard_normal((5, 1, 6, 6))
+        logits = m.forward(x)[0].copy()
+        assert {"cols", 0, 2} <= set(m._buffers)
+        m.release_buffers()
+        assert not m._buffers
+        assert np.array_equal(m.forward(x)[0], logits)
+
+
 class TestGradients:
     def test_fd_oracle_random_mlp(self):
         # random [4,5,3] stack, 8 samples, as the reference configuration
@@ -396,18 +472,63 @@ def loop_conv(x, W, bias, stride, pad, grad):
     return y, dxp[:, :, pad:pad + h, pad:pad + w], dW, grad.sum(axis=(0, 2, 3))
 
 
+def pad_im2col(x, k, stride, pad, oh, ow):
+    """im2col over an ``np.pad`` copy of the batch-last input."""
+    b, c = x.shape[:2]
+    xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((c, k, k, oh, ow, b))
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(c * k * k, oh * ow * b)
+
+
+def pad_col2im(cols, x_shape, k, stride, pad, oh, ow):
+    """col2im accumulating into a padded buffer, cropped at the end."""
+    b, c, h, w = x_shape
+    cols = cols.reshape(c, k, k, oh, ow, b)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b))
+    for i in range(k):
+        for j in range(k):
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, i, j]
+    return xp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+
+
+# (batch, in, out, h, w, kernel, stride, pad); several cases leave
+# (h + 2 pad - k) or (w + 2 pad - k) not divisible by the stride
+CONV_GEOMETRIES = [
+    (1, 1, 1, 5, 5, 1, 1, 0),
+    (2, 3, 4, 5, 7, 3, 1, 1),
+    (3, 2, 5, 6, 8, 3, 2, 0),
+    (1, 4, 2, 7, 6, 3, 2, 2),
+    (2, 1, 3, 4, 5, 1, 2, 1),
+    (2, 3, 2, 9, 4, 3, 1, 2),
+    (1, 2, 6, 8, 11, 3, 2, 1),
+    # pad >= kernel (whole taps fall in the padding), stride > kernel (skipped inputs)
+    (2, 2, 3, 5, 4, 2, 1, 3),
+    (1, 1, 2, 3, 3, 1, 2, 2),
+    (2, 2, 2, 8, 7, 2, 3, 1),
+    (3, 1, 2, 10, 9, 3, 4, 0),
+]
+
+
 class TestConv:
-    # (batch, in, out, h, w, kernel, stride, pad); several cases leave
-    # (h + 2 pad - k) or (w + 2 pad - k) not divisible by the stride
-    @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", [
-        (1, 1, 1, 5, 5, 1, 1, 0),
-        (2, 3, 4, 5, 7, 3, 1, 1),
-        (3, 2, 5, 6, 8, 3, 2, 0),
-        (1, 4, 2, 7, 6, 3, 2, 2),
-        (2, 1, 3, 4, 5, 1, 2, 1),
-        (2, 3, 2, 9, 4, 3, 1, 2),
-        (1, 2, 6, 8, 11, 3, 2, 1),
-    ])
+    @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", CONV_GEOMETRIES)
+    def test_im2col_col2im_match_padded_reference(self, b, c, f, h, w, k, stride, pad):
+        rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
+        layer = Conv2d(c, f, k, stride, pad)
+        x = rng.standard_normal((b, c, h, w))
+        _, oh, ow = layer.output_shape((c, h, w))
+        # a reused workspace holds stale values: every entry must be written
+        stale = np.full(c * k * k * oh * ow * b, np.nan)
+        cols = layer._im2col(x, oh, ow, stale)
+        assert cols.tobytes() == pad_im2col(x, k, stride, pad, oh, ow).tobytes()
+        g = rng.standard_normal(cols.shape)
+        got = layer._col2im(g, x.shape, oh, ow)
+        assert got.tobytes() == pad_col2im(g, x.shape, k, stride, pad, oh, ow).tobytes()
+        assert got.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", CONV_GEOMETRIES)
     def test_matches_loop_reference(self, b, c, f, h, w, k, stride, pad):
         rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
         layer = Conv2d(c, f, k, stride, pad)
@@ -436,6 +557,19 @@ class TestConv:
         dx_view = layer.backward(
             np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2))
         assert np.array_equal(y, y_view) and np.array_equal(dx, dx_view)
+
+    def test_backward_that_overwrote_cols_cannot_run_again(self):
+        rng = np.random.default_rng(14)
+        layer = Conv2d(2, 3, 3, 1, 1)
+        layer.init_params(rng)
+        y = layer.forward(rng.standard_normal((2, 2, 5, 5)))
+        grad = rng.standard_normal(y.shape)
+        layer.backward(grad, input_grad=False)
+        dW = layer.grads["W"].copy()
+        layer.backward(grad)
+        assert np.array_equal(layer.grads["W"], dW)
+        with pytest.raises(NeveError, match="backward needs a forward"):
+            layer.backward(grad)
 
     def test_stack_matches_loop_reference(self):
         # conv outputs reach the next conv as (b, c, h, w) views of
@@ -551,6 +685,26 @@ class TestOptimizers:
             expected = w_before - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
             opt.step(m)
             assert np.array_equal(w_layer.params["W"], expected)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_second_step_allocates_no_parameter_sized_array(self, kind):
+        # the smallest weight of mlp:784-128-64-10 is 64x10 doubles (5 KiB);
+        # after the first step every temporary lives in a kept scratch array
+        rng = np.random.default_rng(11)
+        m = build_model("mlp:784-128-64-10", seed=3)
+        opt = Optimizer(kind=kind, lr=1e-2, momentum=0.9 if kind == "sgd" else 0.0,
+                        weight_decay=1e-3)
+        x = rng.standard_normal((128, 784))
+        y = rng.integers(0, 10, size=128)
+        compute_gradients(m, x, y)
+        opt.step(m)
+        tracemalloc.start()
+        try:
+            opt.step(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 10 * 8
 
     def test_convex_quadratic_monotone_descent(self):
         # 200 SGD steps on a single linear layer with squared loss

@@ -7,9 +7,13 @@ this tool, so that two trees get the same arguments), runs
 ``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
 imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
 numpy loads. Each workload writes its run directory ``OUT/<name>``.
-One small ``optim-compare`` run (blobs; SGD with momentum and Adam, each
-under neve and fixed, weight decay 1e-3) follows into ``OUT/optim-compare``,
-so the comparison also covers the Adam path, which no workload takes.
+Two small runs follow, each covering a path no workload takes: an
+``optim-compare`` run (blobs; SGD with momentum and Adam, each under neve
+and fixed, weight decay 1e-3) into ``OUT/optim-compare``, and a digits
+``train`` run into ``OUT/conv-geometry`` whose conv net (a k5/s1/p2 conv,
+then a k3/s3/p0 conv; passed in a config file written there) trains at
+batch 50 with ``pad_crop_flip``, so that tail batches and other conv
+border cases than the workload's k3/s2/p1 are compared too.
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
 Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +50,27 @@ def optim_compare_args(seed: int, out_dir: Path) -> list[str]:
             "--weight-decay", "1e-3", "--adam-lr", "0.01"]
 
 
+# 1x28x28 -> 4x28x28 (k5/s1/p2) -> 6x9x9 (k3/s3/p0) -> 10
+GEOMETRY_ARCH = [
+    {"kind": "conv", "out_channels": 4, "kernel": 5, "stride": 1, "pad": 2},
+    {"kind": "relu"},
+    {"kind": "conv", "out_channels": 6, "kernel": 3, "stride": 3, "pad": 0},
+    {"kind": "relu"},
+    {"kind": "flatten"},
+    {"kind": "dense", "out": 10},
+]
+
+
+def conv_geometry_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra conv-geometry run; writes its arch to ``out_dir``."""
+    config = out_dir / "geometry_config.json"
+    config.write_text(json.dumps({"arch": GEOMETRY_ARCH}))
+    return ["train", "--config", str(config), "--out", str(out_dir),
+            "--seeds", str(3 * seed + 1), "--data-seed", str(seed), "--aux-seed", str(seed),
+            "--dataset", "digits", "--n-samples", "330", "--test-samples", "170",
+            "--augment", "pad_crop_flip", "--batch-size", "50", "--max-epochs", "3"]
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
@@ -58,11 +84,12 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str((args.src / "src").resolve()))
     failed = []
-    for name in (*workloads.WORKLOADS, "optim-compare"):
+    extra = {"optim-compare": optim_compare_args, "conv-geometry": conv_geometry_args}
+    for name in (*workloads.WORKLOADS, *extra):
         out_dir = args.out / name
         out_dir.mkdir(parents=True, exist_ok=True)
-        if name == "optim-compare":
-            cli = optim_compare_args(args.seed, out_dir)
+        if name in extra:
+            cli = extra[name](args.seed, out_dir)
         else:
             cli = workloads.cli_args(name, args.seed, out_dir)
         print(f"{name}: neve {' '.join(cli)}", flush=True)
