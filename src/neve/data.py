@@ -66,8 +66,6 @@ class AuxSet:
     """Frozen, label-free probe inputs; identical bytes every epoch."""
 
     samples: np.ndarray
-    source: str          # "gaussian_noise" | "heldout_validation" | "train"
-    seed: int
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -107,7 +105,7 @@ def split(dataset: Dataset, frac: float, seed: int = 0) -> tuple[Dataset, Datase
     ``frac`` of the samples, seeded by ``seed``; deterministic, disjoint
     and exhaustive."""
     if not 0.0 <= frac < 1.0:
-        raise ConfigError(f"validation fraction must lie in [0, 1), got {frac}")
+        raise ConfigError(f"validation_fraction must lie in [0, 1), got {frac}")
     n_val = int(round(frac * len(dataset)))
     if n_val == 0:
         return dataset, dataset.take(np.array([], dtype=np.int64), f"{dataset.name}/val")
@@ -295,11 +293,10 @@ def make_aux_noise(count: int, input_shape: tuple[int, ...], seed: int = 0) -> A
     if count < 1:
         raise ConfigError(f"aux set needs at least one sample, got {count}")
     rng = np.random.default_rng(seed)
-    return AuxSet(rng.standard_normal((count, *input_shape)), "gaussian_noise", seed)
+    return AuxSet(rng.standard_normal((count, *input_shape)))
 
 
-def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0,
-                          source: str = "heldout_validation") -> AuxSet:
+def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> AuxSet:
     """Freeze ``count`` samples drawn without replacement from ``samples``."""
     if count < 1:
         raise ConfigError(f"aux set needs at least one sample, got {count}")
@@ -307,7 +304,7 @@ def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0,
         raise ConfigError(f"asked for {count} aux samples but only {len(samples)} available")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(samples))[:count]
-    return AuxSet(samples[np.sort(idx)].copy(), source, seed)
+    return AuxSet(samples[np.sort(idx)].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ input; a trainable layer given ``input_grad=False`` skips that gradient
 and returns None. Single-threaded use: one recording forward, then at
 most one backward.
 
-``Dense.forward`` and ``ReLU.forward`` take an ``out`` array to write
-into (the model's workspace, or the ReLU's own input), and
-``Conv2d.forward`` takes flat ``cols`` and ``out`` arrays of the exact
-size; without them each makes fresh arrays and never writes to its
-input. ``ReLU.backward`` multiplies into the gradient it is given and
-returns it; ``Conv2d.backward`` writes its input gradient's ``cols``
-over its recorded ones and then keeps no state.
+``Dense.forward`` and ``Conv2d.forward`` take ``cols`` and ``out`` arrays
+of the exact size from the model's workspace (a dense layer packs no
+``cols`` and ignores them), ``ReLU.forward`` an ``out`` array, its own
+input; without them each makes fresh arrays and never writes to its
+input, and a recording forward keeps what it is given. ``ReLU.backward``
+multiplies into the gradient it is given and returns it;
+``Conv2d.backward`` writes its input gradient's ``cols`` over its
+recorded ones and then keeps no state.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Dense(_Layer):
                               f"got shape {input_shape}{hint}")
         return (self.out_features,)
 
-    def forward(self, x: np.ndarray, record: bool = True,
+    def forward(self, x: np.ndarray, record: bool = True, cols: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
         self._saved = x if record else None
         out = np.matmul(x, self.params["W"], out=out)

@@ -8,17 +8,17 @@ activation or one channel of a (b, c, h, w) activation (spatial
 positions are folded into the sample axis).
 
 The model owns a workspace of flat buffers, each grown to the largest
-need seen; a smaller batch uses a prefix. The inference pass
-(``Model.forward``, ``evaluate``, probe snapshots) writes each hidden
-dense output into one of them. Both passes write each conv's output
-into one per conv and its im2col ``cols`` into one shared buffer: an
-inference pass starts every conv's ``cols`` at offset 0, since they are
-dead once its GEMM has run, and a recording pass packs them one after
-another, since backward reads them all. So training's recorded state
-lives in the memory evaluation uses. ``release_buffers`` frees it all.
-Every pass applies a ReLU in place to an activation an earlier layer of
-the same pass produced, never to the caller's batch. What a pass
-returns is fresh: the logits (the head writes no buffer), the
+need seen; a smaller batch uses a prefix. In both passes (the inference
+pass of ``Model.forward``, ``evaluate`` and probe snapshots; the
+recording pass of ``compute_gradients``) each hidden dense or conv layer
+writes its output into its own buffer and the convs write their im2col
+``cols`` into one shared buffer. Only that packing differs: an inference
+pass starts every conv's ``cols`` at offset 0, since they are dead once
+its GEMM has run; a recording pass packs them, since backward reads them
+all. So training's recorded state lives in the memory evaluation uses.
+``release_buffers`` frees it all. Every pass applies a ReLU in place to
+an activation the same pass produced, never to the caller's batch. What
+a pass returns is fresh: the logits (the head writes no buffer), the
 probabilities and the capture blocks, which are copies.
 """
 
@@ -82,7 +82,7 @@ class Model:
         self.layers = []
         shape = self.input_shape
         relu_neurons = 0
-        self._conv_sizes = {}   # conv index -> (cols, output) values per sample
+        self._sizes = {}   # hidden dense or conv index -> (cols, output) values per sample
         for idx, desc in enumerate(descs):
             try:
                 self.layers.append(_layer(desc, shape))
@@ -92,12 +92,14 @@ class Model:
             layer = self.layers[-1]
             if isinstance(layer, ReLU):
                 relu_neurons += shape[0]
+            elif isinstance(layer, Dense):
+                self._sizes[idx] = (0, layer.out_features)
             elif isinstance(layer, Conv2d):
                 f, oh, ow = shape
-                self._conv_sizes[idx] = (layer.in_channels * layer.kernel ** 2 * oh * ow,
-                                         f * oh * ow)
+                self._sizes[idx] = (layer.in_channels * layer.kernel ** 2 * oh * ow, f * oh * ow)
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
+        del self._sizes[len(self.layers) - 1]   # the head's logits are fresh
         self.n_classes = shape[0]
         self.n_probed_neurons = relu_neurons + self.n_classes
 
@@ -141,18 +143,15 @@ class Model:
         the loss or the gradients and is not reported. The returned arrays
         are fresh: none aliases a buffer that a later pass overwrites.
         """
-        return self._pass(batch, capture_probes, record=False)
-
-    def _pass(self, batch: np.ndarray, capture_probes: bool, record: bool):
-        """``forward``; each layer keeps its backward state when ``record``."""
-        logits, captured = self._logits(batch, capture_probes, record)
+        logits, captured = self._logits(batch, capture_probes, record=False)
         probs = softmax(logits)
         if captured is None:
             return logits, probs, None
         return logits, probs, (*captured, _capture_site(probs))
 
     def _logits(self, batch: np.ndarray, capture_probes: bool, record: bool):
-        """(logits, ReLU capture blocks or None) of ``_pass``, without the softmax."""
+        """(logits, ReLU capture blocks or None) of ``forward``, without the
+        softmax; each layer keeps its backward state when ``record``."""
         x = inputs = np.asarray(batch, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ConfigError(
@@ -160,22 +159,18 @@ class Model:
             )
         captured = [] if capture_probes else None
         owned = False   # x was made by this pass; a flatten view of the batch is not
-        head = len(self.layers) - 1
         b = len(x)
-        per_conv = [n_cols * b for n_cols, _ in self._conv_sizes.values()]
-        if per_conv:
-            cols = self._buffer("cols", ((sum if record else max)(per_conv),))
+        per_layer = [0, *(n_cols * b for n_cols, _ in self._sizes.values())]   # 0: a lone head
+        cols = self._buffer("cols", ((sum if record else max)(per_layer),))
         start = 0
         for idx, layer in enumerate(self.layers):
             if isinstance(layer, ReLU) and owned:
                 x = layer.forward(x, record=record, out=x)
-            elif isinstance(layer, Conv2d):
-                n_cols, n_out = self._conv_sizes[idx]
+            elif idx in self._sizes:
+                n_cols, n_out = self._sizes[idx]
                 x = layer.forward(x, record=record, cols=cols[start:start + n_cols * b],
-                                  out=self._buffer(idx, (n_out * b,)))
+                                  out=self._buffer(idx, (b, n_out)))
                 start += n_cols * b if record else 0
-            elif isinstance(layer, Dense) and idx < head and not record:
-                x = layer.forward(x, record=False, out=self._buffer(idx, (b, layer.out_features)))
             else:
                 x = layer.forward(x, record=record)
             owned = owned or not isinstance(layer, Flatten)

@@ -17,12 +17,13 @@ class Optimizer:
     SGD follows the momentum-buffer convention (buf = m*buf + g;
     p -= lr*buf) and Adam the bias-corrected moment estimates with
     defaults beta=(0.9, 0.999), eps=1e-8. Weight decay is plain L2
-    added to the gradient. Moment buffers are allocated lazily, always
-    match parameter shapes and are updated in place. So is one scratch
-    array per parameter, which holds ``wd*p + g`` and the step, and Adam
-    keeps one more for its other temporaries: no step allocates anything
-    after the first. Each in-place product or quotient keeps the operands
-    of the textbook expression, so the bits do not change.
+    added to the gradient. Each parameter's state is one list, allocated
+    by the first step in the parameter's shape and updated in place after
+    it: a scratch array, which holds ``wd*p + g`` and the step, then the
+    momentum buffer (SGD with momentum) or ``m``, ``v`` and one more
+    temporary (Adam). So no step allocates anything after the first. Each
+    in-place product or quotient keeps the operands of the textbook
+    expression, so the bits do not change.
     """
 
     def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
@@ -38,8 +39,7 @@ class Optimizer:
         self.weight_decay = float(weight_decay)
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
-        self._buffers: dict = {}
-        self._scratch: dict = {}
+        self._state: dict = {}   # (layer index, parameter name) -> [scratch, *buffers]
         self._t = 0
 
     def step(self, model) -> None:
@@ -52,26 +52,23 @@ class Optimizer:
                         f"gradient shape {g.shape} != parameter shape {p.shape} "
                         f"at layer {idx}/{name}"
                     )
-                key = (idx, name)
-                scratch = self._scratch.get(key)
-                if scratch is None:
-                    scratch = self._scratch[key] = np.empty_like(p)
+                state = self._state.get((idx, name))
+                if state is None:
+                    n_buffers = 3 if self.kind == "adam" else (1 if self.momentum else 0)
+                    state = self._state[idx, name] = [
+                        np.empty_like(p), *(np.zeros_like(p) for _ in range(n_buffers))]
+                scratch, *buffers = state
                 if self.weight_decay:
                     g = np.add(np.multiply(p, self.weight_decay, out=scratch), g, out=scratch)
                 if self.kind == "sgd":
                     if self.momentum:
-                        buf = self._buffers.get(key)
-                        if buf is None:
-                            buf = self._buffers[key] = np.zeros_like(p)
+                        (buf,) = buffers
                         buf *= self.momentum
                         buf += g
                         g = buf
                     p -= np.multiply(g, self.lr, out=scratch)
                 else:
-                    if key not in self._buffers:
-                        self._buffers[key] = (np.zeros_like(p), np.zeros_like(p),
-                                              np.empty_like(p))
-                    m, v, tmp = self._buffers[key]
+                    m, v, tmp = buffers
                     b1, b2 = self.betas
                     m *= b1
                     m += np.multiply(g, 1.0 - b1, out=tmp)

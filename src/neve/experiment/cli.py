@@ -145,8 +145,9 @@ def _slug(label: str) -> str:
 def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, column: str):
     """Run every ``(label, tag, cfg)`` variant over its seeds.
 
-    Every variant config and its dataset's class counts are checked, and
-    no two tags may be equal, before the output directory is created.
+    Every variant config and what ``load_checked`` checks on its data are
+    checked, and no two tags may be equal, before the output directory is
+    created.
     Each run then writes ``run_<tag>_seed<N>.csv``, its velocity and loss
     charts and, with ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the
     empty tag drops ``<tag>_``). Last come the table and the summary CSV.

@@ -80,7 +80,6 @@ class RunSummary:
     label: str
     seeds: tuple
     test_accs: tuple
-    stop_epochs: tuple               # run length per seed (stop epoch or max)
     mean_acc: float
     std_acc: float
     mean_stop: float
@@ -137,14 +136,30 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
 
 
 def load_checked(cfg: ExperimentConfig, seed: int = 0):
-    """(train, test, model); ConfigError unless both splits' class count fits the head."""
+    """(train, val, test, model); a ConfigError naming the field unless both
+    splits' class count fits the head, ``pad_crop_flip`` gets (c, h, w)
+    samples, and the validation split leaves each class in the train part
+    and holds out samples when the vloss scheduler or a ``heldout`` probe reads them."""
     train, test = load_dataset(cfg.dataset)
     model = build_model(cfg.arch, seed=seed, input_shape=train.input_shape)
     if test.n_classes != train.n_classes or train.n_classes > model.n_classes:
         raise ConfigError(f"the train split ({train.name}) has {train.n_classes} classes and the "
                           f"test split ({test.name}) has {test.n_classes}; they must agree and "
                           f"fit the {model.n_classes}-way model head")
-    return train, test, model
+    if cfg.dataset.augment == "pad_crop_flip" and len(train.input_shape) != 3:
+        raise ConfigError("dataset.augment 'pad_crop_flip' needs (c, h, w) samples, got "
+                          f"shape {train.input_shape}")
+    frac = cfg.dataset.validation_fraction
+    try:
+        train, val = data_mod.split(train, frac, cfg.dataset.split_seed)
+    except ConfigError as exc:
+        raise ConfigError(f"dataset.{exc}") from exc
+    reader = ("the vloss scheduler" if cfg.scheduler.kind == "vloss" else
+              "aux source 'heldout'" if "heldout" in cfg.probed_sources() else None)
+    if reader and len(val) == 0:
+        raise ConfigError(f"dataset.validation_fraction {frac} holds out none of "
+                          f"{len(train)} samples, but {reader} reads them")
+    return train, val, test, model
 
 
 def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
@@ -154,16 +169,10 @@ def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxS
         if src == "noise":
             aux_sets[src] = data_mod.make_aux_noise(cfg.aux.count, train.input_shape,
                                                     cfg.aux.seed)
-        elif src == "heldout":
-            if len(val) == 0:
-                raise ConfigError("aux source 'heldout' needs a validation split")
-            aux_sets[src] = data_mod.make_aux_from_samples(
-                val.samples, min(cfg.aux.count, len(val)), cfg.aux.seed,
-                source="heldout_validation")
         else:
+            pool = val if src == "heldout" else train
             aux_sets[src] = data_mod.make_aux_from_samples(
-                train.samples, min(cfg.aux.count, len(train)), cfg.aux.seed,
-                source="train")
+                pool.samples, min(cfg.aux.count, len(pool)), cfg.aux.seed)
     return aux_sets
 
 
@@ -179,9 +188,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     records accumulated so far.
     """
     cfg.validate()
-    train_full, test, model = load_checked(cfg, seed)
-    train, val = data_mod.split(train_full, cfg.dataset.validation_fraction,
-                                cfg.dataset.split_seed)
+    train, val, test, model = load_checked(cfg, seed)
     opt = Optimizer(kind=cfg.optimizer.kind, lr=cfg.optimizer.lr,
                     momentum=cfg.optimizer.momentum,
                     weight_decay=cfg.optimizer.weight_decay,
@@ -284,9 +291,8 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
         mean_stop, std_stop = float(np.mean(stops)), float(np.std(stops))
     else:
         mean_acc = std_acc = mean_stop = std_stop = float("nan")
-    return RunSummary(label=label, seeds=seeds, test_accs=tuple(accs),
-                      stop_epochs=tuple(stops), mean_acc=mean_acc, std_acc=std_acc,
-                      mean_stop=mean_stop, std_stop=std_stop,
+    return RunSummary(label=label, seeds=seeds, test_accs=tuple(accs), mean_acc=mean_acc,
+                      std_acc=std_acc, mean_stop=mean_stop, std_stop=std_stop,
                       failures=tuple(failures))
 
 

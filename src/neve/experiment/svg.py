@@ -13,13 +13,15 @@ from ..errors import ConfigError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+WIDTH, HEIGHT = 760, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round-numbered ticks spanning [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -32,10 +34,6 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
-
-
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
 
 
 class _Scale:
@@ -60,14 +58,10 @@ class _Scale:
             return [10.0 ** d for d in range(int(lo_d), int(hi_d) + 1)]
         return _nice_ticks(self.lo, self.hi)
 
-    def tick_pos(self, t: float) -> float:
-        return self(t)
-
 
 def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-               vlines=(), log_x: bool = False, log_y: bool = False,
-               width: int = 760, height: int = 440) -> None:
-    """Write a line chart.
+               vlines=(), log_x: bool = False, log_y: bool = False) -> None:
+    """Write a ``WIDTH`` x ``HEIGHT`` line chart.
 
     ``series`` is a list of (label, xs, ys); ``vlines`` a list of
     (x, label) vertical markers annotated near the top of the plot.
@@ -89,39 +83,39 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
     if not log_y:
         pad = 0.05 * (y1 - y0 or abs(y1) or 1.0)
         y0, y1 = y0 - pad, y1 + pad
-    plot_w = width - MARGIN_L - MARGIN_R
-    plot_h = height - MARGIN_T - MARGIN_B
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
     sx = _Scale(x0, x1, MARGIN_L, MARGIN_L + plot_w, log=log_x)
     sy = _Scale(y0, y1, MARGIN_T + plot_h, MARGIN_T, log=log_y)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                    f'font-size="14">{title}</text>')
     for t in sx.ticks():
-        px = sx.tick_pos(t)
+        px = sx(t)
         if px < MARGIN_L - 0.5 or px > MARGIN_L + plot_w + 0.5:
             continue
         out.append(f'<line x1="{px:.1f}" y1="{MARGIN_T + plot_h}" x2="{px:.1f}" '
                    f'y2="{MARGIN_T + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{px:.1f}" y="{MARGIN_T + plot_h + 18}" '
-                   f'text-anchor="middle">{_fmt_tick(t)}</text>')
+                   f'text-anchor="middle">{t:g}</text>')
     for t in sy.ticks():
-        py = sy.tick_pos(t)
+        py = sy(t)
         if py < MARGIN_T - 0.5 or py > MARGIN_T + plot_h + 0.5:
             continue
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.1f}" x2="{MARGIN_L}" '
                    f'y2="{py:.1f}" stroke="#333"/>')
         out.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.1f}" '
-                   f'text-anchor="end">{_fmt_tick(t)}</text>')
+                   f'text-anchor="end">{t:g}</text>')
     if xlabel:
-        out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" '
+        out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
                    f'text-anchor="middle">{xlabel}</text>')
     if ylabel:
         cy = MARGIN_T + plot_h / 2

@@ -14,7 +14,7 @@ import pytest
 
 from neve.data import gen_blobs
 from neve.engine import (Conv2d, Dense, Optimizer, backward_and_step, build_model,
-                         compute_gradients, cross_entropy, evaluate)
+                         compute_gradients, cross_entropy, evaluate, softmax)
 from neve.errors import ConfigError, NeveError, NumericError
 
 FD_STEP = 1e-5
@@ -205,11 +205,12 @@ class TestInferencePass:
         x = np.random.default_rng(8).standard_normal((6, *input_shape))
         m = build_model(arch, seed=4, input_shape=input_shape)
         logits, probs, cap = m.forward(x, capture_probes=True)
-        rec_logits, rec_probs, rec_cap = m._pass(x, True, record=True)
+        rec_logits, rec_cap = m._logits(x, True, record=True)
+        rec_probs = softmax(rec_logits)
         assert logits.tobytes() == rec_logits.tobytes()
         assert probs.tobytes() == rec_probs.tobytes()
-        assert len(cap) == len(rec_cap) == 3
-        for a, b in zip(cap, rec_cap):
+        assert len(cap) == len(rec_cap) + 1 == 3
+        for a, b in zip(cap, [*rec_cap, rec_probs.T], strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("arch,input_shape", [
@@ -220,7 +221,7 @@ class TestInferencePass:
         m = build_model(arch, seed=4, input_shape=input_shape)
         x = rng.standard_normal((6, *input_shape))
         y = rng.integers(0, 3, size=6)
-        m._pass(x, False, record=True)      # every layer now holds backward state
+        m._logits(x, False, record=True)    # every layer now holds backward state
         if inference == "forward":
             m.forward(x)
         else:
@@ -231,8 +232,9 @@ class TestInferencePass:
 
 
 class TestInferenceBuffers:
-    """The inference pass reuses hidden dense outputs across calls; nothing
-    it returns aliases them, and the caller's batch is never written."""
+    """Both passes write every hidden dense output into the model's
+    workspace and reuse it across calls; nothing a pass returns aliases
+    it, and the caller's batch is never written."""
 
     @pytest.mark.parametrize("arch,input_shape", [
         ("mlp:16-8-6-3", (1, 4, 4)), ("mlp:5-7-7-3", (5,)), (TWO_CONV, (1, 6, 6))])
@@ -302,6 +304,17 @@ class TestInferenceBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 64 * 8
+
+    def test_recorded_input_is_the_workspace(self):
+        # flatten, dense, relu, dense, relu, dense: the second dense keeps
+        # as its input the first dense's buffer, which the ReLU rectified in place
+        m = build_model("mlp:16-8-6-3", seed=4, input_shape=(1, 4, 4))
+        x = np.random.default_rng(29).standard_normal((6, 1, 4, 4))
+        compute_gradients(m, x, np.arange(6) % 3)
+        assert isinstance(m.layers[3], Dense)
+        assert np.shares_memory(m.layers[3]._saved, m._buffers[1])
+        p = m.layers[1].params
+        assert np.array_equal(m.layers[3]._saved, np.maximum(x.reshape(6, -1) @ p["W"] + p["b"], 0))
 
     def test_release_buffers(self):
         m = build_model("mlp:3-8-2", seed=0)
@@ -405,6 +418,14 @@ class TestGradients:
         y = rng.integers(0, 3, size=5)
         assert_grads_match(m, x, y)
 
+    def test_fd_oracle_flatten_of_flat_input(self):
+        # a flatten between dense layers sees (b, n) and hands back its gradient as is
+        arch = [{"kind": "dense", "out": 5}, {"kind": "relu"}, {"kind": "flatten"},
+                {"kind": "dense", "out": 3}]
+        rng = np.random.default_rng(11)
+        m = build_model(arch, seed=3, input_shape=(4,))
+        assert_grads_match(m, rng.standard_normal((6, 4)), rng.integers(0, 3, size=6))
+
     @pytest.mark.parametrize("arch,input_shape", [
         ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
     def test_parameter_grads_match_full_backward(self, arch, input_shape):
@@ -416,8 +437,7 @@ class TestGradients:
         y = rng.integers(0, 3, size=6)
         compute_gradients(m, x, y)
         got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
-        _, probs, _ = m._pass(x, False, record=True)
-        grad = probs.copy()
+        grad = softmax(m._logits(x, False, record=True)[0])
         grad[np.arange(6), y] -= 1.0
         grad /= 6
         for layer in reversed(m.layers):

@@ -240,6 +240,28 @@ class TestRunTraining:
         assert str(paths["train"][1]) in str(exc.value)
         assert str(paths["test"][1]) in str(exc.value)
 
+    def test_augmented_run_reproduces_itself_and_differs_from_plain(self):
+        cfg = tiny_cfg(dataset={"name": "digits", "n_samples": 100, "test_samples": 50,
+                                "augment": "pad_crop_flip"},
+                       arch="mlp:784-16-10", scheduler={"kind": "fixed"}, max_epochs=2)
+        strip = lambda res: [dataclasses.replace(r, wall_seconds=0.0) for r in res.records]
+        first, again = run_training(cfg, seed=2), run_training(cfg, seed=2)
+        plain = run_training(cfg.replace(dataset=cfg.dataset_with(augment="none")), seed=2)
+        assert strip(first) == strip(again)
+        assert [r.train_loss for r in first.records] != [r.train_loss for r in plain.records]
+
+    def test_subset_and_normalize_run(self):
+        cfg = tiny_cfg(dataset={"name": "digits", "n_samples": 200, "test_samples": 50,
+                                "subset": 100, "normalize": True},
+                       arch="mlp:784-16-10", scheduler={"kind": "fixed"}, max_epochs=2)
+        train, test = load_dataset(cfg.dataset)
+        assert len(train) == 100 and len(test) == 50
+        assert np.bincount(train.labels).tolist() == [10] * 10
+        assert train.samples.mean() == pytest.approx(0.0, abs=1e-12)
+        assert train.samples.std() == pytest.approx(1.0)
+        res = run_training(cfg, seed=1)
+        assert not res.failed and len(res.records) == 2
+
     def test_velocity_dump_schema(self, tmp_path):
         cfg = tiny_cfg(max_epochs=3, scheduler={"kind": "fixed"})
         run_training(cfg, seed=1, dump_dir=tmp_path)
@@ -304,6 +326,40 @@ class TestDatasetCache:
         strip = lambda res: [dataclasses.replace(r, wall_seconds=0.0) for r in res.records]
         assert strip(cold) == strip(warm)
         assert cold.velocity_series == warm.velocity_series
+
+
+def write_cifar(path, labels, seed):
+    """A CIFAR-10 batch file: one 3073-byte record per label."""
+    pixels = np.random.default_rng(seed).integers(0, 256, size=(len(labels), 3072))
+    path.write_bytes(np.column_stack([labels, pixels]).astype(np.uint8).tobytes())
+    return pixels.reshape(-1, 3, 32, 32) / 255.0
+
+
+class TestCifarDataset:
+    @pytest.mark.parametrize("with_test", [True, False])
+    def test_loads_record_files(self, tmp_path, with_test):
+        labels = np.arange(40) % 10
+        train_px = np.concatenate([write_cifar(tmp_path / "data_batch_1.bin", labels[:20], 0),
+                                   write_cifar(tmp_path / "data_batch_2.bin", labels[20:], 1)])
+        test_px = write_cifar(tmp_path / "test_batch.bin", labels[:10], 2)
+        spec = tiny_cfg().dataset_with(
+            name="cifar10", cifar_train_paths=(str(tmp_path / "data_batch_1.bin"),
+                                               str(tmp_path / "data_batch_2.bin")),
+            cifar_test_paths=(str(tmp_path / "test_batch.bin"),) if with_test else ())
+        train, test = load_dataset(spec)
+        assert train.input_shape == (3, 32, 32) and train.n_classes == test.n_classes == 10
+        if with_test:
+            assert np.array_equal(train.samples, train_px)
+            assert np.array_equal(train.labels, labels)
+            assert np.array_equal(test.samples, test_px)
+        else:
+            # a stratified tenth of the train files is held out as the test split
+            assert (len(train), len(test)) == (36, 4)
+            rows = {row.tobytes(): i for i, row in enumerate(train_px)}
+            picked = [rows[row.tobytes()] for row in (*train.samples, *test.samples)]
+            assert sorted(picked) == list(range(40))
+            assert np.array_equal(np.concatenate([train.labels, test.labels]),
+                                  labels[picked])
 
 
 class TestSuite:
@@ -481,6 +537,16 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
         cfg = json.loads((tmp_path / "config.json").read_text())
         assert cfg["scheduler"]["kind"] == "fixed"
+
+    def test_failed_seed_reported_and_summary_written(self, tmp_path, capsys):
+        # lr 1e300 overflows the weights in the first epoch: a NumericError run
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="seed 1 failed"):
+            code = main(["train", *TINY_CLI, "--lr", "1e300", "--max-epochs", "3",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert "  seed 1: FAILED (non-finite" in capsys.readouterr().out
+        header, row = (tmp_path / "summary.csv").read_text().splitlines()
+        assert row.startswith("neve,nan,nan,nan,nan,")
 
     def test_compare_lists_one_row_per_scheduler(self, tmp_path, capsys):
         code = main(["compare", "--dataset", "blobs", "--n-samples", "200",
@@ -711,7 +777,16 @@ class TestFlags:
         (["--test-samples", "0"], "dataset.test_samples"),
         (["--n-classes", "0"], "dataset.n_classes"), (["--sigma", "0"], "dataset.sigma"),
         (["--dataset", "digits", "--n-samples", "9"], "dataset.n_samples"),
-        (["--dataset", "digits", "--test-samples", "9"], "dataset.test_samples")])
+        (["--dataset", "digits", "--test-samples", "9"], "dataset.test_samples"),
+        # checks that need the loaded data
+        (["--augment", "pad_crop_flip", "--n-samples", "100", "--test-samples", "50"],
+         "dataset.augment"),
+        (["--scheduler", "vloss", "--val-fraction", "0.001", "--n-samples", "100"],
+         "dataset.validation_fraction"),
+        (["--aux-source", "heldout", "--val-fraction", "0.001", "--n-samples", "100"],
+         "dataset.validation_fraction"),
+        (["--scheduler", "vloss", "--val-fraction", "0.9", "--n-samples", "8",
+          "--test-samples", "8"], "dataset.validation_fraction")])
     def test_out_of_range_dataset_value_exits_2_naming_field(self, argv, key,
                                                              tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,13 +7,16 @@ this tool, so that two trees get the same arguments), runs
 ``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
 imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
 numpy loads. Each workload writes its run directory ``OUT/<name>``.
-Two small runs follow, each covering a path no workload takes: an
+Three small runs follow, each covering a path no workload takes: an
 ``optim-compare`` run (blobs; SGD with momentum and Adam, each under neve
-and fixed, weight decay 1e-3) into ``OUT/optim-compare``, and a digits
+and fixed, weight decay 1e-3) into ``OUT/optim-compare``; a digits
 ``train`` run into ``OUT/conv-geometry`` whose conv net (a k5/s1/p2 conv,
 then a k3/s3/p0 conv; passed in a config file written there) trains at
 batch 50 with ``pad_crop_flip``, so that tail batches and other conv
-border cases than the workload's k3/s2/p1 are compared too.
+border cases than the workload's k3/s2/p1 are compared too; and a digits
+``train`` run into ``OUT/data-paths`` with ``subset``, ``normalize``, a
+validation split read by the vloss scheduler and a ``heldout`` aux set,
+probing ``noise`` and ``train`` as well.
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
 Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
@@ -71,6 +74,16 @@ def conv_geometry_args(seed: int, out_dir: Path) -> list[str]:
             "--augment", "pad_crop_flip", "--batch-size", "50", "--max-epochs", "3"]
 
 
+def data_paths_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra data-paths run; a function of the seed alone."""
+    return ["train", "--out", str(out_dir), "--seeds", str(3 * seed + 1),
+            "--data-seed", str(seed), "--aux-seed", str(seed), "--dataset", "digits",
+            "--n-samples", "600", "--test-samples", "200", "--subset", "300", "--normalize",
+            "--val-fraction", "0.2", "--aux-source", "heldout", "--probe-aux", "noise,train",
+            "--scheduler", "vloss", "--vloss-patience", "1", "--stop-patience", "3",
+            "--arch", "mlp:784-32-10", "--batch-size", "50", "--max-epochs", "4"]
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
@@ -84,7 +97,8 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str((args.src / "src").resolve()))
     failed = []
-    extra = {"optim-compare": optim_compare_args, "conv-geometry": conv_geometry_args}
+    extra = {"optim-compare": optim_compare_args, "conv-geometry": conv_geometry_args,
+             "data-paths": data_paths_args}
     for name in (*workloads.WORKLOADS, *extra):
         out_dir = args.out / name
         out_dir.mkdir(parents=True, exist_ok=True)
