@@ -5,12 +5,9 @@ epoch's signal into an immutable ``SchedulerState`` and decides: continue,
 rescale the learning rate, or stop. ``sched`` is a ``SchedulerSpec``, the
 one scheduler config. neve reads the model velocity: it stops once the
 velocity falls below ``epsilon``, and otherwise rescales the learning rate
-by ``alpha`` (not below ``min_lr``) when the velocity has plateaued
-(relative span of the last ``patience``+1 entries within
-``plateau_rel_span`` of their mean) at least ``cooldown`` epochs after the
-last rescale; stop takes precedence over a rescale. vloss reads the
-validation loss (``vloss_patience``, ``stop_patience``, ``factor``), while
-step_decay (``milestones``, ``factor``) and fixed ignore the signal.
+when the velocity has plateaued; stop takes precedence over a rescale.
+vloss reads the validation loss, while step_decay and fixed ignore the
+signal.
 
 Also provided: the closed-form analysis of how much a softmax output can
 move when the head's velocity sits exactly at epsilon.
@@ -22,51 +19,35 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, within
 
 
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Exactly one scheduler drives the run: neve, fixed, step_decay or vloss.
-    ``validate`` checks every range whatever the kind, because one spec
+    ``validate`` checks every field whatever the kind, because one spec
     drives every kind in ``neve compare``. A ``cooldown`` of None means
     ``patience``, and a ``min_lr`` of None sets no floor."""
 
-    kind: str = "neve"
+    kind: str = within("neve", ("neve", "fixed", "step_decay", "vloss"))
     # velocity controller
-    epsilon: float = 1e-3
-    alpha: float = 0.1
-    patience: int = 5
-    mu_vel: float = 0.5
-    plateau_rel_span: float = 0.05
-    cooldown: int | None = None
-    min_lr: float | None = None
-    # step decay
-    milestones: tuple[int, ...] = ()
-    factor: float = 0.1
+    epsilon: float = within(1e-3, "(0, inf)")
+    alpha: float = within(0.1, "(0, 1)")
+    patience: int = within(5, "[1, inf)")
+    # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
+    mu_vel: float = within(0.5, "[0, 1)")
+    plateau_rel_span: float = within(0.05, "(0, 1)")
+    cooldown: int | None = within(None, "[0, inf)")
+    min_lr: float | None = within(None, "[0, inf)")
+    # step decay; epochs count from 1, so an earlier milestone never fires
+    milestones: tuple[int, ...] = within((), "[1, inf)")
+    factor: float = within(0.1, "(0, 1)")
     # validation-loss scheduler
-    vloss_patience: int = 5
-    stop_patience: int = 10
+    vloss_patience: int = within(5, "[1, inf)")
+    stop_patience: int = within(10, "[1, inf)")
 
     def validate(self) -> None:
-        if self.kind not in ("neve", "fixed", "step_decay", "vloss"):
-            raise ConfigError(f"scheduler.kind: unknown scheduler {self.kind!r}")
-        # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
-        if not 0.0 <= self.mu_vel < 1.0:
-            raise ConfigError(f"scheduler.mu_vel must lie in [0, 1), got {self.mu_vel}")
-        for name in ("alpha", "plateau_rel_span", "factor"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(
-                    f"scheduler.{name} must lie in (0, 1), got {getattr(self, name)}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"scheduler.epsilon must be positive, got {self.epsilon}")
-        for name in ("patience", "vloss_patience", "stop_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"scheduler.{name} must be >= 1, got {getattr(self, name)}")
-        if self.cooldown is not None and self.cooldown < 0:
-            raise ConfigError(f"scheduler.cooldown must be >= 0, got {self.cooldown}")
-        if any(m < 1 for m in self.milestones):   # epochs count from 1; earlier ones never fire
-            raise ConfigError(f"scheduler.milestones must be epochs >= 1, got {self.milestones}")
+        check_fields(self, "scheduler.")
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ConfigError(
                 f"scheduler.milestones must be strictly increasing: {self.milestones}")

@@ -11,6 +11,7 @@ directory comes from NEVE_OUT_DIR when set; the --out flag wins over both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 from ..controller import epsilon_analysis
-from ..errors import ConfigError, NeveError
+from ..errors import ConfigError, NeveError, shown
 from .config import ExperimentConfig, config_from_file, field_types, merge_overrides
 from .runner import emit_csv, emit_plots, load_checked, run_training, summarize_results
 from .svg import line_chart
@@ -79,15 +80,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default $NEVE_OUT_DIR or ./neve-out)")
     defaults = ExperimentConfig()
     for flag, key in FLAGS.items():
-        hint, default = ExperimentConfig, defaults
+        owner, hint, default = None, ExperimentConfig, defaults
         for part in key.split("."):
-            hint, default = field_types(hint)[part], getattr(default, part)
+            owner, hint, default = hint, field_types(hint)[part], getattr(default, part)
         if hint is bool:
             p.add_argument(flag, dest=key, action="store_const", const=not default,
                            default=None, help=f"set {key} to {not default}")
-        else:
-            p.add_argument(flag, dest=key, type=_flag_type(hint),
-                           help="comma-separated" if get_origin(hint) is tuple else None)
+            continue
+        meta = next(f for f in dataclasses.fields(owner) if f.name == part).metadata
+        text = f"in {shown(meta['allowed'])}" if "allowed" in meta else None
+        if get_origin(hint) is tuple:
+            text = "comma-separated" + (f", each {text}" if text else "")
+        p.add_argument(flag, dest=key, type=_flag_type(hint), help=text)
 
 
 def resolve_config(args) -> ExperimentConfig:
@@ -208,10 +212,11 @@ def cmd_compare(args) -> int:
     variants = []
     for kind, frac in (("neve", 0.0), ("fixed", 0.0), ("step_decay", 0.0),
                        ("vloss", args.vloss_fraction)):
-        label = f"{kind} ({int(100 * frac)}% val)"
-        variants.append((label, _slug(label), base.replace(
-            scheduler=base.scheduler_with(kind=kind),
-            dataset=base.dataset_with(validation_fraction=frac))))
+        # int() raises on NaN; // 1 truncates as int() does and leaves NaN to validate()
+        label = f"{kind} ({100 * frac // 1:.0f}% val)"
+        variants.append((label, _slug(label), dataclasses.replace(
+            base, scheduler=dataclasses.replace(base.scheduler, kind=kind),
+            dataset=dataclasses.replace(base.dataset, validation_fraction=frac))))
     out, runs = _run_variants(args, base, variants, "summary.csv", "scheduler")
     acc_series = [(summary.label, [r.epoch for r in results[0].records],
                    [r.test_acc for r in results[0].records])
@@ -228,8 +233,8 @@ def cmd_epsilon_sweep(args) -> int:
     variants = []
     for eps in args.eps_grid:
         label = f"eps={eps:g}"
-        variants.append((label, _slug(label),
-                         base.replace(scheduler=base.scheduler_with(kind="neve", epsilon=eps))))
+        variants.append((label, _slug(label), dataclasses.replace(
+            base, scheduler=dataclasses.replace(base.scheduler, kind="neve", epsilon=eps))))
     out, runs = _run_variants(args, base, variants, "epsilon_sweep.csv", "epsilon")
     grid = [cfg.scheduler.epsilon for cfg, _, _ in runs]
     line_chart(out / "epsilon_stop_epochs.svg",
@@ -248,9 +253,9 @@ def cmd_aux_sweep(args) -> int:
     variants = []
     for frac in args.val_fracs:
         label = f"val={frac:g}"
-        variants.append((label, _slug(label), base.replace(
-            scheduler=base.scheduler_with(kind="fixed"),
-            dataset=base.dataset_with(validation_fraction=frac),
+        variants.append((label, _slug(label), dataclasses.replace(
+            base, scheduler=dataclasses.replace(base.scheduler, kind="fixed"),
+            dataset=dataclasses.replace(base.dataset, validation_fraction=frac),
             probe_velocity=False, probe_aux=())))
     for source in args.aux_sources:
         frac = base.dataset.validation_fraction
@@ -258,10 +263,10 @@ def cmd_aux_sweep(args) -> int:
             frac = args.heldout_fraction
         for count in args.aux_sizes:
             label = f"{source}/{count}"
-            variants.append((label, _slug(label), base.replace(
-                scheduler=base.scheduler_with(kind="neve"),
-                dataset=base.dataset_with(validation_fraction=frac),
-                aux=base.aux_with(source=source, count=count))))
+            variants.append((label, _slug(label), dataclasses.replace(
+                base, scheduler=dataclasses.replace(base.scheduler, kind="neve"),
+                dataset=dataclasses.replace(base.dataset, validation_fraction=frac),
+                aux=dataclasses.replace(base.aux, source=source, count=count))))
     out, runs = _run_variants(args, base, variants, "aux_sweep.csv", "setting")
     frac_rows = [(cfg.dataset.validation_fraction, s.mean_acc)
                  for cfg, _, s in runs if cfg.scheduler.kind == "fixed"]
@@ -305,16 +310,15 @@ def cmd_optim_compare(args) -> int:
     for kind, lr in (("sgd", base.optimizer.lr), ("adam", args.adam_lr)):
         for sched in ("neve", "fixed"):
             label = f"{kind}/{sched}"
-            variants.append((label, _slug(label), base.replace(
-                optimizer=base.optimizer_with(kind=kind, lr=lr),
-                scheduler=base.scheduler_with(kind=sched))))
+            variants.append((label, _slug(label), dataclasses.replace(
+                base, optimizer=dataclasses.replace(base.optimizer, kind=kind, lr=lr),
+                scheduler=dataclasses.replace(base.scheduler, kind=sched))))
     out, runs = _run_variants(args, base, variants, "optim_compare.csv",
                               "optimizer/scheduler")
     vel_series = []
     for cfg, results, _ in runs:
-        first = results[0]
-        if cfg.scheduler.kind == "neve" and first.velocity_series:
-            vs = first.velocity_series[first.primary_source]
+        vs = results[0].velocity_series.get(results[0].primary_source)
+        if cfg.scheduler.kind == "neve" and vs:
             vel_series.append((cfg.optimizer.kind, list(range(1, len(vs) + 1)), vs))
     if vel_series:
         line_chart(out / "optim_velocity.svg", vel_series,

@@ -65,11 +65,17 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
 
     ``series`` is a list of (label, xs, ys); ``vlines`` a list of
     (x, label) vertical markers annotated near the top of the plot.
+    Non-finite points (a variant whose every run failed) are left out, and
+    when no finite point is left no file is written.
     """
-    series = [(label, list(xs), list(ys)) for label, xs, ys in series]
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    if not pts:
+    series = [(label, list(zip(xs, ys))) for label, xs, ys in series]
+    if not any(points for _, points in series):
         raise ConfigError("line_chart needs at least one data point")
+    series = [(label, [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)])
+              for label, points in series]
+    pts = [p for _, points in series for p in points]
+    if not pts:
+        return
     xs_all = [p[0] for p in pts] + [v for v, _ in vlines]
     ys_all = [p[1] for p in pts]
     if log_x:
@@ -122,9 +128,9 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
         out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
                    f'transform="rotate(-90 16 {cy:.1f})">{ylabel}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, points) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = [(sx(x), sy(y)) for x, y in zip(xs, ys)
+        coords = [(sx(x), sy(y)) for x, y in points
                   if (not log_x or x > 0) and (not log_y or y > 0)]
         if not coords:
             continue
@@ -144,7 +150,7 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
                    f'{label}</text>')
 
     legend_y = MARGIN_T + 10
-    for i, (label, _, _) in enumerate(series):
+    for i, (label, _) in enumerate(series):
         if not label:
             continue
         color = PALETTE[i % len(PALETTE)]

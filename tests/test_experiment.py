@@ -11,7 +11,9 @@ import json
 import os
 import re
 import shlex
+import xml.dom.minidom
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -23,9 +25,25 @@ from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
                              records_to_csv, replay_neve_decisions, run_training,
                              summarize_results)
-from neve.experiment import ExperimentConfig
+from neve.experiment import (AuxSpec, DatasetSpec, ExperimentConfig, OptimizerSpec,
+                             SchedulerSpec)
 from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
+from neve.experiment.config import field_types
 from neve.experiment.runner import RunResult, load_dataset
+
+
+def _item_type(hint):
+    """The type of one value of a field: X for X, X | None and tuple[X, ...]."""
+    args = [a for a in get_args(hint) if a not in (type(None), Ellipsis)]
+    return args[0] if args else hint
+
+
+def _field_hint(key):
+    """The annotation of the config field behind a dotted key."""
+    hint = ExperimentConfig
+    for part in key.split("."):
+        hint = field_types(hint)[part]
+    return hint
 
 
 def tiny_cfg(**kw):
@@ -74,6 +92,21 @@ class TestConfig:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             config_from_dict({"seeds": []})
+
+    def test_every_number_and_name_field_declares_its_values(self):
+        # bools and arch (annotated object) are no int, float or str fields
+        undeclared = sorted(
+            f"{cls.__name__}.{f.name}"
+            for cls in (SchedulerSpec, DatasetSpec, OptimizerSpec, AuxSpec, ExperimentConfig)
+            for f in dataclasses.fields(cls)
+            if _item_type(field_types(cls)[f.name]) in (int, float, str)
+            and "allowed" not in f.metadata)
+        # file paths, and counts and a shift whose bounds depend on the dataset
+        assert undeclared == [
+            "DatasetSpec.cifar_test_paths", "DatasetSpec.cifar_train_paths",
+            "DatasetSpec.n_samples", "DatasetSpec.shift", "DatasetSpec.test_images",
+            "DatasetSpec.test_labels", "DatasetSpec.test_samples",
+            "DatasetSpec.train_images", "DatasetSpec.train_labels"]
 
     def test_file_round_trip(self, tmp_path):
         # JSON turns every tuple into a list; loading turns them back,
@@ -246,7 +279,8 @@ class TestRunTraining:
                        arch="mlp:784-16-10", scheduler={"kind": "fixed"}, max_epochs=2)
         strip = lambda res: [dataclasses.replace(r, wall_seconds=0.0) for r in res.records]
         first, again = run_training(cfg, seed=2), run_training(cfg, seed=2)
-        plain = run_training(cfg.replace(dataset=cfg.dataset_with(augment="none")), seed=2)
+        plain = run_training(dataclasses.replace(
+            cfg, dataset=dataclasses.replace(cfg.dataset, augment="none")), seed=2)
         assert strip(first) == strip(again)
         assert [r.train_loss for r in first.records] != [r.train_loss for r in plain.records]
 
@@ -299,7 +333,7 @@ class TestDatasetCache:
     def test_rewritten_idx_files_reloaded(self, tmp_path):
         paths = [tmp_path / name for name in
                  ("train-images", "train-labels", "test-images", "test-labels")]
-        spec = tiny_cfg().dataset_with(name="idx", **{
+        spec = dataclasses.replace(tiny_cfg().dataset, name="idx", **{
             key: str(path) for key, path in zip(
                 ("train_images", "train_labels", "test_images", "test_labels"), paths)})
         images = np.random.default_rng(0).random((12, 1, 4, 4))
@@ -320,7 +354,7 @@ class TestDatasetCache:
         cfg = tiny_cfg(dataset={"name": "blobs", "n_samples": 300, "n_classes": 3,
                                 "validation_fraction": 0.2},
                        scheduler={"kind": "vloss"}, max_epochs=6)
-        load_dataset(cfg.dataset_with(data_seed=99))    # evict cfg's pair
+        load_dataset(dataclasses.replace(cfg.dataset, data_seed=99))    # evict cfg's pair
         cold = run_training(cfg, seed=3)
         warm = run_training(cfg, seed=3)
         strip = lambda res: [dataclasses.replace(r, wall_seconds=0.0) for r in res.records]
@@ -342,9 +376,10 @@ class TestCifarDataset:
         train_px = np.concatenate([write_cifar(tmp_path / "data_batch_1.bin", labels[:20], 0),
                                    write_cifar(tmp_path / "data_batch_2.bin", labels[20:], 1)])
         test_px = write_cifar(tmp_path / "test_batch.bin", labels[:10], 2)
-        spec = tiny_cfg().dataset_with(
-            name="cifar10", cifar_train_paths=(str(tmp_path / "data_batch_1.bin"),
-                                               str(tmp_path / "data_batch_2.bin")),
+        spec = dataclasses.replace(
+            tiny_cfg().dataset, name="cifar10",
+            cifar_train_paths=(str(tmp_path / "data_batch_1.bin"),
+                               str(tmp_path / "data_batch_2.bin")),
             cifar_test_paths=(str(tmp_path / "test_batch.bin"),) if with_test else ())
         train, test = load_dataset(spec)
         assert train.input_shape == (3, 32, 32) and train.n_classes == test.n_classes == 10
@@ -503,6 +538,15 @@ class TestSvg:
         with pytest.raises(ConfigError):
             line_chart(tmp_path / "c.svg", [("a", [], [])])
 
+    def test_non_finite_points_left_out(self, tmp_path):
+        p = tmp_path / "c.svg"
+        line_chart(p, [("a", [1, 2, 3], [0.5, float("nan"), 0.2]),
+                       ("b", [1, 2], [float("inf"), 0.3])], log_x=True)
+        xml.dom.minidom.parse(str(p))
+        assert "nan" not in p.read_text() and "inf" not in p.read_text()
+        line_chart(tmp_path / "none.svg", [("a", [1, 2], [float("nan")] * 2)])
+        assert not (tmp_path / "none.svg").exists()
+
 
 class TestCli:
     def test_epsilon_analysis_prints_reference_value(self, capsys):
@@ -547,6 +591,21 @@ class TestCli:
         assert "  seed 1: FAILED (non-finite" in capsys.readouterr().out
         header, row = (tmp_path / "summary.csv").read_text().splitlines()
         assert row.startswith("neve,nan,nan,nan,nan,")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare"], ["epsilon-sweep", "--eps-grid", "1e-3,1e-2"], ["aux-sweep"],
+        ["optim-compare"],                          # the Adam runs keep their own lr
+        ["optim-compare", "--adam-lr", "1e200"]])
+    def test_sweep_with_failed_variants_exits_0(self, argv, tmp_path, capsys):
+        # lr 1e200 overflows the weights in the first epoch: every seed of a variant fails
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="failed"):
+            code = main(argv + TINY_CLI + ["--lr", "1e200", "--max-epochs", "2",
+                                           "--out", str(tmp_path)])
+        assert code == 0
+        assert "FAILED" in capsys.readouterr().out
+        for svg in tmp_path.glob("*.svg"):
+            assert "nan" not in svg.read_text()
+            xml.dom.minidom.parse(str(svg))
 
     def test_compare_lists_one_row_per_scheduler(self, tmp_path, capsys):
         code = main(["compare", "--dataset", "blobs", "--n-samples", "200",
@@ -644,7 +703,15 @@ class TestCli:
         (["train", {"probe_aux": "noise"}], "probe_aux"),
         (["train", {"probe_velocity": 1}], "probe_velocity"),
         (["train", {"dataset": {"train_images": 5}}], "dataset.train_images"),
-        (["train", {"dataset": {"cifar_train_paths": [1]}}], "dataset.cifar_train_paths")])
+        (["train", {"dataset": {"cifar_train_paths": [1]}}], "dataset.cifar_train_paths"),
+        # NaN, inf and negative seeds from a sweep grid or a config file
+        (["epsilon-sweep", "--eps-grid", "nan"], "scheduler.epsilon"),
+        (["optim-compare", "--adam-lr", "nan"], "optimizer.lr"),
+        (["compare", "--vloss-fraction", "nan"], "dataset.validation_fraction"),
+        (["aux-sweep", "--heldout-fraction", "inf"], "dataset.validation_fraction"),
+        (["train", {"dataset": {"split_seed": -1}}], "dataset.split_seed"),
+        (["train", {"scheduler": {"min_lr": -1.0}}], "scheduler.min_lr"),
+        (["train", {"scheduler": {"min_lr": float("nan")}}], "scheduler.min_lr")])
     def test_subcommand_value_checked_before_output(self, argv, key, tmp_path, capsys):
         if isinstance(argv[-1], dict):          # the content of a config file
             conf = tmp_path / "conf.json"
@@ -744,6 +811,28 @@ class TestFlags:
         cfg = resolve_config(build_parser().parse_args(base + argv))
         assert _field(cfg, key) == expected
 
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("flag,key,value", [
+        (flag, key, value) for flag, key in sorted(FLAGS.items())
+        for value in {float: ("nan", "inf", "-inf", "-1"),
+                      int: ("-1",)}.get(_item_type(_field_hint(key)), ())])
+    def test_nan_inf_and_negative_values_exit_2_naming_field(self, flag, key, value, via,
+                                                             tmp_path, capsys):
+        argv = [f"{flag}={value}"]
+        if via == "file":       # json writes NaN, Infinity and -Infinity
+            hint = _field_hint(key)
+            item = _item_type(hint)(float(value))
+            raw = [item] if get_origin(hint) is tuple else item
+            for part in reversed(key.split(".")):
+                raw = {part: raw}
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps(raw))
+            argv = ["--config", str(conf)]
+        out = tmp_path / "out"
+        assert main(["train", *argv, "--out", str(out)]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,key", [
         ("--dataset", "dataset.name"), ("--optimizer", "optimizer.kind"),
         ("--scheduler", "scheduler.kind"), ("--aux-source", "aux.source"),
@@ -786,7 +875,10 @@ class TestFlags:
         (["--aux-source", "heldout", "--val-fraction", "0.001", "--n-samples", "100"],
          "dataset.validation_fraction"),
         (["--scheduler", "vloss", "--val-fraction", "0.9", "--n-samples", "8",
-          "--test-samples", "8"], "dataset.validation_fraction")])
+          "--test-samples", "8"], "dataset.validation_fraction"),
+        # the class count and spread are checked on every dataset
+        (["--dataset", "digits", "--n-classes", "0"], "dataset.n_classes"),
+        (["--dataset", "digits", "--sigma", "0"], "dataset.sigma")])
     def test_out_of_range_dataset_value_exits_2_naming_field(self, argv, key,
                                                              tmp_path, capsys):
         out = tmp_path / "out"
@@ -908,6 +1000,15 @@ class TestFlags:
         assert prose
         for flag in prose:
             assert re.search(rf"{flag}(?![\w-])", train_help), flag
+
+    def test_help_shows_declared_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        train_help = " ".join(capsys.readouterr().out.split())
+        for shown in ("--epsilon SCHEDULER.EPSILON in (0, inf)",
+                      "--seeds SEEDS comma-separated, each in [0, inf)",
+                      "--optimizer OPTIMIZER.KIND in {sgd, adam}"):
+            assert shown in train_help
 
     @pytest.mark.parametrize("smoke", [False, True])
     def test_benchmark_workload_commands_resolve(self, smoke, tmp_path):
