@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, check_fields, within
+from .errors import ConfigError, check_fields, check_value, within
 
 
 @dataclass(frozen=True)
@@ -197,18 +197,15 @@ class EpsilonAnalysis:
 def softmax_delta(p: float, epsilon: float) -> float:
     """Output variation ``p * (p^(-eps) - 1)`` of a softmax entry at
     probability ``p`` whose velocity equals ``epsilon``."""
-    if not 0.0 < p <= 1.0:
-        raise ConfigError(f"p must lie in (0, 1], got {p}")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_value("p", p, "(0, 1]")
+    check_value("epsilon", epsilon, "(0, 1)")
     # p^(-eps) - 1 == expm1(-eps * ln p), accurate for small eps
     return p * math.expm1(-epsilon * math.log(p))
 
 
 def epsilon_analysis(epsilon: float) -> EpsilonAnalysis:
     """Closed-form maximizer of softmax_delta over p in (0, 1)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_value("epsilon", epsilon, "(0, 1)")
     # (1 - eps)^(1/eps) via exp(log1p(-eps)/eps) keeps small-eps accuracy
     p_star = math.exp(math.log1p(-epsilon) / epsilon)
     max_delta = p_star * (epsilon / (1.0 - epsilon))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_value
 
 IDX_DTYPE_U8 = 0x08
 IDX_IMAGE_MAGIC = 0x00000803   # u8, 3 dimensions
@@ -104,8 +104,7 @@ def split(dataset: Dataset, frac: float, seed: int = 0) -> tuple[Dataset, Datase
     """Label-stratified partition into (train, validation) that holds out
     ``frac`` of the samples, seeded by ``seed``; deterministic, disjoint
     and exhaustive."""
-    if not 0.0 <= frac < 1.0:
-        raise ConfigError(f"validation_fraction must lie in [0, 1), got {frac}")
+    check_value("validation_fraction", frac, "[0, 1)")
     n_val = int(round(frac * len(dataset)))
     if n_val == 0:
         return dataset, dataset.take(np.array([], dtype=np.int64), f"{dataset.name}/val")
@@ -129,8 +128,7 @@ def gen_blobs(n: int, k: int, sigma: float = 0.5, seed: int = 0) -> Dataset:
     centred on a circle of radius 2."""
     if k < 1 or n < k:
         raise ConfigError(f"need n >= k >= 1, got n={n}, k={k}")
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    check_value("sigma", sigma, "(0, inf)")
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rng = np.random.default_rng(seed)
@@ -171,6 +169,7 @@ def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2,
         raise ConfigError(f"need at least one sample per class, got n={n}")
     if not 0 <= shift <= digits_max_shift(size):
         raise ConfigError(f"shift {shift} outside [0, {digits_max_shift(size)}] for size {size}")
+    check_value("noise", noise, "[0, inf)")
     scale = max(1, (size - 2 * shift - 2) // 7)
     glyph_h, glyph_w = 7 * scale, 5 * scale
     templates = {}

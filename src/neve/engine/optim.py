@@ -6,9 +6,26 @@ epochs is the only lever the training controller pulls.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_fields, within
+
+
+@dataclass(frozen=True)
+class OptimizerSpec:
+    kind: str = within("sgd", ("sgd", "adam"))
+    lr: float = within(0.1, "[0, inf)")
+    momentum: float = within(0.9, "[0, 1)")
+    weight_decay: float = within(1e-4, "[0, inf)")
+    betas: tuple[float, ...] = within((0.9, 0.999), "[0, 1)")
+    eps: float = within(1e-8, "(0, inf)")
+
+    def validate(self) -> None:
+        check_fields(self, "optimizer.")
+        if len(self.betas) != 2:
+            raise ConfigError(f"optimizer.betas must be two values, got {list(self.betas)}")
 
 
 class Optimizer:
@@ -29,10 +46,7 @@ class Optimizer:
     def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
                  weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
-        if kind not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
-        if lr < 0:
-            raise ConfigError(f"learning rate must be non-negative, got {lr}")
+        OptimizerSpec(kind, lr, momentum, weight_decay, tuple(betas), eps).validate()
         self.kind = kind
         self.lr = float(lr)
         self.momentum = float(momentum)

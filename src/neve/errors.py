@@ -31,13 +31,17 @@ def shown(allowed) -> str:
     return allowed if isinstance(allowed, str) else "{" + ", ".join(allowed) + "}"
 
 
-def _inside(value, allowed) -> bool:
+def check_value(name: str, value, allowed) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` lies in ``allowed`` (see ``within``)."""
     if not isinstance(allowed, str):
-        return value in allowed
-    lo, hi = (float(end) for end in allowed[1:-1].split(","))
-    # every comparison with NaN is false, so NaN lies in no interval
-    return ((lo <= value if allowed[0] == "[" else lo < value)
-            and (value <= hi if allowed[-1] == "]" else value < hi))
+        inside = value in allowed
+    else:
+        lo, hi = (float(end) for end in allowed[1:-1].split(","))
+        # every comparison with NaN is false, so NaN lies in no interval
+        inside = ((lo <= value if allowed[0] == "[" else lo < value)
+                  and (value <= hi if allowed[-1] == "]" else value < hi))
+    if not inside:
+        raise ConfigError(f"{name} must lie in {shown(allowed)}, got {value!r}")
 
 
 def check_fields(spec, prefix: str = "") -> None:
@@ -48,6 +52,5 @@ def check_fields(spec, prefix: str = "") -> None:
         allowed = f.metadata.get("allowed")
         value = getattr(spec, f.name)
         for item in value if isinstance(value, tuple) else (value,):
-            if allowed is not None and item is not None and not _inside(item, allowed):
-                raise ConfigError(
-                    f"{prefix}{f.name} must lie in {shown(allowed)}, got {item!r}")
+            if allowed is not None and item is not None:
+                check_value(prefix + f.name, item, allowed)

@@ -1,11 +1,12 @@
 """Command-line surface: train, compare, sweeps and the epsilon analysis.
 
-Every flag in FLAGS overrides the matching key of the (optional) JSON
-config file. Flag values are checked by the config itself: an invalid
-one exits with code 2 and an error naming the field, before the output
-directory is created. Every subcommand runs a list of variant configs
-through one driver, which writes each run's records. The default output
-directory comes from NEVE_OUT_DIR when set; the --out flag wins over both.
+The (optional) JSON config file is type-checked as it is read, every flag
+in FLAGS replaces the matching key, and the merged config, not the file
+alone, is checked: an invalid value exits with code 2 and an error naming
+the field, before the output directory is created. Each subcommand builds
+its variants by the same key overrides and runs them through one driver,
+which writes each run's records. The output directory is --out, else
+NEVE_OUT_DIR, else ./neve-out.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 from ..controller import epsilon_analysis
-from ..errors import ConfigError, NeveError, shown
+from ..errors import ConfigError, NeveError, check_value, shown
 from .config import ExperimentConfig, config_from_file, field_types, merge_overrides
 from .runner import emit_csv, emit_plots, load_checked, run_training, summarize_results
 from .svg import line_chart
@@ -149,9 +150,9 @@ def _slug(label: str) -> str:
 def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, column: str):
     """Run every ``(label, tag, cfg)`` variant over its seeds.
 
-    Every variant config and what ``load_checked`` checks on its data are
-    checked, and no two tags may be equal, before the output directory is
-    created.
+    Each variant config was checked when it was built. What ``load_checked``
+    checks on each variant's data is checked, and no two tags may be equal,
+    before the output directory is created.
     Each run then writes ``run_<tag>_seed<N>.csv``, its velocity and loss
     charts and, with ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the
     empty tag drops ``<tag>_``). Last come the table and the summary CSV.
@@ -161,7 +162,6 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
         raise ConfigError(f"{args.command}: no variants to run")
     tags = set()
     for label, tag, cfg in variants:
-        cfg.validate()
         load_checked(cfg)
         if tag in tags:
             raise ConfigError(f"variant {label!r}: another variant has the tag {tag!r}, "
@@ -176,7 +176,7 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
         for seed in cfg.seeds:
             name = f"{tag}_seed{seed}" if tag else f"seed{seed}"
             dump_dir = None
-            if cfg.dump_velocity and cfg.probe_velocity:
+            if cfg.dump_velocity:
                 dump_dir = out / f"velocity_{name}"
                 dump_dir.mkdir(exist_ok=True)
             result = run_training(cfg, seed, dump_dir=dump_dir)
@@ -214,9 +214,8 @@ def cmd_compare(args) -> int:
                        ("vloss", args.vloss_fraction)):
         # int() raises on NaN; // 1 truncates as int() does and leaves NaN to validate()
         label = f"{kind} ({100 * frac // 1:.0f}% val)"
-        variants.append((label, _slug(label), dataclasses.replace(
-            base, scheduler=dataclasses.replace(base.scheduler, kind=kind),
-            dataset=dataclasses.replace(base.dataset, validation_fraction=frac))))
+        variants.append((label, _slug(label), merge_overrides(
+            base, {"scheduler.kind": kind, "dataset.validation_fraction": frac})))
     out, runs = _run_variants(args, base, variants, "summary.csv", "scheduler")
     acc_series = [(summary.label, [r.epoch for r in results[0].records],
                    [r.test_acc for r in results[0].records])
@@ -233,8 +232,8 @@ def cmd_epsilon_sweep(args) -> int:
     variants = []
     for eps in args.eps_grid:
         label = f"eps={eps:g}"
-        variants.append((label, _slug(label), dataclasses.replace(
-            base, scheduler=dataclasses.replace(base.scheduler, kind="neve", epsilon=eps))))
+        variants.append((label, _slug(label), merge_overrides(
+            base, {"scheduler.kind": "neve", "scheduler.epsilon": eps})))
     out, runs = _run_variants(args, base, variants, "epsilon_sweep.csv", "epsilon")
     grid = [cfg.scheduler.epsilon for cfg, _, _ in runs]
     line_chart(out / "epsilon_stop_epochs.svg",
@@ -253,20 +252,18 @@ def cmd_aux_sweep(args) -> int:
     variants = []
     for frac in args.val_fracs:
         label = f"val={frac:g}"
-        variants.append((label, _slug(label), dataclasses.replace(
-            base, scheduler=dataclasses.replace(base.scheduler, kind="fixed"),
-            dataset=dataclasses.replace(base.dataset, validation_fraction=frac),
-            probe_velocity=False, probe_aux=())))
+        variants.append((label, _slug(label), merge_overrides(
+            base, {"scheduler.kind": "fixed", "dataset.validation_fraction": frac,
+                   "probe_velocity": False, "probe_aux": (), "dump_velocity": False})))
     for source in args.aux_sources:
         frac = base.dataset.validation_fraction
         if source == "heldout" and frac <= 0:
             frac = args.heldout_fraction
         for count in args.aux_sizes:
             label = f"{source}/{count}"
-            variants.append((label, _slug(label), dataclasses.replace(
-                base, scheduler=dataclasses.replace(base.scheduler, kind="neve"),
-                dataset=dataclasses.replace(base.dataset, validation_fraction=frac),
-                aux=dataclasses.replace(base.aux, source=source, count=count))))
+            variants.append((label, _slug(label), merge_overrides(
+                base, {"scheduler.kind": "neve", "dataset.validation_fraction": frac,
+                       "aux.source": source, "aux.count": count})))
     out, runs = _run_variants(args, base, variants, "aux_sweep.csv", "setting")
     frac_rows = [(cfg.dataset.validation_fraction, s.mean_acc)
                  for cfg, _, s in runs if cfg.scheduler.kind == "fixed"]
@@ -291,7 +288,11 @@ def cmd_aux_sweep(args) -> int:
 
 
 def cmd_epsilon_analysis(args) -> int:
-    grid = args.eps_grid if args.eps_grid else (args.eps,)
+    flag, grid = ("--eps-grid", args.eps_grid) if args.eps_grid else ("--eps", (args.eps,))
+    for eps in grid:
+        check_value(flag, eps, "(0, 1)")
+    if args.svg and not Path(args.svg).parent.is_dir():
+        raise ConfigError(f"--svg directory {Path(args.svg).parent} does not exist")
     rows = [(f"{eps:g}", f"{epsilon_analysis(eps).max_delta:.6g}") for eps in grid]
     _print_table(("epsilon", "max_delta"), rows)
     if args.svg:
@@ -310,9 +311,8 @@ def cmd_optim_compare(args) -> int:
     for kind, lr in (("sgd", base.optimizer.lr), ("adam", args.adam_lr)):
         for sched in ("neve", "fixed"):
             label = f"{kind}/{sched}"
-            variants.append((label, _slug(label), dataclasses.replace(
-                base, optimizer=dataclasses.replace(base.optimizer, kind=kind, lr=lr),
-                scheduler=dataclasses.replace(base.scheduler, kind=sched))))
+            variants.append((label, _slug(label), merge_overrides(
+                base, {"optimizer.kind": kind, "optimizer.lr": lr, "scheduler.kind": sched})))
     out, runs = _run_variants(args, base, variants, "optim_compare.csv",
                               "optimizer/scheduler")
     vel_series = []

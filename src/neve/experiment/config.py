@@ -1,9 +1,9 @@
 """Experiment configuration: nested specs, JSON files and flag overrides.
 
-A config arrives as a JSON file, a plain dict, or CLI flags layered on
-top of either; unknown keys and out-of-range values raise ConfigError
-naming the offending field. The fully resolved config is echoed into the
-output directory for provenance.
+A config arrives as a JSON file or a plain dict, type-checked as it is
+read; CLI flags and sweep variants are dotted-key overrides on top, and
+the merged config is validated once. Unknown keys and out-of-range values
+raise ConfigError naming the offending field.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from ..controller import SchedulerSpec
 from ..data import digits_max_shift
+from ..engine.optim import OptimizerSpec
 from ..errors import ConfigError, check_fields, within
 
 AUX_SOURCES = ("noise", "heldout", "train")
@@ -145,21 +146,6 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
-    kind: str = within("sgd", ("sgd", "adam"))
-    lr: float = within(0.1, "[0, inf)")
-    momentum: float = within(0.9, "[0, 1)")
-    weight_decay: float = within(1e-4, "[0, inf)")
-    betas: tuple[float, ...] = within((0.9, 0.999), "[0, 1)")
-    eps: float = within(1e-8, "(0, inf)")
-
-    def validate(self) -> None:
-        check_fields(self, "optimizer.")
-        if len(self.betas) != 2:
-            raise ConfigError(f"optimizer.betas must be two values, got {list(self.betas)}")
-
-
-@dataclass(frozen=True)
 class AuxSpec:
     source: str = within("noise", AUX_SOURCES)
     count: int = within(100, "[1, inf)")
@@ -193,9 +179,10 @@ class ExperimentConfig:
         if self.scheduler.kind == "vloss" and self.dataset.validation_fraction <= 0:
             raise ConfigError(
                 "scheduler.kind 'vloss' requires dataset.validation_fraction > 0")
-        if not self.probe_velocity and (self.scheduler.kind == "neve" or self.probe_aux):
-            needs = "scheduler.kind 'neve'" if self.scheduler.kind == "neve" else "probe_aux"
-            raise ConfigError(f"{needs} requires probe_velocity")
+        for needs, on in (("scheduler.kind 'neve'", self.scheduler.kind == "neve"),
+                          ("probe_aux", self.probe_aux), ("dump_velocity", self.dump_velocity)):
+            if on and not self.probe_velocity:
+                raise ConfigError(f"{needs} requires probe_velocity")
         if "heldout" in self.probed_sources() and self.dataset.validation_fraction <= 0:
             raise ConfigError(
                 "aux source 'heldout' requires dataset.validation_fraction > 0")
@@ -234,7 +221,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_from_file(path) -> ExperimentConfig:
-    """Load a JSON config file."""
+    """Load a JSON config file, type-checked but not validated, so that
+    overrides can complete it; ``merge_overrides`` validates the result."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -242,11 +230,11 @@ def config_from_file(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
-    return config_from_dict(raw)
+    return _from_dict(ExperimentConfig, raw, "")
 
 
 def merge_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Layer dotted-key overrides (e.g. "scheduler.epsilon") onto a config."""
+    """Layer dotted-key overrides (e.g. "scheduler.epsilon") onto a config and validate it."""
     raw = cfg.to_dict()
     for key, value in overrides.items():
         if value is None:

@@ -16,7 +16,7 @@ import io
 import os
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -189,10 +189,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     """
     cfg.validate()
     train, val, test, model = load_checked(cfg, seed)
-    opt = Optimizer(kind=cfg.optimizer.kind, lr=cfg.optimizer.lr,
-                    momentum=cfg.optimizer.momentum,
-                    weight_decay=cfg.optimizer.weight_decay,
-                    betas=cfg.optimizer.betas, eps=cfg.optimizer.eps)
+    opt = Optimizer(**asdict(cfg.optimizer))
     sched = cfg.scheduler_config()
     sched_state = SchedulerState()
 

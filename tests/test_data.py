@@ -47,6 +47,11 @@ class TestBlobs:
         with pytest.raises(ConfigError):
             gen_blobs(10, 2, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match=r"^sigma must lie in \(0, inf\), got "):
+            gen_blobs(100, 4, sigma=sigma)
+
 
 class TestDigits:
     def test_deterministic_and_quantized(self):
@@ -60,6 +65,11 @@ class TestDigits:
         assert ds.samples.shape == (40, 1, 28, 28)
         assert ds.n_classes == 10
         assert set(np.unique(ds.labels)) == set(range(10))
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_noise_outside_range_rejected(self, noise):
+        with pytest.raises(ConfigError, match=r"^noise must lie in \[0, inf\), got "):
+            gen_digits(20, noise=noise)
 
 
 class TestIdx:

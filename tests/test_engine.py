@@ -747,11 +747,15 @@ class TestOptimizers:
             opt.step(_Single())
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_rejects_unknown_kind_and_negative_lr(self):
-        with pytest.raises(ConfigError):
-            Optimizer(kind="rmsprop")
-        with pytest.raises(ConfigError):
-            Optimizer(lr=-0.1)
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"kind": "rmsprop"}, "kind"), ({"lr": -0.1}, "lr"), ({"lr": float("nan")}, "lr"),
+        ({"momentum": 1.5}, "momentum"), ({"weight_decay": float("nan")}, "weight_decay"),
+        ({"weight_decay": -1}, "weight_decay"), ({"eps": 0}, "eps"),
+        ({"kind": "adam", "betas": (0.9, 1.0)}, "betas"),
+        ({"kind": "adam", "betas": (0.9,)}, "betas")])
+    def test_out_of_range_argument_names_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=rf"^optimizer\.{field} must "):
+            Optimizer(**kwargs)
 
 
 class TestEvaluate:

@@ -635,12 +635,15 @@ class TestCli:
                      "--n-classes", "3", "--arch", "mlp:2-8-3", "--seeds", "1",
                      "--max-epochs", "4", "--val-fracs", "0,0.2",
                      "--aux-sizes", "5,20", "--aux-sources", "noise",
-                     "--out", str(tmp_path)])
+                     "--dump-velocity", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "accuracy_vs_val_fraction.svg").exists()
         assert (tmp_path / "accuracy_vs_aux_size.svg").exists()
         assert (tmp_path / "run_val-0.2_seed1.csv").exists()
         assert (tmp_path / "run_noise-20_seed1.csv").exists()
+        # the probe-free val= variants dump nothing; the probed ones dump every epoch
+        assert sorted(p.name for p in tmp_path.glob("velocity_*_seed1")) == [
+            "velocity_noise-20_seed1", "velocity_noise-5_seed1"]
 
     def test_optim_compare_runs_both_optimizers(self, tmp_path, capsys):
         code = main(["optim-compare", "--dataset", "blobs", "--n-samples", "200",
@@ -662,6 +665,18 @@ class TestCli:
         svg = tmp_path / "eps.svg"
         assert main(["epsilon-analysis", "--eps", "1e-3", "--svg", str(svg)]) == 0
         assert svg.exists() and "polyline" in svg.read_text()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--eps", "1e-3", "--svg", "missing-dir/x.svg"], "--svg"),
+        (["--eps", "nan"], "--eps"), (["--eps-grid", "1e-3,nan"], "--eps-grid")])
+    def test_epsilon_analysis_bad_value_exits_2_naming_flag(self, argv, flag, tmp_path,
+                                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["epsilon-analysis", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""           # checked before any work
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_dir_env_honored_and_flag_wins(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from-env"
@@ -711,7 +726,17 @@ class TestCli:
         (["aux-sweep", "--heldout-fraction", "inf"], "dataset.validation_fraction"),
         (["train", {"dataset": {"split_seed": -1}}], "dataset.split_seed"),
         (["train", {"scheduler": {"min_lr": -1.0}}], "scheduler.min_lr"),
-        (["train", {"scheduler": {"min_lr": float("nan")}}], "scheduler.min_lr")])
+        (["train", {"scheduler": {"min_lr": float("nan")}}], "scheduler.min_lr"),
+        # a flag can make a valid file invalid; a flag does not excuse a mistyped file value
+        (["train", "--val-fraction", "0",
+          {"scheduler": {"kind": "vloss"}, "dataset": {"validation_fraction": 0.3}}],
+         "dataset.validation_fraction"),
+        (["train", "--lr", "0.1", {"optimizer": {"lr": "0.1"}}], "optimizer.lr"),
+        # a velocity dump needs the probes
+        (["train", "--scheduler", "fixed", "--no-probe", "--dump-velocity"],
+         "dump_velocity requires probe_velocity"),
+        (["train", "--dump-velocity", {"scheduler": {"kind": "fixed"}, "probe_velocity": False}],
+         "dump_velocity requires probe_velocity")])
     def test_subcommand_value_checked_before_output(self, argv, key, tmp_path, capsys):
         if isinstance(argv[-1], dict):          # the content of a config file
             conf = tmp_path / "conf.json"
@@ -723,6 +748,30 @@ class TestCli:
                                                       "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw,flags", [
+        ({"scheduler": {"kind": "vloss"}}, ["--val-fraction", "0.3"]),
+        ({"probe_velocity": False}, ["--scheduler", "fixed"]),
+        ({"dataset": {"name": "idx"}}, "idx paths")])
+    def test_flags_complete_a_config_file(self, raw, flags, tmp_path):
+        # each file alone is invalid; the merged config is checked once
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(raw))
+        if flags == "idx paths":
+            flags = ["--arch", "mlp:16-2"]
+            for part in ("train", "test"):
+                images, labels = tmp_path / f"{part}-images", tmp_path / f"{part}-labels"
+                write_idx(Dataset(part, np.zeros((10, 1, 4, 4)), np.arange(10) % 2, 2),
+                          images, labels)
+                flags += [f"--{part}-images", str(images), f"--{part}-labels", str(labels)]
+        else:
+            flags = [*TINY_CLI, *flags]
+        with pytest.raises(ConfigError):
+            config_from_file(conf).validate()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), *flags, "--max-epochs", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "run_seed1.csv").exists()
 
     @pytest.mark.parametrize("argv", [["epsilon-sweep", "--eps-grid", "1e-3,0.001"],
                                       ["aux-sweep", "--aux-sizes", "10,10"]])

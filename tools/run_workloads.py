@@ -7,9 +7,12 @@ this tool, so that two trees get the same arguments), runs
 ``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
 imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
 numpy loads. Each workload writes its run directory ``OUT/<name>``.
-Three small runs follow, each covering a path no workload takes: an
+Four small runs follow, each covering a path no workload takes: an
 ``optim-compare`` run (blobs; SGD with momentum and Adam, each under neve
-and fixed, weight decay 1e-3) into ``OUT/optim-compare``; a digits
+and fixed, weight decay 1e-3) into ``OUT/optim-compare``; an
+``aux-sweep`` run (blobs; probe-free ``val=0`` and ``val=0.2`` variants,
+then the ``noise`` and ``heldout`` aux sources at two sizes each, with
+``--dump-velocity``) into ``OUT/aux-sweep``; a digits
 ``train`` run into ``OUT/conv-geometry`` whose conv net (a k5/s1/p2 conv,
 then a k3/s3/p0 conv; passed in a config file written there) trains at
 batch 50 with ``pad_crop_flip``, so that tail batches and other conv
@@ -51,6 +54,15 @@ def optim_compare_args(seed: int, out_dir: Path) -> list[str]:
             "--n-samples", "600", "--test-samples", "300", "--arch", "mlp:2-32-32-4",
             "--batch-size", "64", "--max-epochs", "15", "--momentum", "0.9",
             "--weight-decay", "1e-3", "--adam-lr", "0.01"]
+
+
+def aux_sweep_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra aux-sweep run; a function of the seed alone."""
+    return ["aux-sweep", "--out", str(out_dir), "--seeds", str(3 * seed + 1),
+            "--data-seed", str(seed), "--aux-seed", str(seed), "--dataset", "blobs",
+            "--n-samples", "400", "--test-samples", "200", "--arch", "mlp:2-16-4",
+            "--batch-size", "64", "--max-epochs", "8", "--val-fracs", "0,0.2",
+            "--aux-sizes", "5,50", "--aux-sources", "noise,heldout", "--dump-velocity"]
 
 
 # 1x28x28 -> 4x28x28 (k5/s1/p2) -> 6x9x9 (k3/s3/p0) -> 10
@@ -97,8 +109,8 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str((args.src / "src").resolve()))
     failed = []
-    extra = {"optim-compare": optim_compare_args, "conv-geometry": conv_geometry_args,
-             "data-paths": data_paths_args}
+    extra = {"optim-compare": optim_compare_args, "aux-sweep": aux_sweep_args,
+             "conv-geometry": conv_geometry_args, "data-paths": data_paths_args}
     for name in (*workloads.WORKLOADS, *extra):
         out_dir = args.out / name
         out_dir.mkdir(parents=True, exist_ok=True)
