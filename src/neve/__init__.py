@@ -11,7 +11,7 @@ from .controller import (ControllerDecision, EpsilonAnalysis, SchedulerSpec,
 from .data import (AuxSet, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                    load_idx, make_aux_from_samples, make_aux_noise, split, standardize,
                    write_idx)
-from .engine import Model, Optimizer, backward_and_step, build_model, evaluate
+from .engine import Model, Optimizer, OptimizerSpec, backward_and_step, build_model, evaluate
 from .errors import ConfigError, DataFormatError, NeveError, NumericError
 from .velocity import (ActivationSnapshot, VelocityState, change_rate,
                        normalize_capture, velocity_step)
@@ -24,7 +24,7 @@ __all__ = [
     "AuxSet", "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
     "load_idx", "make_aux_from_samples", "make_aux_noise", "split", "standardize",
     "write_idx",
-    "Model", "Optimizer", "backward_and_step", "build_model", "evaluate",
+    "Model", "Optimizer", "OptimizerSpec", "backward_and_step", "build_model", "evaluate",
     "ConfigError", "DataFormatError", "NeveError", "NumericError",
     "ActivationSnapshot", "VelocityState", "change_rate", "normalize_capture",
     "velocity_step",

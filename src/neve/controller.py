@@ -25,7 +25,7 @@ from .errors import ConfigError, check_fields, check_value, within
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Exactly one scheduler drives the run: neve, fixed, step_decay or vloss.
-    ``validate`` checks every field whatever the kind, because one spec
+    Building one checks every field whatever the kind, because one spec
     drives every kind in ``neve compare``. A ``cooldown`` of None means
     ``patience``, and a ``min_lr`` of None sets no floor."""
 
@@ -46,7 +46,7 @@ class SchedulerSpec:
     vloss_patience: int = within(5, "[1, inf)")
     stop_patience: int = within(10, "[1, inf)")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self, "scheduler.")
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ConfigError(
@@ -156,7 +156,6 @@ def baseline_decide(cfg: SchedulerSpec, signals, lr: float,
     """Decision of a reference scheduler at ``epoch``, folded from epoch 1.
     ``signals`` is the per-epoch validation-loss series (epoch 1 first),
     required for the vloss kind and ignored otherwise."""
-    cfg.validate()
     if epoch < 1:
         raise ConfigError(f"epoch must be >= 1, got {epoch}")
     if cfg.kind != "vloss":
@@ -173,7 +172,6 @@ def baseline_decide(cfg: SchedulerSpec, signals, lr: float,
 def replay_neve_decisions(signals, sched, initial_lr: float) -> list[ControllerDecision]:
     """Re-derive a run's decisions by folding its recorded per-epoch signal
     series; used to audit recorded runs against the pure step."""
-    sched.validate()
     state, lr, out = SchedulerState(), initial_lr, []
     for signal in signals:
         state, decision = neve_decide(sched, state, signal, lr)

@@ -3,10 +3,10 @@
 Datasets and auxiliary sets are immutable after construction and safely
 shareable across concurrent runs; every random choice is driven by an
 explicit seed or a caller-supplied generator. The functions here take
-plain arguments; the run configuration's ``DatasetSpec`` names and
-checks them, and the runner's ``load_dataset`` reuses the last loaded
-(train, test) pair across runs and makes its arrays read-only, so an
-in-place write raises ValueError.
+plain arguments; the run configuration's ``DatasetSpec`` names them and
+checks them when it is built, and the runner's ``load_dataset`` reuses
+the last loaded (train, test) pair across runs and makes its arrays
+read-only, so an in-place write raises ValueError.
 """
 
 from __future__ import annotations

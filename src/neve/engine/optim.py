@@ -22,14 +22,15 @@ class OptimizerSpec:
     betas: tuple[float, ...] = within((0.9, 0.999), "[0, 1)")
     eps: float = within(1e-8, "(0, inf)")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self, "optimizer.")
         if len(self.betas) != 2:
             raise ConfigError(f"optimizer.betas must be two values, got {list(self.betas)}")
 
 
 class Optimizer:
-    """Parameter updater for a Model; kind is "sgd" or "adam".
+    """Parameter updater for a Model, set up by an ``OptimizerSpec``
+    (kind "sgd" or "adam"), which checked its values when it was built.
 
     SGD follows the momentum-buffer convention (buf = m*buf + g;
     p -= lr*buf) and Adam the bias-corrected moment estimates with
@@ -43,16 +44,10 @@ class Optimizer:
     expression, so the bits do not change.
     """
 
-    def __init__(self, kind: str = "sgd", lr: float = 0.1, momentum: float = 0.0,
-                 weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
-        OptimizerSpec(kind, lr, momentum, weight_decay, tuple(betas), eps).validate()
-        self.kind = kind
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
+    def __init__(self, spec: OptimizerSpec = OptimizerSpec()):
+        self.kind, self.momentum, self.weight_decay = spec.kind, spec.momentum, spec.weight_decay
+        self.betas, self.eps = spec.betas, spec.eps
+        self.lr = spec.lr
         self._state: dict = {}   # (layer index, parameter name) -> [scratch, *buffers]
         self._t = 0
 

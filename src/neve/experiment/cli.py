@@ -2,11 +2,11 @@
 
 The (optional) JSON config file is type-checked as it is read, every flag
 in FLAGS replaces the matching key, and the merged config, not the file
-alone, is checked: an invalid value exits with code 2 and an error naming
-the field, before the output directory is created. Each subcommand builds
-its variants by the same key overrides and runs them through one driver,
-which writes each run's records. The output directory is --out, else
-NEVE_OUT_DIR, else ./neve-out.
+alone, is built, which checks it: an invalid value exits with code 2 and
+an error naming the field, before the output directory is created. Each
+subcommand builds its variants by the same key overrides and runs them
+through one driver, which writes each run's records. The output
+directory is --out, else NEVE_OUT_DIR, else ./neve-out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import get_args, get_origin
 
 from ..controller import epsilon_analysis
 from ..errors import ConfigError, NeveError, check_value, shown
-from .config import ExperimentConfig, config_from_file, field_types, merge_overrides
+from .config import (ExperimentConfig, config_from_dict, config_from_file, field_types,
+                     merge_overrides)
 from .runner import emit_csv, emit_plots, load_checked, run_training, summarize_results
 from .svg import line_chart
 
@@ -67,7 +68,7 @@ FLAGS = {
 
 
 def _flag_type(hint):
-    """argparse type for a field annotation; values are checked by validate()."""
+    """argparse type for a field annotation; the config built from the value checks it."""
     if get_origin(hint) is tuple:
         return {int: _parse_ints, str: _parse_names}[get_args(hint)[0]]
     if hint is object:          # arch: the shorthand string
@@ -76,10 +77,9 @@ def _flag_type(hint):
     return args[0] if args else hint
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, defaults=ExperimentConfig()) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory (default $NEVE_OUT_DIR or ./neve-out)")
-    defaults = ExperimentConfig()
     for flag, key in FLAGS.items():
         owner, hint, default = None, ExperimentConfig, defaults
         for part in key.split("."):
@@ -96,8 +96,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    cfg = config_from_file(args.config) if args.config else ExperimentConfig()
-    return merge_overrides(cfg, {key: getattr(args, key) for key in FLAGS.values()})
+    flags = {key: getattr(args, key) for key in FLAGS.values()}
+    return config_from_file(args.config, flags) if args.config else config_from_dict({}, flags)
 
 
 def ensure_out_dir(args) -> Path:
@@ -212,7 +212,7 @@ def cmd_compare(args) -> int:
     variants = []
     for kind, frac in (("neve", 0.0), ("fixed", 0.0), ("step_decay", 0.0),
                        ("vloss", args.vloss_fraction)):
-        # int() raises on NaN; // 1 truncates as int() does and leaves NaN to validate()
+        # int() raises on NaN; // 1 truncates as int() does and leaves NaN to the config check
         label = f"{kind} ({100 * frac // 1:.0f}% val)"
         variants.append((label, _slug(label), merge_overrides(
             base, {"scheduler.kind": kind, "dataset.validation_fraction": frac})))

@@ -1,9 +1,10 @@
 """Experiment configuration: nested specs, JSON files and flag overrides.
 
 A config arrives as a JSON file or a plain dict, type-checked as it is
-read; CLI flags and sweep variants are dotted-key overrides on top, and
-the merged config is validated once. Unknown keys and out-of-range values
-raise ConfigError naming the offending field.
+read into plain dicts; CLI flags and sweep variants are dotted-key
+overrides laid on top, and the result is built once. Every spec checks
+itself when it is built, so any instance that exists is valid. Unknown
+keys and out-of-range values raise ConfigError naming the offending field.
 """
 
 from __future__ import annotations
@@ -58,15 +59,16 @@ def _typed(value, hint, name: str):
     raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def _from_dict(cls, raw: dict, prefix: str):
-    """Build ``cls`` from plain dicts, recursing into nested specs.
+def _from_dict(cls, raw: dict, prefix: str, build: bool = True):
+    """Build ``cls`` from plain dicts, recursing into nested specs; with
+    ``build`` false, return the type-checked plain dicts instead.
 
     The field annotations drive the conversion: each value must fit its
     field's type (an int field takes no bool or float, a float field takes
     an int, ``X | None`` takes null) and JSON lists become tuples. A field
     annotated ``object`` (``arch``, a layer-dict list) is left to the
     architecture walk. Unknown keys and misfits raise ConfigError naming
-    the dotted field.
+    the dotted field. A spec checks its values as it is built.
     """
     hints = field_types(cls)
     kwargs = {}
@@ -77,11 +79,29 @@ def _from_dict(cls, raw: dict, prefix: str):
         if dataclasses.is_dataclass(hint):
             if not isinstance(value, dict):
                 raise ConfigError(f"config field '{prefix}{key}' must be a mapping")
-            value = _from_dict(hint, value, f"{prefix}{key}.")
+            value = _from_dict(hint, value, f"{prefix}{key}.", build)
         elif hint is not object:
             value = _typed(value, hint, prefix + key)
         kwargs[key] = value
-    return cls(**kwargs)
+    return cls(**kwargs) if build else kwargs
+
+
+def _layer(raw: dict, overrides: dict) -> dict:
+    """Lay dotted-key overrides (e.g. "scheduler.epsilon") onto config dicts
+    in place, skipping None values. A key through a field that is no section
+    raises ConfigError naming it; the build names an unknown last part."""
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        node, cls = raw, ExperimentConfig
+        *sections, name = key.split(".")
+        for part in sections:
+            cls = field_types(cls).get(part)
+            if not dataclasses.is_dataclass(cls):
+                raise ConfigError(f"unknown config field {key!r}")
+            node = node.setdefault(part, {})
+        node[name] = value
+    return raw
 
 
 @dataclass(frozen=True)
@@ -89,9 +109,9 @@ class DatasetSpec:
     """What to train on and how to slice it.
 
     ``subset`` caps the training set (stratified) before the validation
-    split is carved out, mirroring a data-scarce regime. ``validate``
-    checks the fields, dotted names in its errors, before any output is
-    written; the data functions take their values as plain arguments.
+    split is carved out, mirroring a data-scarce regime. A spec checks its
+    fields when it is built, with dotted names in its errors; the data
+    functions take their values as plain arguments.
     """
 
     name: str = within("blobs", ("blobs", "digits", "idx", "cifar10"))
@@ -116,7 +136,7 @@ class DatasetSpec:
     cifar_train_paths: tuple[str, ...] = ()
     cifar_test_paths: tuple[str, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self, "dataset.")
         most = digits_max_shift()
         if self.name == "digits" and not 0 <= self.shift <= most:
@@ -151,6 +171,9 @@ class AuxSpec:
     count: int = within(100, "[1, inf)")
     seed: int = within(0, "[0, inf)")
 
+    def __post_init__(self):
+        check_fields(self, "aux.")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,11 +189,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = within((1,), "[0, inf)")
     dump_velocity: bool = False
 
-    def validate(self) -> None:
-        self.dataset.validate()
-        self.optimizer.validate()
-        self.scheduler.validate()
-        check_fields(self.aux, "aux.")
+    def __post_init__(self):
+        # each section checked itself when it was built
         check_fields(self)
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
@@ -213,16 +233,16 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build and validate a config from nested plain dicts."""
-    cfg = _from_dict(ExperimentConfig, raw, "")
-    cfg.validate()
-    return cfg
+def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Build a config from nested plain dicts, type-checked as they are
+    read, with dotted-key ``overrides`` laid on them; so ``raw`` may be
+    incomplete or out of range, and only the result is checked."""
+    raw = _from_dict(ExperimentConfig, raw, "", build=False)
+    return _from_dict(ExperimentConfig, _layer(raw, overrides or {}), "")
 
 
-def config_from_file(path) -> ExperimentConfig:
-    """Load a JSON config file, type-checked but not validated, so that
-    overrides can complete it; ``merge_overrides`` validates the result."""
+def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load a JSON config file and build it as ``config_from_dict`` does."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -230,22 +250,9 @@ def config_from_file(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
-    return _from_dict(ExperimentConfig, raw, "")
+    return config_from_dict(raw, overrides)
 
 
 def merge_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Layer dotted-key overrides (e.g. "scheduler.epsilon") onto a config and validate it."""
-    raw = cfg.to_dict()
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        node = raw
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node:
-                raise ConfigError(f"unknown config field {key!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config field {key!r}")
-        node[parts[-1]] = value
-    return config_from_dict(raw)
+    """A copy of ``cfg`` with dotted-key overrides (e.g. "scheduler.epsilon") applied."""
+    return _from_dict(ExperimentConfig, _layer(cfg.to_dict(), overrides), "")

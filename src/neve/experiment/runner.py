@@ -16,7 +16,7 @@ import io
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +98,8 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     """
     global _last_load
     stats = [os.stat(path) for _, path in spec.files()]
-    key = (replace(spec, validation_fraction=0.0, augment="none"),
+    # a dict, not a replaced spec, which would check itself again on every run
+    key = (dict(vars(spec), validation_fraction=0.0, augment="none"),
            [(st.st_size, st.st_mtime_ns) for st in stats])
     if _last_load[0] == key:
         return _last_load[1]
@@ -187,9 +188,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     A NumericError mid-run marks the result failed and preserves the
     records accumulated so far.
     """
-    cfg.validate()
     train, val, test, model = load_checked(cfg, seed)
-    opt = Optimizer(**asdict(cfg.optimizer))
+    opt = Optimizer(cfg.optimizer)
     sched = cfg.scheduler_config()
     sched_state = SchedulerState()
 
@@ -281,8 +281,7 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
             warnings.warn(f"seed {seed} failed: {result.error}", stacklevel=2)
             continue
         accs.append(result.final.test_acc)
-        stops.append(result.stop_epoch if result.stop_epoch is not None
-                     else result.final.epoch)
+        stops.append(result.final.epoch)
     if accs:
         mean_acc, std_acc = float(np.mean(accs)), float(np.std(accs))
         mean_stop, std_stop = float(np.mean(stops)), float(np.std(stops))

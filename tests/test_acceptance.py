@@ -16,7 +16,7 @@ from scipy.stats import spearmanr
 from neve.controller import (SchedulerSpec, SchedulerState, epsilon_analysis,
                              neve_decide)
 from neve.data import gen_blobs, make_aux_noise
-from neve.engine import Optimizer, backward_and_step, build_model
+from neve.engine import Optimizer, OptimizerSpec, backward_and_step, build_model
 from neve.experiment import (config_from_dict, records_to_csv,
                              replay_neve_decisions, run_training)
 from neve.velocity import (VelocityState, change_rate, normalize_capture,
@@ -175,8 +175,8 @@ def test_c05_frozen_model_sanity():
 
         def frozen_loop(warm_epochs):
             model = build_model("mlp:2-16-3", seed=3)
-            opt = Optimizer(kind="sgd", lr=0.1 if warm_epochs else 0.0,
-                            momentum=0.9, weight_decay=1e-4)
+            opt = Optimizer(OptimizerSpec(kind="sgd", lr=0.1 if warm_epochs else 0.0,
+                                          momentum=0.9, weight_decay=1e-4))
             state = VelocityState.initial(model.n_probed_neurons)
             sched_state = SchedulerState()
             prev = normalize_capture(

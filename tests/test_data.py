@@ -7,7 +7,7 @@ import pytest
 from neve.data import (AUGMENT_PAD, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                        load_idx, make_aux_from_samples, make_aux_noise, split,
                        standardize, write_idx)
-from neve.engine import Optimizer, backward_and_step, build_model, evaluate
+from neve.engine import Optimizer, OptimizerSpec, backward_and_step, build_model, evaluate
 from neve.errors import ConfigError, DataFormatError
 
 
@@ -29,7 +29,7 @@ class TestBlobs:
         # >= 99% train accuracy
         ds = gen_blobs(400, 2, sigma=0.1, seed=3)
         model = build_model("mlp:2-2", seed=0)
-        opt = Optimizer(lr=0.5)
+        opt = Optimizer(OptimizerSpec(lr=0.5, momentum=0.0, weight_decay=0.0))
         for _ in range(60):
             backward_and_step(model, ds.samples, ds.labels, opt)
         _, acc = evaluate(model, ds.samples, ds.labels)

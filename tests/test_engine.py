@@ -13,8 +13,8 @@ import numpy.testing as npt
 import pytest
 
 from neve.data import gen_blobs
-from neve.engine import (Conv2d, Dense, Optimizer, backward_and_step, build_model,
-                         compute_gradients, cross_entropy, evaluate, softmax)
+from neve.engine import (Conv2d, Dense, Optimizer, OptimizerSpec, backward_and_step,
+                         build_model, compute_gradients, cross_entropy, evaluate, softmax)
 from neve.errors import ConfigError, NeveError, NumericError
 
 FD_STEP = 1e-5
@@ -146,7 +146,7 @@ class TestForward:
 
     def test_probe_shapes_stable_across_steps(self):
         m = build_model("mlp:4-6-3", seed=5)
-        opt = Optimizer(lr=0.05)
+        opt = Optimizer(OptimizerSpec(lr=0.05, momentum=0.0, weight_decay=0.0))
         rng = np.random.default_rng(2)
         x = rng.standard_normal((9, 4))
         y = rng.integers(0, 3, size=9)
@@ -462,7 +462,7 @@ class TestGradients:
             def trainable(self):
                 yield 0, layer.params, layer.grads
 
-        Optimizer(lr=0.1).step(_Single())
+        Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0)).step(_Single())
         assert layer.params["W"][0, 0] == 1.0 - 0.1 * 4.0
         assert layer.params["b"][0] == 0.0 - 0.1 * 2.0
 
@@ -637,7 +637,7 @@ class TestOptimizers:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, size=6)
-        return m, Optimizer(kind=kind, **kw), x, y
+        return m, Optimizer(OptimizerSpec(kind=kind, **kw)), x, y
 
     def test_sgd_zero_lr_keeps_parameters(self):
         m, opt, x, y = self._setup("sgd", lr=0.0, momentum=0.9, weight_decay=1e-4)
@@ -648,7 +648,7 @@ class TestOptimizers:
                 assert np.array_equal(p, before[(i, n)])
 
     def test_sgd_momentum_matches_reference_recurrence(self):
-        m, opt, x, y = self._setup("sgd", lr=0.1, momentum=0.9)
+        m, opt, x, y = self._setup("sgd", lr=0.1, momentum=0.9, weight_decay=0.0)
         w_layer = m.layers[0]
         bufs = None
         for _ in range(3):
@@ -681,7 +681,7 @@ class TestOptimizers:
 
     def test_adam_first_step_size(self):
         # with bias correction the first Adam step is ~lr * sign(g)
-        m, opt, x, y = self._setup("adam", lr=1e-3)
+        m, opt, x, y = self._setup("adam", lr=1e-3, weight_decay=0.0)
         w = m.layers[0].params["W"]
         before = w.copy()
         compute_gradients(m, x, y)
@@ -712,8 +712,9 @@ class TestOptimizers:
         # after the first step every temporary lives in a kept scratch array
         rng = np.random.default_rng(11)
         m = build_model("mlp:784-128-64-10", seed=3)
-        opt = Optimizer(kind=kind, lr=1e-2, momentum=0.9 if kind == "sgd" else 0.0,
-                        weight_decay=1e-3)
+        opt = Optimizer(OptimizerSpec(kind=kind, lr=1e-2,
+                                      momentum=0.9 if kind == "sgd" else 0.0,
+                                      weight_decay=1e-3))
         x = rng.standard_normal((128, 784))
         y = rng.integers(0, 10, size=128)
         compute_gradients(m, x, y)
@@ -738,7 +739,7 @@ class TestOptimizers:
             def trainable(self):
                 yield 0, layer.params, layer.grads
 
-        opt = Optimizer(lr=0.01)
+        opt = Optimizer(OptimizerSpec(lr=0.01, momentum=0.0, weight_decay=0.0))
         losses = []
         for _ in range(200):
             y = layer.forward(x)
@@ -755,7 +756,17 @@ class TestOptimizers:
         ({"kind": "adam", "betas": (0.9,)}, "betas")])
     def test_out_of_range_argument_names_field(self, kwargs, field):
         with pytest.raises(ConfigError, match=rf"^optimizer\.{field} must "):
-            Optimizer(**kwargs)
+            OptimizerSpec(**kwargs)
+
+    def test_default_steps_as_the_default_spec(self):
+        # one default per setting: the optimizer's defaults are the spec's
+        params = []
+        for opt in (Optimizer(), Optimizer(OptimizerSpec())):
+            m, _, x, y = self._setup("sgd")
+            for _ in range(3):
+                backward_and_step(m, x, y, opt)
+            params.append([p.copy() for _, ps, _ in m.trainable() for p in ps.values()])
+        assert all(np.array_equal(a, b) for a, b in zip(*params))
 
 
 class TestEvaluate:
@@ -803,5 +814,6 @@ class TestEvaluate:
 
     def test_bad_labels_rejected(self):
         m = build_model("mlp:2-2", seed=0)
+        opt = Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0))
         with pytest.raises(ConfigError, match="labels"):
-            backward_and_step(m, np.zeros((2, 2)), np.array([0, 2]), Optimizer(lr=0.1))
+            backward_and_step(m, np.zeros((2, 2)), np.array([0, 2]), opt)

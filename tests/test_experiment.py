@@ -11,6 +11,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 from typing import get_args, get_origin
@@ -135,8 +137,21 @@ class TestConfig:
         out = merge_overrides(cfg, {"scheduler.epsilon": 1e-2, "max_epochs": 7})
         assert out.scheduler.epsilon == 1e-2
         assert out.max_epochs == 7
-        with pytest.raises(ConfigError, match="scheduler.gamma"):
-            merge_overrides(cfg, {"scheduler.gamma": 0.5})
+        # an unknown field, and keys that pass through a value that is no section
+        for key in ("scheduler.gamma", "arch.m", "max_epochs.x"):
+            with pytest.raises(ConfigError, match=rf"unknown config field '{key}'"):
+                merge_overrides(cfg, {key: 1})
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: SchedulerSpec(kind="cosine"), "scheduler.kind"),
+        (lambda: SchedulerSpec(alpha=5.0), "scheduler.alpha"),
+        (lambda: OptimizerSpec(momentum=1.5), "optimizer.momentum"),
+        (lambda: AuxSpec(count=0), "aux.count"),
+        (lambda: DatasetSpec(sigma=float("nan")), "dataset.sigma"),
+        (lambda: dataclasses.replace(ExperimentConfig(), max_epochs=0), "max_epochs")])
+    def test_construction_rejects_out_of_range_value(self, build, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must "):
+            build()
 
     def test_bad_json_named(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -235,14 +250,14 @@ class TestRunTraining:
     def test_aux_set_frozen_across_run(self):
         # drive the probe/train cycle by hand and hash the aux set each epoch
         from neve.data import gen_blobs
-        from neve.engine import Optimizer, backward_and_step
+        from neve.engine import Optimizer, OptimizerSpec, backward_and_step
         from neve.experiment.runner import build_aux_sets, load_dataset, _snapshot
         from neve.engine import build_model
         cfg = tiny_cfg()
         train, _ = load_dataset(cfg.dataset)
         aux = build_aux_sets(cfg, train, gen_blobs(10, 2, seed=0))["noise"]
         model = build_model(cfg.arch, seed=1, input_shape=train.input_shape)
-        opt = Optimizer(lr=0.1)
+        opt = Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0))
         h0 = aux.content_hash()
         for epoch in range(3):
             backward_and_step(model, train.samples[:64], train.labels[:64], opt)
@@ -333,9 +348,6 @@ class TestDatasetCache:
     def test_rewritten_idx_files_reloaded(self, tmp_path):
         paths = [tmp_path / name for name in
                  ("train-images", "train-labels", "test-images", "test-labels")]
-        spec = dataclasses.replace(tiny_cfg().dataset, name="idx", **{
-            key: str(path) for key, path in zip(
-                ("train_images", "train_labels", "test_images", "test_labels"), paths)})
         images = np.random.default_rng(0).random((12, 1, 4, 4))
         for shift in (0, 1):
             labels = (np.arange(12) + shift) % 3
@@ -346,6 +358,11 @@ class TestDatasetCache:
                 for path in paths:
                     st = os.stat(path)
                     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            # a spec checks that its files exist, so it is built after they are written;
+            # both passes build equal specs, so only the files' stats tell them apart
+            spec = dataclasses.replace(tiny_cfg().dataset, name="idx", **{
+                key: str(path) for key, path in zip(
+                    ("train_images", "train_labels", "test_images", "test_labels"), paths)})
             train, test = load_dataset(spec)
             assert np.array_equal(train.labels, labels)
             assert np.array_equal(test.labels, labels)
@@ -456,6 +473,17 @@ def recorded_run(request):
     res = run_training(cfg, seed=5)
     signals = [r.model_velocity if kind == "neve" else r.val_loss for r in res.records]
     return cfg, res, signals
+
+
+class TestReadme:
+    def test_library_snippet_runs(self, tmp_path):
+        # the README's one python block shows the library surface; it must run as written
+        root = Path(__file__).resolve().parents[1]
+        (snippet,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+        proc = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReplay:
@@ -767,7 +795,7 @@ class TestCli:
         else:
             flags = [*TINY_CLI, *flags]
         with pytest.raises(ConfigError):
-            config_from_file(conf).validate()
+            config_from_file(conf)
         out = tmp_path / "out"
         assert main(["train", "--config", str(conf), *flags, "--max-epochs", "2",
                      "--out", str(out)]) == 0

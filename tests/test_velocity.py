@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from neve.engine import Optimizer, backward_and_step, build_model
+from neve.engine import Optimizer, OptimizerSpec, backward_and_step, build_model
 from neve.errors import ConfigError
 from neve.velocity import VelocityState, change_rate, normalize_capture, velocity_step
 
@@ -197,7 +197,7 @@ class TestInvariantProperties:
         x = rng.standard_normal((30, 3))
         y = rng.integers(0, 3, size=30)
         aux = rng.standard_normal((20, 3))
-        opt = Optimizer(lr=0.1)
+        opt = Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0))
         state = VelocityState.initial(model.n_probed_neurons)
         prev = normalize_capture(model.forward(aux, capture_probes=True)[2], 0)
         for epoch in range(1, 3):
