@@ -16,6 +16,10 @@ input, and a recording forward keeps what it is given. ``ReLU.backward``
 multiplies into the gradient it is given and returns it;
 ``Conv2d.backward`` writes its input gradient's ``cols`` over its
 recorded ones and then keeps no state.
+
+``Dense`` and ``Conv2d`` draw He-normal weights (std ``sqrt(2 / fan_in)``,
+the usual choice ahead of ReLU) from the ``rng`` they are built with; their
+biases start at zero.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ class _Layer:
     grads: dict = {}
     _saved = None
 
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
 
@@ -45,27 +46,24 @@ class _Layer:
 
 
 class Dense(_Layer):
-    """Affine map ``y = x @ W + b`` on flat inputs of shape (batch, in)."""
+    """Affine map ``y = x @ W + b`` on flat inputs of shape (batch, in); ``W``
+    (in, out) is drawn from ``rng`` with std ``sqrt(2 / in)``."""
 
-    def __init__(self, in_features: int, out_features: int):
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         if in_features < 1 or out_features < 1:
             raise ConfigError(
                 f"dense layer needs positive sizes, got {in_features}x{out_features}"
             )
         self.in_features = in_features
         self.out_features = out_features
-        self.params = {"W": np.zeros((in_features, out_features)), "b": np.zeros(out_features)}
+        std = np.sqrt(2.0 / in_features)
+        self.params = {"W": rng.normal(0.0, std, size=(in_features, out_features)),
+                       "b": np.zeros(out_features)}
         self.grads = {}
 
     @property
     def name(self) -> str:
         return f"dense({self.in_features}->{self.out_features})"
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        # He-normal fan-in scaling, the usual choice ahead of ReLU.
-        std = np.sqrt(2.0 / self.in_features)
-        self.params["W"] = rng.normal(0.0, std, size=(self.in_features, self.out_features))
-        self.params["b"] = np.zeros(self.out_features)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1 or input_shape[0] != self.in_features:
@@ -103,11 +101,12 @@ class Conv2d(_Layer):
     in the same order into an unpadded (c, h, w, b) buffer. Each pass is
     then one 2-D GEMM: forward ``W (f, c*k*k) @ cols``; backward
     ``g @ cols.T`` for the weights and ``W.T @ g`` for the input, with
-    ``g`` the output gradient as (f, oh*ow*b).
+    ``g`` the output gradient as (f, oh*ow*b). ``W`` (f, c, k, k) is drawn
+    from ``rng`` with std ``sqrt(2 / (c*k*k))``.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, pad: int = 0):
+                 stride: int = 1, pad: int = 0, *, rng: np.random.Generator):
         if min(in_channels, out_channels, kernel, stride) < 1 or pad < 0:
             raise ConfigError(
                 f"conv layer needs positive channels/kernel/stride and pad >= 0, got "
@@ -118,21 +117,14 @@ class Conv2d(_Layer):
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        self.params = {
-            "W": np.zeros((out_channels, in_channels, kernel, kernel)),
-            "b": np.zeros(out_channels),
-        }
+        std = np.sqrt(2.0 / (in_channels * kernel * kernel))
+        self.params = {"W": rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel)),
+                       "b": np.zeros(out_channels)}
         self.grads = {}
 
     @property
     def name(self) -> str:
         return f"conv({self.in_channels}->{self.out_channels},k{self.kernel})"
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        fan_in = self.in_channels * self.kernel * self.kernel
-        std = np.sqrt(2.0 / fan_in)
-        self.params["W"] = rng.normal(0.0, std, size=self.params["W"].shape)
-        self.params["b"] = np.zeros(self.out_channels)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3 or input_shape[0] != self.in_channels:

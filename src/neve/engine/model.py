@@ -25,11 +25,10 @@ probabilities and the capture blocks, which are copies.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, check_type
 from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
 
 
@@ -46,8 +45,8 @@ LAYER_KEYS = {"dense": {"out": None},
               "relu": {}, "flatten": {}}
 
 
-def _layer(desc, shape: tuple[int, ...]):
-    """The layer a layer dict describes, sized for input of ``shape``."""
+def _layer(desc, shape: tuple[int, ...], rng: np.random.Generator):
+    """The layer a layer dict describes, sized for input of ``shape``; weights from ``rng``."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
     if kind not in LAYER_KEYS:
         raise ConfigError(f"a layer is a dict whose 'kind' is one of {', '.join(LAYER_KEYS)}, "
@@ -61,21 +60,20 @@ def _layer(desc, shape: tuple[int, ...]):
         value = desc.get(key, default)
         if value is None:
             raise ConfigError(f"{kind} layer needs the key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{kind} layer key {key!r} must be an integer, got {value!r}")
-        sizes[key] = int(value)
+        check_type(f"{kind} layer key {key!r}", value, int)
+        sizes[key] = value
     if kind == "dense":
-        return Dense(shape[0], sizes["out"])
+        return Dense(shape[0], sizes["out"], rng=rng)
     if kind == "conv":
-        return Conv2d(shape[0], **sizes)
+        return Conv2d(shape[0], **sizes, rng=rng)
     return ReLU() if kind == "relu" else Flatten()
 
 
 class Model:
     """Layer stack built from layer dicts (``LAYER_KEYS``) by one walk that
     sizes each layer for the shape before it (ConfigError naming ``arch[i]``
-    on a bad dict or shape), checks for a dense head and counts probed rows
-    in ``n_probed_neurons``; parameters come in stack order from ``seed``."""
+    on a bad dict or shape) and draws its parameters from ``seed``; then
+    checks for a dense head and counts probed rows in ``n_probed_neurons``."""
 
     def __init__(self, descs: list, input_shape: tuple[int, ...], seed: int):
         self.input_shape = tuple(int(d) for d in input_shape)
@@ -83,9 +81,10 @@ class Model:
         shape = self.input_shape
         relu_neurons = 0
         self._sizes = {}   # hidden dense or conv index -> (cols, output) values per sample
+        rng = np.random.default_rng(int(seed))
         for idx, desc in enumerate(descs):
             try:
-                self.layers.append(_layer(desc, shape))
+                self.layers.append(_layer(desc, shape, rng))
                 shape = self.layers[-1].output_shape(shape)
             except ConfigError as exc:
                 raise ConfigError(f"arch[{idx}]: {exc}") from exc
@@ -102,10 +101,6 @@ class Model:
         del self._sizes[len(self.layers) - 1]   # the head's logits are fresh
         self.n_classes = shape[0]
         self.n_probed_neurons = relu_neurons + self.n_classes
-
-        rng = np.random.default_rng(int(seed))
-        for layer in self.layers:
-            layer.init_params(rng)
         self._buffers: dict = {}   # layer index -> its output; "cols" -> the conv cols
 
     def release_buffers(self) -> None:
@@ -197,7 +192,8 @@ def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = 
     ``"mlp:IN-H1-...-OUT"`` for a dense/ReLU chain. The shorthand expands
     into layer dicts, led by a flatten layer when ``input_shape`` is not
     flat, whose size must be ``IN``. Parameters are a pure function of
-    (architecture, seed)."""
+    (architecture, seed): ``np.random.default_rng(seed)`` draws the weights
+    of each dense or conv layer in stack order (``layers``: He-normal)."""
     if isinstance(arch_spec, str):
         kind, _, body = arch_spec.partition(":")
         try:

@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit, and the one range rule for config fields."""
+"""Exception types shared across the toolkit, and the type and range rules for config fields."""
 
 import dataclasses
+import functools
+from typing import get_args, get_origin, get_type_hints
 
 
 class NeveError(Exception):
@@ -17,6 +19,43 @@ class DataFormatError(NeveError, ValueError):
 
 class NumericError(NeveError, ArithmeticError):
     """Non-finite value produced by the engine; the message names the source."""
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass (shared; read only)."""
+    return get_type_hints(cls)
+
+
+# scalar annotation -> (what one value must be, what the items of a tuple must be)
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings"), bool: ("true or false", "booleans")}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value fits a scalar annotation; an int is a number, a bool is neither."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_type(name: str, value, hint) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` fits the annotation
+    ``hint``: an int takes no bool or float, a float takes an int, only
+    ``X | None`` takes None, and a tuple holds a tuple of fitting items."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, tuple) and all(_fits(v, args[0]) for v in value):
+            return
+        what = f"a tuple of {_KINDS[args[0]][1]}"
+    else:
+        optional = type(None) in args                           # X | None
+        scalar = args[0] if optional else hint
+        if (optional and value is None) or _fits(value, scalar):
+            return
+        what = _KINDS.get(scalar, (f"a {scalar.__name__}",))[0]
+        what += " or null" if optional else ""
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def within(default, allowed):
@@ -46,11 +85,15 @@ def check_value(name: str, value, allowed) -> None:
 
 def check_fields(spec, prefix: str = "") -> None:
     """Raise ConfigError naming ``<prefix><field>`` for the first field of the
-    dataclass ``spec`` whose value lies outside its ``within`` declaration.
-    ``None`` passes, and each item of a tuple is checked."""
+    dataclass ``spec`` whose value misfits its annotation (``check_type``; an
+    ``object`` field, ``arch``, is left to its reader) or lies outside its
+    ``within`` declaration, which checks each item of a tuple."""
+    hints = field_types(type(spec))
     for f in dataclasses.fields(spec):
         allowed = f.metadata.get("allowed")
         value = getattr(spec, f.name)
+        if hints[f.name] is not object:
+            check_type(prefix + f.name, value, hints[f.name])
         for item in value if isinstance(value, tuple) else (value,):
             if allowed is not None and item is not None:
                 check_value(prefix + f.name, item, allowed)

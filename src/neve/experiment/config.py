@@ -3,72 +3,38 @@
 A config arrives as a JSON file or a plain dict, type-checked as it is
 read into plain dicts; CLI flags and sweep variants are dotted-key
 overrides laid on top, and the result is built once. Every spec checks
-itself when it is built, so any instance that exists is valid. Unknown
-keys and out-of-range values raise ConfigError naming the offending field.
+its fields' types and ranges when it is built, by the same rules, so any
+instance that exists is valid. Unknown keys and misfit or out-of-range
+values raise ConfigError naming the offending field.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_origin
 
 from ..controller import SchedulerSpec
 from ..data import digits_max_shift
 from ..engine.optim import OptimizerSpec
-from ..errors import ConfigError, check_fields, within
+from ..errors import ConfigError, check_fields, check_type, field_types, within
 
 AUX_SOURCES = ("noise", "heldout", "train")
 AUGMENT_KINDS = ("none", "pad_crop_flip")
-
-
-@functools.cache
-def field_types(cls) -> dict:
-    """Field name -> resolved annotation of a config dataclass (shared; read only)."""
-    return get_type_hints(cls)
-
-
-# scalar annotation -> (what one value must be, what the items of a list must be)
-_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-          str: ("a string", "strings"), bool: ("true or false", "booleans")}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON scalar fits a scalar annotation; an int is a number, a bool is neither."""
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _typed(value, hint, name: str):
-    """``value`` checked against its field annotation, lists made tuples."""
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
-        if isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value):
-            return tuple(value)
-        what = f"a list of {_KINDS[args[0]][1]}"
-    else:
-        optional = type(None) in args                           # X | None
-        scalar = args[0] if optional else hint
-        if (optional and value is None) or _fits(value, scalar):
-            return value
-        what = _KINDS[scalar][0] + (" or null" if optional else "")
-    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def _from_dict(cls, raw: dict, prefix: str, build: bool = True):
     """Build ``cls`` from plain dicts, recursing into nested specs; with
     ``build`` false, return the type-checked plain dicts instead.
 
-    The field annotations drive the conversion: each value must fit its
-    field's type (an int field takes no bool or float, a float field takes
-    an int, ``X | None`` takes null) and JSON lists become tuples. A field
-    annotated ``object`` (``arch``, a layer-dict list) is left to the
-    architecture walk. Unknown keys and misfits raise ConfigError naming
-    the dotted field. A spec checks its values as it is built.
+    The field annotations drive the conversion: JSON lists become tuples,
+    and each value must fit its field's type (``check_type``, the rule a
+    spec applies as it is built, so a file and a library caller get the
+    same error). A field annotated ``object`` (``arch``, a layer-dict
+    list) is left to the architecture walk. Unknown keys and misfits
+    raise ConfigError naming the dotted field.
     """
     hints = field_types(cls)
     kwargs = {}
@@ -81,7 +47,9 @@ def _from_dict(cls, raw: dict, prefix: str, build: bool = True):
                 raise ConfigError(f"config field '{prefix}{key}' must be a mapping")
             value = _from_dict(hint, value, f"{prefix}{key}.", build)
         elif hint is not object:
-            value = _typed(value, hint, prefix + key)
+            if get_origin(hint) is tuple and isinstance(value, list):
+                value = tuple(value)
+            check_type(prefix + key, value, hint)
         kwargs[key] = value
     return cls(**kwargs) if build else kwargs
 

@@ -2,9 +2,11 @@
 
 One run: capture an auxiliary snapshot before training, then per epoch
 train all batches (through ``data.augment`` when ``dataset.augment`` is
-``pad_crop_flip``), snapshot the aux set after the last optimizer step,
-turn snapshots into change rates and velocities, and ask the configured
-scheduler for a verdict (continue, rescale the learning rate, or stop).
+``pad_crop_flip``), evaluate, snapshot the aux set after the last
+optimizer step, turn snapshots into change rates and velocities, and ask
+the configured scheduler for a verdict (continue, rescale the learning
+rate, or stop). Evaluation comes first, so an epoch whose evaluation or
+snapshot raises leaves no velocity entry, dump file or record.
 Identical (config, seed) pairs reproduce every recorded number except
 wall-clock times, at a fixed BLAS thread count.
 """
@@ -221,22 +223,20 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                 loss_sum += loss * len(idx)
             train_loss = loss_sum / len(train)
 
-            v_bar = None
-            for src, aux in aux_sets.items():
-                snap = _snapshot(model, aux, epoch)
-                rho = change_rate(snapshots[src], snap)
-                states[src] = velocity_step(states[src], rho)
-                snapshots[src] = snap
-            if primary is not None:
-                v_bar = states[primary].history[-1]
-                if dump_dir is not None:
-                    _dump_velocity(dump_dir, epoch, states[primary])
-
             _, train_acc = evaluate(model, train.samples, train.labels)
             test_loss, test_acc = evaluate(model, test.samples, test.labels)
             val_loss = None
             if len(val):
                 val_loss, _ = evaluate(model, val.samples, val.labels)
+
+            # every source's snapshot is taken before any velocity advances
+            new_snapshots = {src: _snapshot(model, aux, epoch) for src, aux in aux_sets.items()}
+            for src, snap in new_snapshots.items():
+                states[src] = velocity_step(states[src], change_rate(snapshots[src], snap))
+            snapshots = new_snapshots
+            v_bar = states[primary].history[-1] if primary is not None else None
+            if v_bar is not None and dump_dir is not None:
+                _dump_velocity(dump_dir, epoch, states[primary])
 
             signal = v_bar if sched.kind == "neve" else val_loss
             sched_state, decision = neve_decide(sched, sched_state, signal, opt.lr)

@@ -79,3 +79,19 @@ def test_other_files_compared_byte_for_byte(tmp_path, capsys):
     assert "loss_seed1.svg: bytes differ" in out
     assert f"velocity_seed1.svg: only in {b}" in out
     assert out.splitlines()[-1] == "decision, learning_rate and accuracy columns match"
+
+
+@pytest.mark.parametrize("csv_b,problem", [
+    # csv.writer ends its lines with \r\n, the record writer with \n
+    ("epoch,v,wall_seconds\n1,0.5,0.02\n", "headers differ"),
+    ("epoch,v,wall_seconds\r\n1,0.5,0.02\n", "line ends or cell counts differ on 1 rows"),
+    # a quoted cell holds the same value in other bytes
+    ("epoch,v,wall_seconds\r\n1,\"0.5\",0.02\r\n", "v differs")],
+    ids=["header-line-end", "row-line-end", "quoted-cell"])
+def test_csv_lines_compared_byte_for_byte(tmp_path, capsys, csv_b, problem):
+    for root, text in ((tmp_path / "a", "epoch,v,wall_seconds\r\n1,0.5,0.01\r\n"),
+                       (tmp_path / "b", csv_b)):
+        root.mkdir()
+        (root / "run.csv").write_bytes(text.encode())
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert f"run.csv: {problem}" in capsys.readouterr().out

@@ -76,6 +76,22 @@ class TestBuildModel:
         m2 = build_model("mlp:8-4-2", seed=2)
         assert not np.array_equal(m1.layers[0].params["W"], m2.layers[0].params["W"])
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("arch,input_shape", [("mlp:12-8-5-3", None),
+                                                  (TWO_CONV, (1, 6, 6))])
+    def test_parameters_follow_the_initialization_rule(self, arch, input_shape, seed):
+        # one generator, trainable layers in stack order: He-normal W, zero b
+        m = build_model(arch, seed=seed, input_shape=input_shape)
+        rng = np.random.default_rng(seed)
+        trainable = list(m.trainable())
+        assert len(trainable) == 3
+        for _, params, _ in trainable:
+            W = params["W"]
+            # dense W is (in, out); conv W is (out, in, k, k)
+            fan_in = W.shape[0] if W.ndim == 2 else int(np.prod(W.shape[1:]))
+            assert np.array_equal(W, rng.normal(0.0, np.sqrt(2.0 / fan_in), W.shape))
+            assert np.array_equal(params["b"], np.zeros(W.shape[1 if W.ndim == 2 else 0]))
+
     def test_mlp_probe_registry(self):
         # mlp[2,8,2]: one hidden relu + the softmax head
         m = build_model("mlp:2-8-2", seed=0)
@@ -450,7 +466,7 @@ class TestGradients:
     def test_single_neuron_hand_step(self):
         # squared loss on y = w*x with w=1, x=2, target 1:
         # dL/dw = 2*(y - t)*x = 4, so one step at lr 0.1 gives w = 1 - 0.4
-        layer = Dense(1, 1)
+        layer = Dense(1, 1, rng=np.random.default_rng(0))
         layer.params["W"] = np.array([[1.0]])
         layer.params["b"] = np.array([0.0])
         x = np.array([[2.0]])
@@ -536,7 +552,7 @@ class TestConv:
     @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", CONV_GEOMETRIES)
     def test_im2col_col2im_match_padded_reference(self, b, c, f, h, w, k, stride, pad):
         rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
-        layer = Conv2d(c, f, k, stride, pad)
+        layer = Conv2d(c, f, k, stride, pad, rng=np.random.default_rng(0))
         x = rng.standard_normal((b, c, h, w))
         _, oh, ow = layer.output_shape((c, h, w))
         # a reused workspace holds stale values: every entry must be written
@@ -551,8 +567,7 @@ class TestConv:
     @pytest.mark.parametrize("b,c,f,h,w,k,stride,pad", CONV_GEOMETRIES)
     def test_matches_loop_reference(self, b, c, f, h, w, k, stride, pad):
         rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
-        layer = Conv2d(c, f, k, stride, pad)
-        layer.init_params(rng)
+        layer = Conv2d(c, f, k, stride, pad, rng=rng)
         layer.params["b"] = rng.standard_normal(f)
         x = rng.standard_normal((b, c, h, w))
         y = layer.forward(x)
@@ -565,8 +580,7 @@ class TestConv:
 
     def test_batch_last_view_input_bit_identical(self):
         rng = np.random.default_rng(12)
-        layer = Conv2d(3, 4, 3, 2, 1)
-        layer.init_params(rng)
+        layer = Conv2d(3, 4, 3, 2, 1, rng=rng)
         x = rng.standard_normal((5, 3, 9, 8))
         x_view = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         assert not x_view.flags.c_contiguous
@@ -580,8 +594,7 @@ class TestConv:
 
     def test_backward_that_overwrote_cols_cannot_run_again(self):
         rng = np.random.default_rng(14)
-        layer = Conv2d(2, 3, 3, 1, 1)
-        layer.init_params(rng)
+        layer = Conv2d(2, 3, 3, 1, 1, rng=rng)
         y = layer.forward(rng.standard_normal((2, 2, 5, 5)))
         grad = rng.standard_normal(y.shape)
         layer.backward(grad, input_grad=False)
@@ -730,8 +743,7 @@ class TestOptimizers:
     def test_convex_quadratic_monotone_descent(self):
         # 200 SGD steps on a single linear layer with squared loss
         rng = np.random.default_rng(4)
-        layer = Dense(5, 1)
-        layer.init_params(rng)
+        layer = Dense(5, 1, rng=rng)
         x = rng.standard_normal((32, 5))
         t = x @ rng.standard_normal((5, 1)) + 0.3
 

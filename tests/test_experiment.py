@@ -22,13 +22,14 @@ import pytest
 
 from neve.controller import SchedulerState, neve_decide
 from neve.data import Dataset, write_idx
-from neve.errors import ConfigError
+from neve.engine import evaluate
+from neve.errors import ConfigError, NumericError
 from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
                              records_to_csv, replay_neve_decisions, run_training,
                              summarize_results)
 from neve.experiment import (AuxSpec, DatasetSpec, ExperimentConfig, OptimizerSpec,
-                             SchedulerSpec)
+                             SchedulerSpec, runner)
 from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
 from neve.experiment.config import field_types
 from neve.experiment.runner import RunResult, load_dataset
@@ -151,6 +152,23 @@ class TestConfig:
         (lambda: dataclasses.replace(ExperimentConfig(), max_epochs=0), "max_epochs")])
     def test_construction_rejects_out_of_range_value(self, build, field):
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must "):
+            build()
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: OptimizerSpec(betas=[0.9, 0.99]),
+         "optimizer.betas must be a tuple of numbers, got [0.9, 0.99]"),
+        (lambda: SchedulerSpec(milestones=[3, 6]),
+         "scheduler.milestones must be a tuple of integers, got [3, 6]"),
+        (lambda: OptimizerSpec(lr="0.1"), "optimizer.lr must be a number, got '0.1'"),
+        (lambda: ExperimentConfig(probe_aux="train"),
+         "probe_aux must be a tuple of strings, got 'train'"),
+        (lambda: SchedulerSpec(kind=None), "scheduler.kind must be a string, got None"),
+        (lambda: ExperimentConfig(max_epochs=2.5), "max_epochs must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(batch_size=True),
+         "batch_size must be an integer, got True")])
+    def test_construction_rejects_value_of_wrong_type(self, build, error):
+        # the rule a config file is read by: a library caller gets the same error
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
             build()
 
     def test_bad_json_named(self, tmp_path):
@@ -319,6 +337,25 @@ class TestRunTraining:
         header, *rows = files[0].read_text().splitlines()
         assert header == "neuron_id,rho,v"
         assert len(rows) == 16 + 3  # hidden relu + softmax head
+
+    def test_failed_evaluation_commits_no_velocity(self, tmp_path, monkeypatch):
+        # the first evaluation of epoch 4 raises: epochs 1-3 stay whole
+        calls = []
+
+        def failing_evaluate(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 7:     # two evaluations (train, test) per epoch
+                raise NumericError("injected")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate", failing_evaluate)
+        cfg = tiny_cfg(max_epochs=6, scheduler={"kind": "fixed"}, probe_aux=["train"])
+        res = run_training(cfg, seed=1, dump_dir=tmp_path)
+        assert res.failed and res.error == "injected"
+        assert [r.epoch for r in res.records] == [1, 2, 3]
+        assert {src: len(v) for src, v in res.velocity_series.items()} == {"noise": 3,
+                                                                            "train": 3}
+        assert len(list(tmp_path.glob("velocity_epoch*.csv"))) == 3
 
 
 class TestDatasetCache:

@@ -4,8 +4,9 @@ Usage: python3 tools/compare_outputs.py DIR_A DIR_B
 
 Pairs every file under the two directories by relative path. CSV files
 (per-epoch records, summaries, epsilon sweeps, velocity dumps) are
-compared cell by cell, ignoring the ``wall_seconds`` column; every other
-file (``config.json``, SVG charts) byte for byte. A file is reported as
+compared line for line, byte for byte, line endings and quoting included,
+setting aside only the ``wall_seconds`` cell; every other file
+(``config.json``, SVG charts) byte for byte. A file is reported as
 "identical", or with the largest relative and absolute difference of each
 numeric column that differs. The last line says whether the decision, learning-rate and
 accuracy columns match exactly. Exit status: 0 when every file is
@@ -15,7 +16,6 @@ directory holds a CSV file. Standard library only.
 
 from __future__ import annotations
 
-import csv
 import sys
 from pathlib import Path
 
@@ -41,23 +41,33 @@ def cell_diff(a: str, b: str) -> tuple[float, float] | None:
 
 def compare_file(path_a: Path, path_b: Path) -> tuple[dict, list[str]]:
     """Per differing column, the max (relative, absolute) difference, or
-    None if the column is not numeric; and the structural problems (header
-    or row count mismatch)."""
-    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
-        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
-    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+    None if the column is not numeric; and the structural problems (header,
+    row count, line end or cell count mismatch). Lines are split at every
+    comma, so a quoted cell never equals an unquoted one."""
+    lines_a = path_a.read_bytes().splitlines(keepends=True)
+    lines_b = path_b.read_bytes().splitlines(keepends=True)
+    if not lines_a or not lines_b or lines_a[0] != lines_b[0]:
         return {}, ["headers differ"]
-    problems = [] if len(rows_a) == len(rows_b) else [
-        f"row counts differ: {len(rows_a) - 1} vs {len(rows_b) - 1}"]
+    header = lines_a[0].rstrip(b"\r\n").decode().split(",")
+    problems = [] if len(lines_a) == len(lines_b) else [
+        f"row counts differ: {len(lines_a) - 1} vs {len(lines_b) - 1}"]
     diffs: dict = {}
-    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
-        for name, a, b in zip(rows_a[0], row_a, row_b):
+    misshapen = 0
+    for line_a, line_b in zip(lines_a[1:], lines_b[1:]):
+        body_a, body_b = line_a.rstrip(b"\r\n"), line_b.rstrip(b"\r\n")
+        cells_a, cells_b = body_a.decode().split(","), body_b.decode().split(",")
+        if line_a[len(body_a):] != line_b[len(body_b):] or len(cells_a) != len(cells_b):
+            misshapen += 1
+            continue
+        for name, a, b in zip(header, cells_a, cells_b):
             if name in IGNORED or a == b:
                 continue
             d = cell_diff(a, b)
             prev = diffs.get(name, (0.0, 0.0))
             diffs[name] = (None if d is None or prev is None
                            else (max(prev[0], d[0]), max(prev[1], d[1])))
+    if misshapen:
+        problems.append(f"line ends or cell counts differ on {misshapen} rows")
     return diffs, problems
 
 
