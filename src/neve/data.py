@@ -291,8 +291,9 @@ def make_aux_noise(count: int, input_shape: tuple[int, ...], seed: int = 0) -> A
     """Standard-normal noise inputs; the default probe source (count 100)."""
     if count < 1:
         raise ConfigError(f"aux set needs at least one sample, got {count}")
-    rng = np.random.default_rng(seed)
-    return AuxSet(rng.standard_normal((count, *input_shape)))
+    samples = np.random.default_rng(seed).standard_normal((count, *input_shape))
+    samples.flags.writeable = False
+    return AuxSet(samples)
 
 
 def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> AuxSet:
@@ -303,7 +304,9 @@ def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> Aux
         raise ConfigError(f"asked for {count} aux samples but only {len(samples)} available")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(samples))[:count]
-    return AuxSet(samples[np.sort(idx)].copy())
+    drawn = samples[np.sort(idx)]       # a copy: the caller's array stays writable
+    drawn.flags.writeable = False
+    return AuxSet(drawn)
 
 
 # ---------------------------------------------------------------------------

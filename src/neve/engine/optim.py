@@ -12,20 +12,22 @@ import numpy as np
 
 from ..errors import ConfigError, check_fields, within
 
+# Adam's moment decay rates and denominator offset, the conventional constants
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerSpec:
+    """SGD or Adam settings; Adam runs with ``ADAM_BETAS`` and ``ADAM_EPS``."""
+
     kind: str = within("sgd", ("sgd", "adam"))
     lr: float = within(0.1, "[0, inf)")
     momentum: float = within(0.9, "[0, 1)")
     weight_decay: float = within(1e-4, "[0, inf)")
-    betas: tuple[float, ...] = within((0.9, 0.999), "[0, 1)")
-    eps: float = within(1e-8, "(0, inf)")
 
     def __post_init__(self):
         check_fields(self, "optimizer.")
-        if len(self.betas) != 2:
-            raise ConfigError(f"optimizer.betas must be two values, got {list(self.betas)}")
 
 
 class Optimizer:
@@ -34,7 +36,7 @@ class Optimizer:
 
     SGD follows the momentum-buffer convention (buf = m*buf + g;
     p -= lr*buf) and Adam the bias-corrected moment estimates with
-    defaults beta=(0.9, 0.999), eps=1e-8. Weight decay is plain L2
+    ``ADAM_BETAS`` (0.9, 0.999) and ``ADAM_EPS`` (1e-8). Weight decay is plain L2
     added to the gradient. Each parameter's state is one list, allocated
     by the first step in the parameter's shape and updated in place after
     it: a scratch array, which holds ``wd*p + g`` and the step, then the
@@ -46,7 +48,6 @@ class Optimizer:
 
     def __init__(self, spec: OptimizerSpec = OptimizerSpec()):
         self.kind, self.momentum, self.weight_decay = spec.kind, spec.momentum, spec.weight_decay
-        self.betas, self.eps = spec.betas, spec.eps
         self.lr = spec.lr
         self._state: dict = {}   # (layer index, parameter name) -> [scratch, *buffers]
         self._t = 0
@@ -78,7 +79,7 @@ class Optimizer:
                     p -= np.multiply(g, self.lr, out=scratch)
                 else:
                     m, v, tmp = buffers
-                    b1, b2 = self.betas
+                    b1, b2 = ADAM_BETAS
                     m *= b1
                     m += np.multiply(g, 1.0 - b1, out=tmp)
                     v *= b2
@@ -87,5 +88,5 @@ class Optimizer:
                     step = np.multiply(np.divide(m, 1.0 - b1 ** self._t, out=scratch),
                                        self.lr, out=scratch)
                     denom = np.sqrt(np.divide(v, 1.0 - b2 ** self._t, out=tmp), out=tmp)
-                    denom += self.eps
+                    denom += ADAM_EPS
                     p -= np.divide(step, denom, out=step)

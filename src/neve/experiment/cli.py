@@ -5,8 +5,9 @@ in FLAGS replaces the matching key, and the merged config, not the file
 alone, is built, which checks it: an invalid value exits with code 2 and
 an error naming the field, before the output directory is created. Each
 subcommand builds its variants by the same key overrides and runs them
-through one driver, which writes each run's records. The output
-directory is --out, else NEVE_OUT_DIR, else ./neve-out.
+through one driver, which writes each run's records; a flag for a key
+that every variant overrides is refused. The output directory is --out,
+else NEVE_OUT_DIR, else ./neve-out.
 """
 
 from __future__ import annotations
@@ -95,8 +96,14 @@ def _add_common(p: argparse.ArgumentParser, defaults=ExperimentConfig()) -> None
         p.add_argument(flag, dest=key, type=_flag_type(hint), help=text)
 
 
-def resolve_config(args) -> ExperimentConfig:
+def resolve_config(args, variants=()) -> ExperimentConfig:
+    """The config of --config and the flags. A flag for a key that every
+    ``(label, overrides)`` variant sets would be dropped, so it is refused."""
     flags = {key: getattr(args, key) for key in FLAGS.values()}
+    swept = set.intersection(*(set(o) for _, o in variants)) if variants else set()
+    for flag, key in FLAGS.items():
+        if key in swept and flags[key] is not None:
+            raise ConfigError(f"{flag} is refused by {args.command}: every variant sets {key}")
     return config_from_file(args.config, flags) if args.config else config_from_dict({}, flags)
 
 
@@ -148,11 +155,12 @@ def _slug(label: str) -> str:
 
 
 def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, column: str):
-    """Run every ``(label, tag, cfg)`` variant over its seeds.
+    """Run every ``(label, overrides)`` variant, ``base`` with its dotted-key
+    overrides, over its seeds. Its tag is the label made file-safe; train's is empty.
 
-    Each variant config was checked when it was built. What ``load_checked``
+    Every variant config is built, which checks it; what ``load_checked``
     checks on each variant's data is checked, and no two tags may be equal,
-    before the output directory is created.
+    before the output directory is created and ``base`` written to it.
     Each run then writes ``run_<tag>_seed<N>.csv``, its velocity and loss
     charts and, with ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the
     empty tag drops ``<tag>_``). Last come the table and the summary CSV.
@@ -160,6 +168,8 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
     """
     if not variants:
         raise ConfigError(f"{args.command}: no variants to run")
+    variants = [(label, "" if args.command == "train" else _slug(label),
+                 merge_overrides(base, overrides)) for label, overrides in variants]
     tags = set()
     for label, tag, cfg in variants:
         load_checked(cfg)
@@ -203,19 +213,18 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    _run_variants(args, cfg, [(cfg.scheduler.kind, "", cfg)], "summary.csv", "scheduler")
+    _run_variants(args, cfg, [(cfg.scheduler.kind, {})], "summary.csv", "scheduler")
     return 0
 
 
 def cmd_compare(args) -> int:
-    base = resolve_config(args)
     variants = []
     for kind, frac in (("neve", 0.0), ("fixed", 0.0), ("step_decay", 0.0),
                        ("vloss", args.vloss_fraction)):
         # int() raises on NaN; // 1 truncates as int() does and leaves NaN to the config check
-        label = f"{kind} ({100 * frac // 1:.0f}% val)"
-        variants.append((label, _slug(label), merge_overrides(
-            base, {"scheduler.kind": kind, "dataset.validation_fraction": frac})))
+        variants.append((f"{kind} ({100 * frac // 1:.0f}% val)",
+                         {"scheduler.kind": kind, "dataset.validation_fraction": frac}))
+    base = resolve_config(args, variants)
     out, runs = _run_variants(args, base, variants, "summary.csv", "scheduler")
     acc_series = [(summary.label, [r.epoch for r in results[0].records],
                    [r.test_acc for r in results[0].records])
@@ -228,12 +237,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_epsilon_sweep(args) -> int:
-    base = resolve_config(args)
-    variants = []
-    for eps in args.eps_grid:
-        label = f"eps={eps:g}"
-        variants.append((label, _slug(label), merge_overrides(
-            base, {"scheduler.kind": "neve", "scheduler.epsilon": eps})))
+    variants = [(f"eps={eps:g}", {"scheduler.kind": "neve", "scheduler.epsilon": eps})
+                for eps in args.eps_grid]
+    base = resolve_config(args, variants)
     out, runs = _run_variants(args, base, variants, "epsilon_sweep.csv", "epsilon")
     grid = [cfg.scheduler.epsilon for cfg, _, _ in runs]
     line_chart(out / "epsilon_stop_epochs.svg",
@@ -248,22 +254,17 @@ def cmd_epsilon_sweep(args) -> int:
 
 
 def cmd_aux_sweep(args) -> int:
-    base = resolve_config(args)
-    variants = []
-    for frac in args.val_fracs:
-        label = f"val={frac:g}"
-        variants.append((label, _slug(label), merge_overrides(
-            base, {"scheduler.kind": "fixed", "dataset.validation_fraction": frac,
-                   "probe_velocity": False, "probe_aux": (), "dump_velocity": False})))
-    for source in args.aux_sources:
-        frac = base.dataset.validation_fraction
-        if source == "heldout" and frac <= 0:
-            frac = args.heldout_fraction
-        for count in args.aux_sizes:
-            label = f"{source}/{count}"
-            variants.append((label, _slug(label), merge_overrides(
-                base, {"scheduler.kind": "neve", "dataset.validation_fraction": frac,
-                       "aux.source": source, "aux.count": count})))
+    variants = [(f"val={frac:g}",
+                 {"scheduler.kind": "fixed", "dataset.validation_fraction": frac,
+                  "probe_velocity": False, "probe_aux": (), "dump_velocity": False})
+                for frac in args.val_fracs]
+    variants += [(f"{source}/{count}",
+                  {"scheduler.kind": "neve", "aux.source": source, "aux.count": count})
+                 for source in args.aux_sources for count in args.aux_sizes]
+    base = resolve_config(args, variants)
+    for _, overrides in variants:   # a heldout source reads the split: 0.1 when none is set
+        if overrides.get("aux.source") == "heldout" and base.dataset.validation_fraction <= 0:
+            overrides["dataset.validation_fraction"] = 0.1
     out, runs = _run_variants(args, base, variants, "aux_sweep.csv", "setting")
     frac_rows = [(cfg.dataset.validation_fraction, s.mean_acc)
                  for cfg, _, s in runs if cfg.scheduler.kind == "fixed"]
@@ -288,12 +289,13 @@ def cmd_aux_sweep(args) -> int:
 
 
 def cmd_epsilon_analysis(args) -> int:
-    flag, grid = ("--eps-grid", args.eps_grid) if args.eps_grid else ("--eps", (args.eps,))
-    for eps in grid:
-        check_value(flag, eps, "(0, 1)")
+    if not args.eps_grid:
+        raise ConfigError("--eps-grid lists no epsilon")
+    for eps in args.eps_grid:
+        check_value("--eps-grid", eps, "(0, 1)")
     if args.svg and not Path(args.svg).parent.is_dir():
         raise ConfigError(f"--svg directory {Path(args.svg).parent} does not exist")
-    rows = [(f"{eps:g}", f"{epsilon_analysis(eps).max_delta:.6g}") for eps in grid]
+    rows = [(f"{eps:g}", f"{epsilon_analysis(eps).max_delta:.6g}") for eps in args.eps_grid]
     _print_table(("epsilon", "max_delta"), rows)
     if args.svg:
         dense = [10 ** (-4 + 3.5 * i / 199) for i in range(200)]
@@ -306,13 +308,10 @@ def cmd_epsilon_analysis(args) -> int:
 
 
 def cmd_optim_compare(args) -> int:
-    base = resolve_config(args)
-    variants = []
-    for kind, lr in (("sgd", base.optimizer.lr), ("adam", args.adam_lr)):
-        for sched in ("neve", "fixed"):
-            label = f"{kind}/{sched}"
-            variants.append((label, _slug(label), merge_overrides(
-                base, {"optimizer.kind": kind, "optimizer.lr": lr, "scheduler.kind": sched})))
+    variants = [(f"{kind}/{sched}", {"optimizer.kind": kind, **lr, "scheduler.kind": sched})
+                for kind, lr in (("sgd", {}), ("adam", {"optimizer.lr": args.adam_lr}))
+                for sched in ("neve", "fixed")]
+    base = resolve_config(args, variants)
     out, runs = _run_variants(args, base, variants, "optim_compare.csv",
                               "optimizer/scheduler")
     vel_series = []
@@ -358,14 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(1, 10, 100))
     p.add_argument("--aux-sources", type=_parse_names, dest="aux_sources",
                    default=("noise", "heldout"))
-    p.add_argument("--heldout-fraction", type=float, default=0.1,
-                   dest="heldout_fraction")
     p.set_defaults(func=cmd_aux_sweep)
 
     p = sub.add_parser("epsilon-analysis",
                        help="closed-form worst-case softmax variation table")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--eps-grid", type=_parse_floats, dest="eps_grid")
+    p.add_argument("--eps-grid", type=_parse_floats, dest="eps_grid", default=(1e-3,))
     p.add_argument("--svg", help="also write the curve to this SVG path")
     p.set_defaults(func=cmd_epsilon_analysis)
 

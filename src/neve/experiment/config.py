@@ -77,7 +77,9 @@ class DatasetSpec:
     """What to train on and how to slice it.
 
     ``subset`` caps the training set (stratified) before the validation
-    split is carved out, mirroring a data-scarce regime. A spec checks its
+    split is carved out, mirroring a data-scarce regime. The validation
+    split, and the 10% test part carved from CIFAR-10 training files when
+    no test file is named, are drawn from fixed seeds. A spec checks its
     fields when it is built, with dotted names in its errors; the data
     functions take their values as plain arguments.
     """
@@ -85,7 +87,6 @@ class DatasetSpec:
     name: str = within("blobs", ("blobs", "digits", "idx", "cifar10"))
     subset: int | None = within(None, "[1, inf)")
     validation_fraction: float = within(0.0, "[0, 1)")
-    split_seed: int = within(0, "[0, inf)")
     augment: str = within("none", AUGMENT_KINDS)
     normalize: bool = False
     data_seed: int = within(0, "[0, inf)")

@@ -126,7 +126,7 @@ def load_dataset(spec) -> tuple[data_mod.Dataset, data_mod.Dataset]:
         if spec.cifar_test_paths:
             test = data_mod.load_cifar10(spec.cifar_test_paths, name="cifar10-test")
         else:
-            train, test = data_mod.split(train, 0.1, spec.split_seed + _TEST_SEED_OFFSET)
+            train, test = data_mod.split(train, 0.1, _TEST_SEED_OFFSET)
     if spec.subset is not None:
         train = train.subset(spec.subset, seed=spec.data_seed)
     if spec.normalize:
@@ -154,7 +154,7 @@ def load_checked(cfg: ExperimentConfig, seed: int = 0):
                           f"shape {train.input_shape}")
     frac = cfg.dataset.validation_fraction
     try:
-        train, val = data_mod.split(train, frac, cfg.dataset.split_seed)
+        train, val = data_mod.split(train, frac)
     except ConfigError as exc:
         raise ConfigError(f"dataset.{exc}") from exc
     reader = ("the vloss scheduler" if cfg.scheduler.kind == "vloss" else
@@ -294,8 +294,8 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
 
 def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:
     """Render ``velocity<tag>.svg`` (per aux source, log scale; only when
-    the run probed) and ``loss<tag>.svg`` (train/test/val) with a
-    stop-epoch marker; returns the written paths."""
+    the run probed and some velocity is positive) and ``loss<tag>.svg``
+    (train/test/val) with a stop-epoch marker; returns the written paths."""
     if not result.records:
         raise ConfigError("cannot plot an empty record list")
     out_dir = Path(out_dir)
@@ -307,16 +307,18 @@ def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:
     if result.velocity_series:
         series = [(src, list(range(1, len(vs) + 1)), vs)
                   for src, vs in sorted(result.velocity_series.items())]
-        written.append(out_dir / f"velocity{tag}.svg")
-        line_chart(written[-1], series, title="Model velocity", xlabel="epoch",
-                   ylabel="model velocity", log_y=True, vlines=marker)
+        path = out_dir / f"velocity{tag}.svg"
+        if line_chart(path, series, title="Model velocity", xlabel="epoch",
+                      ylabel="model velocity", log_y=True, vlines=marker):
+            written.append(path)
     series = [("train loss", epochs, [r.train_loss for r in result.records]),
               ("test loss", epochs, [r.test_loss for r in result.records])]
     if result.records[0].val_loss is not None:
         series.append(("val loss", epochs, [r.val_loss for r in result.records]))
-    written.append(out_dir / f"loss{tag}.svg")
-    line_chart(written[-1], series, title="Losses", xlabel="epoch",
-               ylabel="cross-entropy", vlines=marker)
+    path = out_dir / f"loss{tag}.svg"
+    if line_chart(path, series, title="Losses", xlabel="epoch",
+                  ylabel="cross-entropy", vlines=marker):
+        written.append(path)
     return written
 
 

@@ -60,30 +60,26 @@ class _Scale:
 
 
 def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-               vlines=(), log_x: bool = False, log_y: bool = False) -> None:
-    """Write a ``WIDTH`` x ``HEIGHT`` line chart.
+               vlines=(), log_x: bool = False, log_y: bool = False) -> bool:
+    """Write a ``WIDTH`` x ``HEIGHT`` line chart; return whether it was written.
 
     ``series`` is a list of (label, xs, ys); ``vlines`` a list of
     (x, label) vertical markers annotated near the top of the plot.
-    Non-finite points (a variant whose every run failed) are left out, and
-    when no finite point is left no file is written.
+    Non-finite points (a variant whose every run failed) and, on a log
+    axis, non-positive ones (a velocity of exactly 0) are left out, and
+    when no point is left no file is written.
     """
     series = [(label, list(zip(xs, ys))) for label, xs, ys in series]
     if not any(points for _, points in series):
         raise ConfigError("line_chart needs at least one data point")
-    series = [(label, [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)])
+    series = [(label, [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)
+                       and (x > 0 or not log_x) and (y > 0 or not log_y)])
               for label, points in series]
     pts = [p for _, points in series for p in points]
     if not pts:
-        return
-    xs_all = [p[0] for p in pts] + [v for v, _ in vlines]
+        return False
+    xs_all = [p[0] for p in pts] + [v for v, _ in vlines if v > 0 or not log_x]
     ys_all = [p[1] for p in pts]
-    if log_x:
-        xs_all = [x for x in xs_all if x > 0]
-    if log_y:
-        ys_all = [y for y in ys_all if y > 0]
-        if not ys_all:
-            raise ConfigError("log-scale chart needs positive values")
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if not log_y:
@@ -130,8 +126,7 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
 
     for i, (label, points) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = [(sx(x), sy(y)) for x, y in points
-                  if (not log_x or x > 0) and (not log_y or y > 0)]
+        coords = [(sx(x), sy(y)) for x, y in points]
         if not coords:
             continue
         points = " ".join(f"{px:.2f},{py:.2f}" for px, py in coords)
@@ -163,3 +158,4 @@ def line_chart(path, series, *, title: str = "", xlabel: str = "", ylabel: str =
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")
+    return True

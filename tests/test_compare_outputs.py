@@ -1,6 +1,7 @@
 """tools/compare_outputs.py: identical runs, numeric drift and changed decisions."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,23 @@ def test_csv_lines_compared_byte_for_byte(tmp_path, capsys, csv_b, problem):
         (root / "run.csv").write_bytes(text.encode())
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert f"run.csv: {problem}" in capsys.readouterr().out
+
+
+def test_json_keys_reported_when_bytes_differ(tmp_path, capsys):
+    a = write_run(tmp_path / "a", ["1,0.5,0.9,0.1,continue,1\n"])
+    b = write_run(tmp_path / "b", ["1,0.5,0.9,0.1,continue,1\n"])
+    config = {"seeds": [1], "optimizer": {"lr": 0.1, "eps": 1e-08}}
+    (a / "config.json").write_text(json.dumps(config))
+    (b / "config.json").write_text(json.dumps(
+        {"seeds": [1, 2], "optimizer": {"lr": 0.1}, "dump_velocity": False}))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert ("config.json: bytes differ\n"
+            "  seeds: [1] -> [1, 2]\n"
+            "  optimizer.eps: removed, was 1e-08\n"
+            "  dump_velocity: added, false\n") in capsys.readouterr().out
+    # the verdict comes from the bytes: the same keys and values, indented, still differ
+    (b / "config.json").write_text(json.dumps(config, indent=2))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "config.json: bytes differ\nrun_seed1.csv: identical" in out
+    assert out.splitlines()[-1] == "decision, learning_rate and accuracy columns match"

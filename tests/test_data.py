@@ -247,6 +247,13 @@ class TestAuxSets:
         assert all(tuple(s) in pool for s in aux.samples)
         assert len(set(map(tuple, aux.samples))) == 20
 
+    def test_samples_are_read_only(self):
+        pool = gen_blobs(10, 2, seed=1).samples
+        for aux in (make_aux_noise(3, (2,)), make_aux_from_samples(pool, 3)):
+            with pytest.raises(ValueError):
+                aux.samples[0, 0] = 5.0
+        pool[0, 0] = 5.0        # the caller's own array is not frozen
+
     def test_count_validation(self):
         ds = gen_blobs(10, 2, seed=1)
         with pytest.raises(ConfigError):

@@ -763,9 +763,7 @@ class TestOptimizers:
     @pytest.mark.parametrize("kwargs,field", [
         ({"kind": "rmsprop"}, "kind"), ({"lr": -0.1}, "lr"), ({"lr": float("nan")}, "lr"),
         ({"momentum": 1.5}, "momentum"), ({"weight_decay": float("nan")}, "weight_decay"),
-        ({"weight_decay": -1}, "weight_decay"), ({"eps": 0}, "eps"),
-        ({"kind": "adam", "betas": (0.9, 1.0)}, "betas"),
-        ({"kind": "adam", "betas": (0.9,)}, "betas")])
+        ({"weight_decay": -1}, "weight_decay")])
     def test_out_of_range_argument_names_field(self, kwargs, field):
         with pytest.raises(ConfigError, match=rf"^optimizer\.{field} must "):
             OptimizerSpec(**kwargs)

@@ -122,7 +122,7 @@ class TestConfig:
                      "validation_fraction": 0.2},
             arch=[{"kind": "conv", "out_channels": 4, "kernel": 3},
                   {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}],
-            optimizer={"kind": "adam", "betas": [0.8, 0.99]},
+            optimizer={"kind": "adam", "lr": 0.01},
             scheduler={"kind": "step_decay", "milestones": [3, 6]},
             probe_aux=["heldout", "train"])
         assert conv.scheduler.milestones == (3, 6)
@@ -155,8 +155,6 @@ class TestConfig:
             build()
 
     @pytest.mark.parametrize("build,error", [
-        (lambda: OptimizerSpec(betas=[0.9, 0.99]),
-         "optimizer.betas must be a tuple of numbers, got [0.9, 0.99]"),
         (lambda: SchedulerSpec(milestones=[3, 6]),
          "scheduler.milestones must be a tuple of integers, got [3, 6]"),
         (lambda: OptimizerSpec(lr="0.1"), "optimizer.lr must be a number, got '0.1'"),
@@ -581,6 +579,13 @@ class TestPlots:
         for p in written:
             assert f"stop @ {res.stop_epoch}" in p.read_text()
 
+    def test_emit_plots_returns_only_written_charts(self, tmp_path):
+        from neve.experiment import emit_plots
+        record = RunRecord(1, 0.5, 0.5, 0.5, 0.5, None, 0.0, 0.1, "stop", 0.0)
+        res = RunResult(1, [record], [], {"noise": [0.0]}, "noise", 1)
+        assert [p.name for p in emit_plots(res, tmp_path)] == ["loss.svg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.svg"]
+
 
 class TestSvg:
     def test_stop_marker_annotated(self, tmp_path):
@@ -609,8 +614,11 @@ class TestSvg:
                        ("b", [1, 2], [float("inf"), 0.3])], log_x=True)
         xml.dom.minidom.parse(str(p))
         assert "nan" not in p.read_text() and "inf" not in p.read_text()
-        line_chart(tmp_path / "none.svg", [("a", [1, 2], [float("nan")] * 2)])
+        assert not line_chart(tmp_path / "none.svg", [("a", [1, 2], [float("nan")] * 2)])
         assert not (tmp_path / "none.svg").exists()
+        # on a log axis, so are points at or below 0
+        assert not line_chart(tmp_path / "zero.svg", [("a", [1, 2], [0.0, -1.0])], log_y=True)
+        assert not (tmp_path / "zero.svg").exists()
 
 
 class TestCli:
@@ -733,7 +741,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,flag", [
         (["--eps", "1e-3", "--svg", "missing-dir/x.svg"], "--svg"),
-        (["--eps", "nan"], "--eps"), (["--eps-grid", "1e-3,nan"], "--eps-grid")])
+        (["--eps-grid", "1e-3,nan"], "--eps-grid"), (["--eps-grid", ","], "--eps-grid")])
     def test_epsilon_analysis_bad_value_exits_2_naming_flag(self, argv, flag, tmp_path,
                                                             monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -742,6 +750,13 @@ class TestCli:
         assert captured.err.startswith(f"error: {flag} ")
         assert captured.out == ""           # checked before any work
         assert list(tmp_path.iterdir()) == []
+
+    def test_run_without_positive_velocity_completes(self, tmp_path):
+        # frozen weights and one aux sample: every velocity is exactly 0
+        assert main(["train", *TINY_CLI, "--lr", "0", "--aux-count", "1", "--max-epochs", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "loss_seed1.svg", "run_seed1.csv", "summary.csv"]
 
     def test_out_dir_env_honored_and_flag_wins(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from-env"
@@ -765,9 +780,11 @@ class TestCli:
         (["train", "--momentum", "-1.5"], "optimizer.momentum"),
         (["train", "--momentum", "1"], "optimizer.momentum"),
         (["train", "--weight-decay", "-5"], "optimizer.weight_decay"),
-        (["train", {"optimizer": {"kind": "adam", "betas": [0.9]}}], "optimizer.betas"),
-        (["train", {"optimizer": {"betas": [0.9, 1.0]}}], "optimizer.betas"),
-        (["train", {"optimizer": {"eps": 0}}], "optimizer.eps"),
+        # Adam's constants and the split seed are no config fields
+        (["train", {"optimizer": {"kind": "adam", "betas": [0.9, 0.999]}}],
+         "unknown config field 'optimizer.betas'"),
+        (["train", {"optimizer": {"eps": 1e-8}}], "unknown config field 'optimizer.eps'"),
+        (["train", {"dataset": {"split_seed": 0}}], "unknown config field 'dataset.split_seed'"),
         (["train", "--seeds", "3,3"], "seeds"),
         (["compare", "--seeds", "1,2,1"], "seeds"),
         # a config file's values must fit their fields' types
@@ -784,12 +801,11 @@ class TestCli:
         (["train", {"probe_velocity": 1}], "probe_velocity"),
         (["train", {"dataset": {"train_images": 5}}], "dataset.train_images"),
         (["train", {"dataset": {"cifar_train_paths": [1]}}], "dataset.cifar_train_paths"),
-        # NaN, inf and negative seeds from a sweep grid or a config file
+        # NaN, inf and negative values from a sweep grid or a config file
         (["epsilon-sweep", "--eps-grid", "nan"], "scheduler.epsilon"),
         (["optim-compare", "--adam-lr", "nan"], "optimizer.lr"),
         (["compare", "--vloss-fraction", "nan"], "dataset.validation_fraction"),
-        (["aux-sweep", "--heldout-fraction", "inf"], "dataset.validation_fraction"),
-        (["train", {"dataset": {"split_seed": -1}}], "dataset.split_seed"),
+        (["aux-sweep", "--val-fracs", "0,inf"], "dataset.validation_fraction"),
         (["train", {"scheduler": {"min_lr": -1.0}}], "scheduler.min_lr"),
         (["train", {"scheduler": {"min_lr": float("nan")}}], "scheduler.min_lr"),
         # a flag can make a valid file invalid; a flag does not excuse a mistyped file value
@@ -902,12 +918,27 @@ def _readme_commands():
     return commands
 
 
-def _workload_module():
-    path = REPO / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load(relative: str):
+    """A module of the repository that is not on the import path."""
+    path = REPO / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_untrained(argv, monkeypatch) -> int:
+    """``main(argv)`` with every run failing at once, so nothing trains but
+    everything before the runs (configs, refusals, data checks) happens."""
+    monkeypatch.setattr("neve.experiment.cli.run_training", lambda cfg, seed, dump_dir=None:
+                        RunResult(seed, [], [], {}, None, None, failed=True, error="untrained"))
+    return main(argv)
+
+
+# the flags each sweep refuses: every one of its variants sets the flag's key
+REFUSED = {"train": set(), "compare": {"--scheduler", "--val-fraction"},
+           "epsilon-sweep": {"--scheduler", "--epsilon"}, "aux-sweep": {"--scheduler"},
+           "optim-compare": {"--optimizer", "--scheduler"}}
 
 
 class TestFlags:
@@ -1125,10 +1156,45 @@ class TestFlags:
             assert shown in train_help
 
     @pytest.mark.parametrize("smoke", [False, True])
-    def test_benchmark_workload_commands_resolve(self, smoke, tmp_path):
-        workloads = _workload_module()
+    @pytest.mark.filterwarnings("ignore:seed")
+    def test_benchmark_workload_commands_resolve(self, smoke, tmp_path, monkeypatch):
+        workloads = _load("perfbench/workloads.py")
         for name in workloads.WORKLOADS:
             out = tmp_path / name
             out.mkdir()
-            args = build_parser().parse_args(workloads.cli_args(name, 7, out, smoke))
-            resolve_config(args)
+            assert _run_untrained(workloads.cli_args(name, 7, out, smoke), monkeypatch) == 0
+
+    @pytest.mark.parametrize("builder", ["optim_compare_args", "aux_sweep_args",
+                                         "conv_geometry_args", "data_paths_args"])
+    @pytest.mark.filterwarnings("ignore:seed")
+    def test_tool_commands_resolve(self, builder, tmp_path, monkeypatch):
+        tool = _load("tools/run_workloads.py")
+        assert _run_untrained(getattr(tool, builder)(7, tmp_path), monkeypatch) == 0
+
+    @pytest.mark.parametrize("command", sorted(REFUSED))
+    def test_sweep_refuses_exactly_the_keys_every_variant_sets(self, command, monkeypatch):
+        def built(*_):
+            raise LookupError("the refusal let the flags through")
+        monkeypatch.setattr("neve.experiment.cli.config_from_dict", built)
+        refused = set()
+        for flag, key in FLAGS.items():
+            args = build_parser().parse_args([command])
+            setattr(args, key, "given")       # the refusal reads only whether a flag is given
+            try:
+                args.func(args)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{flag} is refused by {command}: ")
+                refused.add(flag)
+            except LookupError:
+                pass
+        assert refused == REFUSED[command]
+
+    @pytest.mark.parametrize("command,flag", sorted(
+        (command, flag) for command, flags in REFUSED.items() for flag in flags))
+    def test_refused_flag_exits_2_before_output(self, command, flag, tmp_path, capsys):
+        value = {"--scheduler": "vloss", "--val-fraction": "0.2", "--epsilon": "0.5",
+                 "--optimizer": "adam"}[flag]
+        out = tmp_path / "out"
+        assert main([command, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} is refused by {command}: ")
+        assert not out.exists()

@@ -8,7 +8,9 @@ compared line for line, byte for byte, line endings and quoting included,
 setting aside only the ``wall_seconds`` cell; every other file
 (``config.json``, SVG charts) byte for byte. A file is reported as
 "identical", or with the largest relative and absolute difference of each
-numeric column that differs. The last line says whether the decision, learning-rate and
+numeric column that differs; a JSON file whose bytes differ also gets
+one line per dotted key that was removed, added or changed, with both
+values. The last line says whether the decision, learning-rate and
 accuracy columns match exactly. Exit status: 0 when every file is
 identical, 1 when any differs, 2 on a usage error or when neither
 directory holds a CSV file. Standard library only.
@@ -16,6 +18,7 @@ directory holds a CSV file. Standard library only.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -71,6 +74,25 @@ def compare_file(path_a: Path, path_b: Path) -> tuple[dict, list[str]]:
     return diffs, problems
 
 
+def json_changes(a, b, name: str = "") -> list[str]:
+    """One line per dotted key removed from, added to or changed between
+    two parsed JSON values; objects are walked, any other value compared
+    by its JSON text."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        text_a, text_b = json.dumps(a), json.dumps(b)
+        return [] if text_a == text_b else [f"{name}: {text_a} -> {text_b}"]
+    lines = []
+    for key in [*a, *(k for k in b if k not in a)]:
+        dotted = f"{name}.{key}" if name else key
+        if key not in b:
+            lines.append(f"{dotted}: removed, was {json.dumps(a[key])}")
+        elif key not in a:
+            lines.append(f"{dotted}: added, {json.dumps(b[key])}")
+        else:
+            lines += json_changes(a[key], b[key], dotted)
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(Path(d).is_dir() for d in argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -89,9 +111,16 @@ def main(argv: list[str]) -> int:
         print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
     for rel in sorted(files_a & files_b):
         if rel.suffix != ".csv":
-            identical = (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
-            same = same and identical
-            print(f"{rel}: {'identical' if identical else 'bytes differ'}")
+            bytes_a, bytes_b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
+            same = same and bytes_a == bytes_b
+            print(f"{rel}: {'identical' if bytes_a == bytes_b else 'bytes differ'}")
+            if rel.suffix == ".json" and bytes_a != bytes_b:
+                try:
+                    changes = json_changes(json.loads(bytes_a), json.loads(bytes_b))
+                except ValueError:      # not JSON: the bytes alone are reported
+                    changes = []
+                for line in changes:
+                    print(f"  {line}")
             continue
         diffs, problems = compare_file(dir_a / rel, dir_b / rel)
         if not diffs and not problems:
