@@ -247,15 +247,41 @@ class Flatten(_Layer):
         return np.ascontiguousarray(grad.T).reshape(*shape[1:], shape[0]).transpose(3, 0, 1, 2)
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=1)``, taken down the columns of a (classes, batch)
+    copy, since numpy reduces a short last axis slowly. A max is exact; only
+    a zero maximum's sign may differ, which no shift by it can show."""
+    return np.ascontiguousarray(logits.T).max(axis=0)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for overflow safety."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax, shifted by the row maximum for overflow safety."""
+    z = logits - _row_max(logits)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of integer ``labels`` under softmax(logits)."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Mean cross-entropy of integer ``labels`` under softmax(logits), from
+    the same shift, exp and row sum as ``softmax``."""
+    z = logits - _row_max(logits)[:, None]
     log_norm = np.log(np.exp(z).sum(axis=1))
     return float(np.mean(log_norm - z[np.arange(len(labels)), labels]))
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cross_entropy(logits, labels)`` and its gradient w.r.t. ``logits``,
+    ``(softmax(logits) - onehot(labels)) / batch``, from one shift, one exp
+    and one row sum. Each value comes from the same operations on the same
+    operands as in those two functions, so both are bit for bit theirs;
+    ``logits`` is read, never written."""
+    rows = np.arange(len(labels))
+    z = logits - _row_max(logits)[:, None]
+    picked = z[rows, labels]
+    e = np.exp(z, out=z)
+    norm = e.sum(axis=1)
+    loss = float(np.mean(np.log(norm) - picked))
+    e /= norm[:, None]
+    e[rows, labels] -= 1.0
+    e /= len(labels)
+    return loss, e

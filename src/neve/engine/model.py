@@ -20,6 +20,11 @@ all. So training's recorded state lives in the memory evaluation uses.
 an activation the same pass produced, never to the caller's batch. What
 a pass returns is fresh: the logits (the head writes no buffer), the
 probabilities and the capture blocks, which are copies.
+
+The loss head computes what a caller reads and nothing twice: a training
+step takes its loss and gradient from one softmax pass, ``evaluate``
+skips the softmax, and an accuracy-only ``evaluate`` skips the loss. No
+GEMM changes shape or batching for it, so every number keeps its bits.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, NumericError, check_type
-from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax
+from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax, softmax_cross_entropy
 
 
 def _capture_site(act: np.ndarray) -> np.ndarray:
@@ -136,7 +141,9 @@ class Model:
         first layer whose output is not finite. A value that never reaches
         the logits (say, in a border row a strided conv skips) cannot change
         the loss or the gradients and is not reported. The returned arrays
-        are fresh: none aliases a buffer that a later pass overwrites.
+        are fresh: none aliases a buffer that a later pass overwrites. An
+        empty batch, or one whose sample shape is not ``input_shape``,
+        raises ConfigError.
         """
         logits, captured = self._logits(batch, capture_probes, record=False)
         probs = softmax(logits)
@@ -152,6 +159,8 @@ class Model:
             raise ConfigError(
                 f"batch shape {x.shape[1:]} does not match input shape {self.input_shape}"
             )
+        if not len(x):
+            raise ConfigError("a forward pass needs a non-empty batch")
         captured = [] if capture_probes else None
         owned = False   # x was made by this pass; a flatten view of the batch is not
         b = len(x)
@@ -219,25 +228,38 @@ def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = 
     return Model(arch_spec, input_shape, seed)
 
 
-def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Recording forward plus backward pass: fills every layer's ``grads``
-    with the mean cross-entropy gradient and returns the loss. No parameter
-    update. The layers before the first trainable one run no backward, and
-    the first trainable one computes no input gradient."""
+def _checked_labels(model: Model, batch, labels) -> np.ndarray:
+    """``labels`` as an array, or ConfigError unless they are integers, one
+    per row of ``batch``, in [0, n_classes): a float, missing or surplus
+    label would otherwise index the logits wrongly or fail deep in numpy."""
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= model.n_classes:
+    if labels.dtype.kind not in "iu":
+        raise ConfigError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (len(batch),):
+        raise ConfigError(
+            f"labels of shape {labels.shape} for a batch of {len(batch)} rows; "
+            "give one label per row"
+        )
+    if len(labels) and (labels.min() < 0 or labels.max() >= model.n_classes):
         raise ConfigError(
             f"labels must lie in [0, {model.n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+    return labels
+
+
+def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
+    """Recording forward plus backward pass: fills every layer's ``grads``
+    with the mean cross-entropy gradient and returns the loss. No parameter
+    update. The loss and the logits' gradient come from one shift, exp and
+    row sum (``softmax_cross_entropy``), bit for bit what ``cross_entropy``
+    and ``softmax`` give. The layers before the first trainable one run no
+    backward, and the first trainable one computes no input gradient."""
+    labels = _checked_labels(model, batch, labels)
     logits, _ = model._logits(batch, False, record=True)
-    loss = cross_entropy(logits, labels)
+    loss, grad = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss; halting the run")
-    n = len(labels)
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
     # backprop ends at the first trainable layer: nothing reads its input gradient
     first = next(idx for idx, _, _ in model.trainable())
     for layer in reversed(model.layers[first + 1:]):
@@ -254,18 +276,22 @@ def backward_and_step(model: Model, batch: np.ndarray, labels: np.ndarray, opt) 
 
 
 def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
-             batch_size: int = 512) -> tuple[float, float]:
+             batch_size: int = 512, *, with_loss: bool = True) -> tuple[float | None, float]:
     """Mean loss and accuracy over a dataset; never mutates parameters.
-    Runs the inference pass without the softmax, which the loss does not read."""
+    Runs the inference pass without the softmax, which neither reads. With
+    ``with_loss=False`` no cross-entropy is computed and the loss is None;
+    the accuracy is the same."""
     if len(samples) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
-    labels = np.asarray(labels)
+    labels = _checked_labels(model, samples, labels)
     losses = []
     correct = 0
     for start in range(0, len(samples), batch_size):
         xb = samples[start:start + batch_size]
         yb = labels[start:start + batch_size]
         logits, _ = model._logits(xb, False, record=False)
-        losses.append(cross_entropy(logits, yb) * len(yb))
+        if with_loss:
+            losses.append(cross_entropy(logits, yb) * len(yb))
         correct += int((logits.argmax(axis=1) == yb).sum())
-    return float(np.sum(losses) / len(samples)), correct / len(samples)
+    loss = float(np.sum(losses) / len(samples)) if with_loss else None
+    return loss, correct / len(samples)

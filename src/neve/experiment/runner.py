@@ -223,7 +223,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                 loss_sum += loss * len(idx)
             train_loss = loss_sum / len(train)
 
-            _, train_acc = evaluate(model, train.samples, train.labels)
+            _, train_acc = evaluate(model, train.samples, train.labels, with_loss=False)
             test_loss, test_acc = evaluate(model, test.samples, test.labels)
             val_loss = None
             if len(val):

@@ -15,6 +15,8 @@ import pytest
 from neve.data import gen_blobs
 from neve.engine import (Conv2d, Dense, Optimizer, OptimizerSpec, backward_and_step,
                          build_model, compute_gradients, cross_entropy, evaluate, softmax)
+from neve.engine import model as model_mod
+from neve.engine.layers import _row_max, softmax_cross_entropy
 from neve.errors import ConfigError, NeveError, NumericError
 
 FD_STEP = 1e-5
@@ -418,6 +420,117 @@ class TestConvWorkspace:
         assert np.array_equal(m.forward(x)[0], logits)
 
 
+def reference_softmax(logits):
+    """``softmax`` as it was written with a row-wise ``max(axis=1)``."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_cross_entropy(logits, labels):
+    """``cross_entropy`` as it was written with a row-wise ``max(axis=1)``."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(log_norm - z[np.arange(len(labels)), labels]))
+
+
+def head_logits(rng, n, c):
+    """(n, c) logits up to +-700, with tied row maxima and rows of +-0.0."""
+    logits = rng.uniform(-1.0, 1.0, size=(n, c)) * rng.choice([1.0, 30.0, 700.0], size=(n, 1))
+    for i in range(0, n, 3):   # a tie for the row maximum
+        j, k = rng.choice(c, size=2, replace=False)
+        logits[i, j] = logits[i, k] = np.abs(logits[i]).max()
+    for i in range(1, n, 5):   # a zero maximum: +0.0 and -0.0 mixed with negatives
+        logits[i] = np.where(rng.random(c) < 0.5, 0.0, -0.0)
+        logits[i, rng.random(c) < 0.3] = -rng.uniform(0.0, 700.0)
+    return logits
+
+
+class TestLossHead:
+    """The loss head gives the bits of the row-wise ``max(axis=1)`` code."""
+
+    @pytest.mark.parametrize("c", range(2, 13))
+    @pytest.mark.parametrize("n", [1, 2, 7, 127, 128, 129, 600])
+    def test_fused_head_matches_softmax_and_cross_entropy(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        logits = head_logits(rng, n, c)
+        labels = rng.integers(0, c, size=n)
+        before = logits.copy()
+        loss, grad = softmax_cross_entropy(logits, labels)
+        assert logits.tobytes() == before.tobytes()
+        want_loss = reference_cross_entropy(logits, labels)
+        want_grad = reference_softmax(logits)
+        want_grad[np.arange(n), labels] -= 1.0
+        want_grad /= n
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert np.float64(cross_entropy(logits, labels)).tobytes() == \
+            np.float64(want_loss).tobytes()
+        assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 6, 8, 9, 12, 33])
+    def test_row_max_matches_numpy_on_special_values(self, c):
+        rng = np.random.default_rng(c)
+        values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0])
+        logits = rng.choice(values, size=(300, c))
+        # values equal and NaN where numpy's is; a zero maximum may differ in sign
+        assert np.array_equal(_row_max(logits), logits.max(axis=1), equal_nan=True)
+
+    def test_compute_gradients_reads_the_fused_head(self):
+        rng = np.random.default_rng(21)
+        m = build_model("mlp:5-7-6", seed=2)
+        x = rng.standard_normal((40, 5))
+        y = rng.integers(0, 6, size=40)
+        loss = compute_gradients(m, x, y)
+        got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
+        logits = m._logits(x, False, record=True)[0]
+        assert loss == reference_cross_entropy(logits, y)
+        grad = reference_softmax(logits)
+        grad[np.arange(40), y] -= 1.0
+        grad /= 40
+        for layer in reversed(m.layers):
+            grad = layer.backward(grad)
+        for i, _, grads in m.trainable():
+            for n, g in grads.items():
+                assert g.tobytes() == got[(i, n)].tobytes(), (i, n)
+
+
+class TestMalformedBatches:
+    """Malformed batches raise ConfigError before any pass runs."""
+
+    def _model(self):
+        return build_model("mlp:2-4-3", seed=0)
+
+    def test_empty_batch_in_forward(self):
+        with pytest.raises(ConfigError, match="non-empty batch"):
+            self._model().forward(np.zeros((0, 2)))
+
+    def test_empty_batch_in_compute_gradients(self):
+        with pytest.raises(ConfigError, match="non-empty batch"):
+            compute_gradients(self._model(), np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 2.0]), np.array([True, False, True])])
+    @pytest.mark.parametrize("call", ["compute_gradients", "evaluate"])
+    def test_non_integer_labels(self, call, labels):
+        fn = compute_gradients if call == "compute_gradients" else evaluate
+        with pytest.raises(ConfigError, match=f"labels must be integers, got dtype {labels.dtype}"):
+            fn(self._model(), np.zeros((3, 2)), labels)
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1]), np.array([0, 1, 2, 0]),
+                                        np.array([[0], [1], [2]])])
+    @pytest.mark.parametrize("call", ["compute_gradients", "evaluate"])
+    def test_label_count_differs_from_rows(self, call, labels):
+        fn = compute_gradients if call == "compute_gradients" else evaluate
+        with pytest.raises(ConfigError, match=re.escape(
+                f"labels of shape {labels.shape} for a batch of 3 rows")):
+            fn(self._model(), np.zeros((3, 2)), labels)
+
+    def test_out_of_range_labels_in_evaluate(self):
+        # a negative label used to index the last logit and count as a wrong answer
+        with pytest.raises(ConfigError, match=re.escape("labels must lie in [0, 3)")):
+            evaluate(self._model(), np.zeros((3, 2)), np.array([0, -1, 2]))
+
+
 class TestGradients:
     def test_fd_oracle_random_mlp(self):
         # random [4,5,3] stack, 8 samples, as the reference configuration
@@ -811,6 +924,21 @@ class TestEvaluate:
         m = build_model("mlp:2-2", seed=0)
         with pytest.raises(ConfigError):
             evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_accuracy_only_pass_makes_no_cross_entropy(self, monkeypatch):
+        # a dataset of three batches, the last one short
+        m = build_model("mlp:3-5-4", seed=6)
+        x = np.random.default_rng(5).standard_normal((1100, 3))
+        y = np.random.default_rng(6).integers(0, 4, size=1100)
+        loss, acc = evaluate(m, x, y)
+        calls = []
+        real = model_mod.cross_entropy
+        monkeypatch.setattr(model_mod, "cross_entropy",
+                            lambda *a: calls.append(1) or real(*a))
+        assert evaluate(m, x, y, with_loss=False) == (None, acc)
+        assert calls == []
+        assert evaluate(m, x, y) == (loss, acc)
+        assert len(calls) == 3
 
     def test_no_parameter_mutation(self):
         m = build_model("mlp:3-4-2", seed=8)

@@ -23,6 +23,7 @@ import pytest
 from neve.controller import SchedulerState, neve_decide
 from neve.data import Dataset, write_idx
 from neve.engine import evaluate
+from neve.engine import model as model_mod
 from neve.errors import ConfigError, NumericError
 from neve.experiment import (CSV_HEADER, RunRecord, config_from_dict,
                              config_from_file, line_chart, merge_overrides,
@@ -335,6 +336,30 @@ class TestRunTraining:
         header, *rows = files[0].read_text().splitlines()
         assert header == "neuron_id,rho,v"
         assert len(rows) == 16 + 3  # hidden relu + softmax head
+
+    def test_train_split_pass_computes_accuracy_only(self, monkeypatch):
+        losses = []     # batch sizes of the cross-entropy calls model.py makes
+        real_cross_entropy = model_mod.cross_entropy
+        monkeypatch.setattr(model_mod, "cross_entropy",
+                            lambda *a: losses.append(len(a[1])) or real_cross_entropy(*a))
+        accuracy_only = []
+
+        def checking_evaluate(model, samples, labels, *args, **kwargs):
+            out = evaluate(model, samples, labels, *args, **kwargs)
+            if kwargs.get("with_loss", True) is False:
+                made = len(losses)
+                assert out == (None, evaluate(model, samples, labels)[1])
+                del losses[made:]   # the full pass made just now for the comparison
+                accuracy_only.append(len(samples))
+            return out
+
+        monkeypatch.setattr(runner, "evaluate", checking_evaluate)
+        cfg = tiny_cfg(max_epochs=3, scheduler={"kind": "fixed"})
+        train, test = load_dataset(cfg.dataset)
+        res = run_training(cfg, seed=1)
+        assert not res.failed and len(res.records) == 3
+        assert accuracy_only == [len(train)] * 3
+        assert losses == [len(test)] * 3     # one test batch per epoch, nothing else
 
     def test_failed_evaluation_commits_no_velocity(self, tmp_path, monkeypatch):
         # the first evaluation of epoch 4 raises: epochs 1-3 stay whole
