@@ -34,8 +34,6 @@ class SchedulerSpec:
     epsilon: float = within(1e-3, "(0, inf)")
     alpha: float = within(0.1, "(0, 1)")
     patience: int = within(5, "[1, inf)")
-    # v <- |(1 - rho) - mu * v| must decay while rho = 1, or epsilon never stops a run
-    mu_vel: float = within(0.5, "[0, 1)")
     plateau_rel_span: float = within(0.05, "(0, 1)")
     cooldown: int | None = within(None, "[0, inf)")
     min_lr: float | None = within(None, "[0, inf)")

@@ -104,6 +104,8 @@ class Model:
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
         del self._sizes[len(self.layers) - 1]   # the head's logits are fresh
+        n_cols = [n for n, _ in self._sizes.values()]   # conv cols values per sample
+        self._cols_packed, self._cols_widest = sum(n_cols), max(n_cols, default=0)
         self.n_classes = shape[0]
         self.n_probed_neurons = relu_neurons + self.n_classes
         self._buffers: dict = {}   # layer index -> its output; "cols" -> the conv cols
@@ -164,8 +166,7 @@ class Model:
         captured = [] if capture_probes else None
         owned = False   # x was made by this pass; a flatten view of the batch is not
         b = len(x)
-        per_layer = [0, *(n_cols * b for n_cols, _ in self._sizes.values())]   # 0: a lone head
-        cols = self._buffer("cols", ((sum if record else max)(per_layer),))
+        cols = self._buffer("cols", ((self._cols_packed if record else self._cols_widest) * b,))
         start = 0
         for idx, layer in enumerate(self.layers):
             if isinstance(layer, ReLU) and owned:

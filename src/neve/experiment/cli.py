@@ -59,11 +59,9 @@ FLAGS = {
     "--scheduler": "scheduler.kind", "--epsilon": "scheduler.epsilon",
     "--alpha": "scheduler.alpha", "--patience": "scheduler.patience",
     "--rel-span": "scheduler.plateau_rel_span", "--cooldown": "scheduler.cooldown",
-    "--mu-vel": "scheduler.mu_vel", "--milestones": "scheduler.milestones",
-    "--factor": "scheduler.factor", "--vloss-patience": "scheduler.vloss_patience",
-    "--stop-patience": "scheduler.stop_patience",
-    "--aux-source": "aux.source", "--aux-count": "aux.count", "--aux-seed": "aux.seed",
-    "--probe-aux": "probe_aux", "--no-probe": "probe_velocity",
+    "--milestones": "scheduler.milestones", "--factor": "scheduler.factor",
+    "--vloss-patience": "scheduler.vloss_patience", "--stop-patience": "scheduler.stop_patience",
+    "--probe": "aux.sources", "--aux-count": "aux.count", "--aux-seed": "aux.seed",
     "--dump-velocity": "dump_velocity",
 }
 
@@ -256,14 +254,14 @@ def cmd_epsilon_sweep(args) -> int:
 def cmd_aux_sweep(args) -> int:
     variants = [(f"val={frac:g}",
                  {"scheduler.kind": "fixed", "dataset.validation_fraction": frac,
-                  "probe_velocity": False, "probe_aux": (), "dump_velocity": False})
+                  "aux.sources": (), "dump_velocity": False})
                 for frac in args.val_fracs]
     variants += [(f"{source}/{count}",
-                  {"scheduler.kind": "neve", "aux.source": source, "aux.count": count})
+                  {"scheduler.kind": "neve", "aux.sources": (source,), "aux.count": count})
                  for source in args.aux_sources for count in args.aux_sizes]
     base = resolve_config(args, variants)
     for _, overrides in variants:   # a heldout source reads the split: 0.1 when none is set
-        if overrides.get("aux.source") == "heldout" and base.dataset.validation_fraction <= 0:
+        if "heldout" in overrides["aux.sources"] and base.dataset.validation_fraction <= 0:
             overrides["dataset.validation_fraction"] = 0.1
     out, runs = _run_variants(args, base, variants, "aux_sweep.csv", "setting")
     frac_rows = [(cfg.dataset.validation_fraction, s.mean_acc)
@@ -277,7 +275,7 @@ def cmd_aux_sweep(args) -> int:
     by_source = {}
     for cfg, _, s in runs:
         if cfg.scheduler.kind == "neve":
-            counts, accs = by_source.setdefault(cfg.aux.source, ([], []))
+            counts, accs = by_source.setdefault(cfg.aux.sources[0], ([], []))
             counts.append(cfg.aux.count)
             accs.append(s.mean_acc)
     if by_source:

@@ -136,23 +136,30 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class AuxSpec:
-    source: str = within("noise", AUX_SOURCES)
+    """The aux sets a run probes the velocity on: ``sources``, each once, in
+    order (the first drives neve, ``model_velocity`` and the dumps; none
+    probes nothing), each of at most ``count`` samples drawn from ``seed``."""
+
+    sources: tuple[str, ...] = within(("noise",), AUX_SOURCES)
     count: int = within(100, "[1, inf)")
     seed: int = within(0, "[0, inf)")
 
     def __post_init__(self):
         check_fields(self, "aux.")
+        if len(set(self.sources)) < len(self.sources):
+            raise ConfigError(f"aux.sources must be distinct, got {list(self.sources)}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. The neve scheduler and ``dump_velocity`` need a probed
+    aux source, and a ``heldout`` one needs a validation split."""
+
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     arch: object = "mlp:2-64-64-4"        # shorthand string or layer dict list
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
     aux: AuxSpec = field(default_factory=AuxSpec)
-    probe_aux: tuple[str, ...] = within((), AUX_SOURCES)   # extra velocity sources to track
-    probe_velocity: bool = True
     max_epochs: int = within(200, "[1, inf)")
     batch_size: int = within(64, "[1, inf)")
     seeds: tuple[int, ...] = within((1,), "[0, inf)")
@@ -169,16 +176,11 @@ class ExperimentConfig:
             raise ConfigError(
                 "scheduler.kind 'vloss' requires dataset.validation_fraction > 0")
         for needs, on in (("scheduler.kind 'neve'", self.scheduler.kind == "neve"),
-                          ("probe_aux", self.probe_aux), ("dump_velocity", self.dump_velocity)):
-            if on and not self.probe_velocity:
-                raise ConfigError(f"{needs} requires probe_velocity")
-        if "heldout" in self.probed_sources() and self.dataset.validation_fraction <= 0:
-            raise ConfigError(
-                "aux source 'heldout' requires dataset.validation_fraction > 0")
-
-    def probed_sources(self) -> list[str]:
-        """The aux sources a run tracks velocity on, sorted; none without probes."""
-        return sorted({self.aux.source, *self.probe_aux}) if self.probe_velocity else []
+                          ("dump_velocity", self.dump_velocity)):
+            if on and not self.aux.sources:
+                raise ConfigError(f"{needs} requires aux.sources")
+        if "heldout" in self.aux.sources and self.dataset.validation_fraction <= 0:
+            raise ConfigError("aux source 'heldout' requires dataset.validation_fraction > 0")
 
     def scheduler_config(self) -> SchedulerSpec:
         """The scheduler spec ``neve_decide`` reads. Step decay without

@@ -158,7 +158,7 @@ def load_checked(cfg: ExperimentConfig, seed: int = 0):
     except ConfigError as exc:
         raise ConfigError(f"dataset.{exc}") from exc
     reader = ("the vloss scheduler" if cfg.scheduler.kind == "vloss" else
-              "aux source 'heldout'" if "heldout" in cfg.probed_sources() else None)
+              "aux source 'heldout'" if "heldout" in cfg.aux.sources else None)
     if reader and len(val) == 0:
         raise ConfigError(f"dataset.validation_fraction {frac} holds out none of "
                           f"{len(train)} samples, but {reader} reads them")
@@ -166,9 +166,9 @@ def load_checked(cfg: ExperimentConfig, seed: int = 0):
 
 
 def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
-    """Freeze one AuxSet per requested velocity source."""
+    """Freeze one AuxSet per probed source, in ``aux.sources`` order."""
     aux_sets = {}
-    for src in cfg.probed_sources():
+    for src in cfg.aux.sources:
         if src == "noise":
             aux_sets[src] = data_mod.make_aux_noise(cfg.aux.count, train.input_shape,
                                                     cfg.aux.seed)
@@ -196,9 +196,8 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
     sched_state = SchedulerState()
 
     aux_sets = build_aux_sets(cfg, train, val)
-    primary = cfg.aux.source if cfg.probe_velocity else None
-    states = {src: VelocityState.initial(model.n_probed_neurons, cfg.scheduler.mu_vel)
-              for src in aux_sets}
+    primary = cfg.aux.sources[0] if cfg.aux.sources else None
+    states = {src: VelocityState.initial(model.n_probed_neurons) for src in aux_sets}
     snapshots = {src: _snapshot(model, aux, 0) for src, aux in aux_sets.items()}
 
     shuffle_rng = np.random.default_rng([seed, 0])

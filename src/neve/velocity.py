@@ -5,7 +5,7 @@ unit-normalized; the change rate between consecutive epochs is the inner
 product of those unit vectors (a cosine similarity in [-1, 1], 1 meaning
 the neuron's input-to-output function did not move). The velocity
 
-    v_t = |(1 - rho_t) - mu * v_{t-1}|,   v_0 = 0
+    v_t = |(1 - rho_t) - MU * v_{t-1}|,   v_0 = 0,   MU = 0.5
 
 smooths the complementary change 1 - rho, and the model velocity is the
 arithmetic mean of all probed neurons' velocities. Everything here is
@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigError
 
 ZERO_NORM_EPS = 1e-12
+# v <- |(1 - rho) - MU * v| must decay while rho = 1, or epsilon never stops a run
+MU = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,25 +87,24 @@ def change_rate(prev: ActivationSnapshot, curr: ActivationSnapshot) -> np.ndarra
 class VelocityState:
     """Per-neuron velocities plus the model-velocity history of a run."""
 
-    mu: float
     v: np.ndarray                     # per-neuron, all >= 0
     rho: np.ndarray | None            # change rates of the latest step
     history: tuple[float, ...]        # model velocity per epoch, epoch 1 first
 
     @classmethod
-    def initial(cls, n_neurons: int, mu: float = 0.5) -> "VelocityState":
+    def initial(cls, n_neurons: int) -> "VelocityState":
         if n_neurons < 1:
             raise ConfigError("velocity state needs at least one probed neuron")
-        return cls(float(mu), np.zeros(n_neurons), None, ())
+        return cls(np.zeros(n_neurons), None, ())
 
 
 def velocity_step(state: VelocityState, rho: np.ndarray) -> VelocityState:
-    """Advance one epoch: v <- |(1 - rho) - mu * v|, append the new model
+    """Advance one epoch: v <- |(1 - rho) - MU * v|, append the new model
     velocity to the history. Pure: the input state is left untouched."""
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != state.v.shape:
         raise ConfigError(
             f"change-rate vector shape {rho.shape} != velocity shape {state.v.shape}"
         )
-    v_new = np.abs((1.0 - rho) - state.mu * state.v)
-    return VelocityState(state.mu, v_new, rho, state.history + (float(v_new.mean()),))
+    v_new = np.abs((1.0 - rho) - MU * state.v)
+    return VelocityState(v_new, rho, state.history + (float(v_new.mean()),))

@@ -92,13 +92,13 @@ def test_c01_epsilon_analysis_exactness():
 
 def test_c02_velocity_recurrence_arithmetic():
     with criterion(2, "velocity recurrence reproduces the unit sequences exactly"):
-        s = VelocityState.initial(1, mu=0.5)
+        s = VelocityState.initial(1)
         s = velocity_step(s, np.array([0.9]))
         assert s.v[0] == abs((1.0 - 0.9) - 0.5 * 0.0)
         s = velocity_step(s, np.array([0.95]))
         assert s.v[0] == abs((1.0 - 0.95) - 0.5 * abs(1.0 - 0.9))
         # rho == 1: the model velocity halves every epoch for ten steps
-        s = VelocityState(mu=0.5, v=np.array([0.3, 0.7, 0.1]), rho=None, history=())
+        s = VelocityState(v=np.array([0.3, 0.7, 0.1]), rho=None, history=())
         expected = float(s.v.mean())
         for _ in range(10):
             s = velocity_step(s, np.ones(3))
@@ -267,7 +267,7 @@ def test_c08_noise_aux_tracks_heldout_velocity():
             dataset={**DIGITS["dataset"], "test_samples": 500,
                      "validation_fraction": 0.3},
             scheduler={"kind": "fixed"},
-            probe_aux=["noise", "heldout"],
+            aux={"sources": ["noise", "heldout"]},
             max_epochs=50))
         res = run_training(cfg, 1)
         noise = np.asarray(res.velocity_series["noise"])
@@ -340,7 +340,8 @@ def test_c12_probe_overhead_bound():
         # probed runs only by also spanning both bare runs between them.
         best = {True: float("inf"), False: float("inf")}
         for probed in (True, False, False, True):
-            records = run_training(config_from_dict(dict(base, probe_velocity=probed)),
+            sources = ["noise"] if probed else []
+            records = run_training(config_from_dict(dict(base, aux={"sources": sources})),
                                    1).records
             best[probed] = min(best[probed], *(r.wall_seconds for r in records))
         t_with, t_without = best[True], best[False]

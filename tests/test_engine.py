@@ -410,6 +410,20 @@ class TestConvWorkspace:
             tracemalloc.stop()
         assert peak < 9 * 14 * 14 * 512 * 8
 
+    @pytest.mark.parametrize("arch,input_shape,step,per_sample", [
+        # TWO_CONV on 1x6x6: 1*9*6*6 cols for the first conv, 2*9*2*2 for the second
+        (TWO_CONV, (1, 6, 6), False, 324), (TWO_CONV, (1, 6, 6), True, 324 + 72),
+        ("mlp:3-8-2", (3,), True, 0)])
+    def test_cols_buffer_fits_the_pass(self, arch, input_shape, step, per_sample):
+        # a forward reuses the widest conv's cols; a training step packs them all
+        m = build_model(arch, seed=0, input_shape=input_shape)
+        x = np.random.default_rng(30).standard_normal((5, *input_shape))
+        if step:
+            compute_gradients(m, x, np.arange(5) % 2)
+        else:
+            m.forward(x)
+        assert m._buffers["cols"].size == per_sample * 5
+
     def test_release_buffers_empties_the_conv_workspace(self):
         m = build_model(TWO_CONV, seed=0, input_shape=(1, 6, 6))
         x = np.random.default_rng(28).standard_normal((5, 1, 6, 6))

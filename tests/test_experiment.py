@@ -85,9 +85,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="validation_fraction"):
             tiny_cfg(scheduler={"kind": "vloss"})
 
+    def test_unknown_aux_source_named(self):
+        with pytest.raises(ConfigError, match="aux.sources"):
+            AuxSpec(sources=("noise", "bogus"))
+        assert tiny_cfg(aux={"sources": ["train", "noise"]}).aux.sources == ("train", "noise")
+
     def test_heldout_aux_requires_validation_split(self):
         with pytest.raises(ConfigError, match="heldout"):
-            tiny_cfg(aux={"source": "heldout"})
+            tiny_cfg(aux={"sources": ["heldout"]})
 
     def test_idx_paths_required(self):
         with pytest.raises(ConfigError, match="dataset.train_images"):
@@ -125,7 +130,7 @@ class TestConfig:
                   {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}],
             optimizer={"kind": "adam", "lr": 0.01},
             scheduler={"kind": "step_decay", "milestones": [3, 6]},
-            probe_aux=["heldout", "train"])
+            aux={"sources": ["noise", "heldout", "train"]})
         assert conv.scheduler.milestones == (3, 6)
         assert isinstance(conv.arch, list)
         for cfg in (tiny_cfg(), conv):
@@ -149,6 +154,7 @@ class TestConfig:
         (lambda: SchedulerSpec(alpha=5.0), "scheduler.alpha"),
         (lambda: OptimizerSpec(momentum=1.5), "optimizer.momentum"),
         (lambda: AuxSpec(count=0), "aux.count"),
+        (lambda: AuxSpec(sources=("noise", "heldout", "noise")), "aux.sources"),
         (lambda: DatasetSpec(sigma=float("nan")), "dataset.sigma"),
         (lambda: dataclasses.replace(ExperimentConfig(), max_epochs=0), "max_epochs")])
     def test_construction_rejects_out_of_range_value(self, build, field):
@@ -159,8 +165,8 @@ class TestConfig:
         (lambda: SchedulerSpec(milestones=[3, 6]),
          "scheduler.milestones must be a tuple of integers, got [3, 6]"),
         (lambda: OptimizerSpec(lr="0.1"), "optimizer.lr must be a number, got '0.1'"),
-        (lambda: ExperimentConfig(probe_aux="train"),
-         "probe_aux must be a tuple of strings, got 'train'"),
+        (lambda: AuxSpec(sources="train"),
+         "aux.sources must be a tuple of strings, got 'train'"),
         (lambda: SchedulerSpec(kind=None), "scheduler.kind must be a string, got None"),
         (lambda: ExperimentConfig(max_epochs=2.5), "max_epochs must be an integer, got 2.5"),
         (lambda: ExperimentConfig(batch_size=True),
@@ -249,15 +255,48 @@ class TestRunTraining:
     def test_multi_aux_sources_tracked(self):
         cfg = tiny_cfg(dataset={"name": "blobs", "n_samples": 300, "n_classes": 3,
                                 "validation_fraction": 0.2},
-                       scheduler={"kind": "fixed"}, probe_aux=["heldout", "train"],
-                       max_epochs=5)
+                       scheduler={"kind": "fixed"},
+                       aux={"sources": ["noise", "heldout", "train"]}, max_epochs=5)
         res = run_training(cfg, seed=7)
         assert set(res.velocity_series) == {"noise", "heldout", "train"}
         assert all(len(v) == 5 for v in res.velocity_series.values())
 
+    def test_first_source_fills_the_velocity_column(self):
+        cfg = tiny_cfg(scheduler={"kind": "fixed"}, aux={"sources": ["train", "noise"]},
+                       max_epochs=4)
+        res = run_training(cfg, seed=7)
+        assert res.primary_source == "train"
+        assert list(res.velocity_series) == ["train", "noise"]
+        assert all(len(v) == 4 for v in res.velocity_series.values())
+        column = [line.split(",")[6] for line in records_to_csv(res.records).splitlines()[1:]]
+        assert column == [repr(v) for v in res.velocity_series["train"]]
+        assert res.velocity_series["train"] != res.velocity_series["noise"]
+
+    def test_source_order_changes_no_number(self):
+        # each aux set draws from its own aux.seed generator
+        dataset = {"name": "blobs", "n_samples": 300, "n_classes": 3, "test_samples": 150,
+                   "sigma": 0.4, "validation_fraction": 0.2}
+        results = [run_training(tiny_cfg(dataset=dataset, scheduler={"kind": "fixed"},
+                                         aux={"sources": sources}, max_epochs=4), seed=3)
+                   for sources in (["train", "noise", "heldout"], ["heldout", "noise", "train"])]
+        first, second = (r.velocity_series for r in results)
+        assert list(second) == list(reversed(first))
+        assert second == first
+        assert ([(r.train_loss, r.test_acc) for r in results[0].records]
+                == [(r.train_loss, r.test_acc) for r in results[1].records])
+        assert [r.model_velocity for r in results[1].records] == second["heldout"]
+
+    def test_velocity_dump_follows_the_first_source(self, tmp_path):
+        cfg = tiny_cfg(max_epochs=3, scheduler={"kind": "fixed"},
+                       aux={"sources": ["train", "noise"]})
+        res = run_training(cfg, seed=1, dump_dir=tmp_path)
+        for epoch in (1, 2, 3):
+            rows = (tmp_path / f"velocity_epoch{epoch:04d}.csv").read_text().splitlines()[1:]
+            v = np.array([float(row.split(",")[2]) for row in rows])
+            assert float(v.mean()) == res.velocity_series["train"][epoch - 1]
+
     def test_probes_disabled_leaves_velocity_empty(self):
-        cfg = tiny_cfg(scheduler={"kind": "fixed"}, probe_velocity=False,
-                       max_epochs=3)
+        cfg = tiny_cfg(scheduler={"kind": "fixed"}, aux={"sources": []}, max_epochs=3)
         res = run_training(cfg, seed=8)
         assert res.velocity_series == {}
         assert all(r.model_velocity is None for r in res.records)
@@ -372,7 +411,8 @@ class TestRunTraining:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(runner, "evaluate", failing_evaluate)
-        cfg = tiny_cfg(max_epochs=6, scheduler={"kind": "fixed"}, probe_aux=["train"])
+        cfg = tiny_cfg(max_epochs=6, scheduler={"kind": "fixed"},
+                       aux={"sources": ["noise", "train"]})
         res = run_training(cfg, seed=1, dump_dir=tmp_path)
         assert res.failed and res.error == "injected"
         assert [r.epoch for r in res.records] == [1, 2, 3]
@@ -680,6 +720,15 @@ class TestCli:
         cfg = json.loads((tmp_path / "config.json").read_text())
         assert cfg["scheduler"]["kind"] == "fixed"
 
+    def test_config_json_names_the_probed_sources(self, tmp_path):
+        assert main(["train", *TINY_CLI, "--max-epochs", "2", "--scheduler", "fixed",
+                     "--probe", "train,noise", "--out", str(tmp_path)]) == 0
+        raw = json.loads((tmp_path / "config.json").read_text())
+        assert raw["aux"] == {"sources": ["train", "noise"], "count": 100, "seed": 0}
+        assert not {"probe_aux", "probe_velocity"} & set(raw)
+        assert "mu_vel" not in raw["scheduler"]
+        assert config_from_dict(raw).aux.sources == ("train", "noise")
+
     def test_failed_seed_reported_and_summary_written(self, tmp_path, capsys):
         # lr 1e300 overflows the weights in the first epoch: a NumericError run
         with np.errstate(all="ignore"), pytest.warns(UserWarning, match="seed 1 failed"):
@@ -798,7 +847,7 @@ class TestCli:
     @pytest.mark.parametrize("argv,key", [
         (["compare", "--vloss-fraction", "0"], "dataset.validation_fraction"),
         (["epsilon-sweep", "--eps-grid", "1e-2,-1"], "scheduler.epsilon"),
-        (["aux-sweep", "--aux-sources", "noise,bogus"], "aux.source"),
+        (["aux-sweep", "--aux-sources", "noise,bogus"], "aux.sources"),
         (["aux-sweep", "--aux-sizes", "0"], "aux.count"),
         (["optim-compare", "--adam-lr", "-1"], "optimizer.lr"),
         (["epsilon-sweep", "--eps-grid", ","], "epsilon-sweep: no variants"),
@@ -822,8 +871,8 @@ class TestCli:
         (["train", {"optimizer": {"kind": 1}}], "optimizer.kind"),
         (["train", {"scheduler": {"cooldown": 1.5}}], "scheduler.cooldown"),
         (["train", {"scheduler": {"milestones": "3,5"}}], "scheduler.milestones"),
-        (["train", {"probe_aux": "noise"}], "probe_aux"),
-        (["train", {"probe_velocity": 1}], "probe_velocity"),
+        (["train", {"aux": {"sources": "noise"}}], "aux.sources"),
+        (["train", {"dump_velocity": 1}], "dump_velocity"),
         (["train", {"dataset": {"train_images": 5}}], "dataset.train_images"),
         (["train", {"dataset": {"cifar_train_paths": [1]}}], "dataset.cifar_train_paths"),
         # NaN, inf and negative values from a sweep grid or a config file
@@ -838,11 +887,18 @@ class TestCli:
           {"scheduler": {"kind": "vloss"}, "dataset": {"validation_fraction": 0.3}}],
          "dataset.validation_fraction"),
         (["train", "--lr", "0.1", {"optimizer": {"lr": "0.1"}}], "optimizer.lr"),
-        # a velocity dump needs the probes
-        (["train", "--scheduler", "fixed", "--no-probe", "--dump-velocity"],
-         "dump_velocity requires probe_velocity"),
-        (["train", "--dump-velocity", {"scheduler": {"kind": "fixed"}, "probe_velocity": False}],
-         "dump_velocity requires probe_velocity")])
+        # the velocity controller and a velocity dump need a probed source
+        (["train", "--scheduler", "fixed", "--probe", "", "--dump-velocity"],
+         "dump_velocity requires aux.sources"),
+        (["train", "--dump-velocity", {"scheduler": {"kind": "fixed"}, "aux": {"sources": []}}],
+         "dump_velocity requires aux.sources"),
+        (["train", "--probe", "train,noise,train"],
+         "aux.sources must be distinct, got ['train', 'noise', 'train']"),
+        # the settings that aux.sources and the velocity constant replaced are gone
+        (["train", {"probe_aux": ["train"]}], "unknown config field 'probe_aux'"),
+        (["train", {"probe_velocity": True}], "unknown config field 'probe_velocity'"),
+        (["train", {"aux": {"source": "noise"}}], "unknown config field 'aux.source'"),
+        (["train", {"scheduler": {"mu_vel": 0.5}}], "unknown config field 'scheduler.mu_vel'")])
     def test_subcommand_value_checked_before_output(self, argv, key, tmp_path, capsys):
         if isinstance(argv[-1], dict):          # the content of a config file
             conf = tmp_path / "conf.json"
@@ -857,7 +913,7 @@ class TestCli:
 
     @pytest.mark.parametrize("raw,flags", [
         ({"scheduler": {"kind": "vloss"}}, ["--val-fraction", "0.3"]),
-        ({"probe_velocity": False}, ["--scheduler", "fixed"]),
+        ({"aux": {"sources": []}}, ["--scheduler", "fixed"]),
         ({"dataset": {"name": "idx"}}, "idx paths")])
     def test_flags_complete_a_config_file(self, raw, flags, tmp_path):
         # each file alone is invalid; the merged config is checked once
@@ -921,7 +977,7 @@ FLAG_SAMPLES = {
     "dataset.test_images": ("c", "c"), "dataset.test_labels": ("d", "d"),
     "optimizer.kind": ("adam", "adam"), "scheduler.kind": ("step_decay", "step_decay"),
     "scheduler.cooldown": ("7", 7), "scheduler.milestones": ("3,4", (3, 4)),
-    "aux.source": ("train", "train"), "probe_aux": ("noise, train", ("noise", "train")),
+    "aux.sources": ("train, noise", ("train", "noise")),
 }
 
 
@@ -962,7 +1018,8 @@ def _run_untrained(argv, monkeypatch) -> int:
 
 # the flags each sweep refuses: every one of its variants sets the flag's key
 REFUSED = {"train": set(), "compare": {"--scheduler", "--val-fraction"},
-           "epsilon-sweep": {"--scheduler", "--epsilon"}, "aux-sweep": {"--scheduler"},
+           "epsilon-sweep": {"--scheduler", "--epsilon"},
+           "aux-sweep": {"--scheduler", "--probe"},
            "optim-compare": {"--optimizer", "--scheduler"}}
 
 
@@ -970,7 +1027,7 @@ class TestFlags:
     @pytest.mark.parametrize("flag,key", sorted(FLAGS.items()))
     def test_flag_sets_its_config_field(self, flag, key):
         default = _field(ExperimentConfig(), key)
-        base = ["train", "--scheduler", "fixed"]   # fixed: --no-probe is valid
+        base = ["train", "--scheduler", "fixed"]
         if isinstance(default, bool):
             argv, expected = [flag], not default
         else:
@@ -980,6 +1037,12 @@ class TestFlags:
         assert expected != default
         cfg = resolve_config(build_parser().parse_args(base + argv))
         assert _field(cfg, key) == expected
+
+    @pytest.mark.parametrize("text,sources", [
+        ("", ()), ("train", ("train",)), ("noise,train", ("noise", "train"))])
+    def test_probe_lists_sources_in_order(self, text, sources):
+        args = build_parser().parse_args(["train", "--scheduler", "fixed", "--probe", text])
+        assert resolve_config(args).aux.sources == sources
 
     @pytest.mark.parametrize("via", ["flag", "file"])
     @pytest.mark.parametrize("flag,key,value", [
@@ -1005,7 +1068,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("flag,key", [
         ("--dataset", "dataset.name"), ("--optimizer", "optimizer.kind"),
-        ("--scheduler", "scheduler.kind"), ("--aux-source", "aux.source"),
+        ("--scheduler", "scheduler.kind"), ("--probe", "aux.sources"),
         ("--augment", "dataset.augment")])
     def test_invalid_value_exits_2_naming_field(self, flag, key, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1021,7 +1084,6 @@ class TestFlags:
         ("--milestones", "0,3", "scheduler.milestones"),
         ("--vloss-patience", "0", "scheduler.vloss_patience"),
         ("--stop-patience", "0", "scheduler.stop_patience"),
-        ("--mu-vel", "5", "scheduler.mu_vel"), ("--mu-vel", "-1", "scheduler.mu_vel"),
         ("--cooldown", "-3", "scheduler.cooldown")])
     def test_out_of_range_scheduler_value_exits_2_naming_field(self, flag, value, key,
                                                                tmp_path, capsys):
@@ -1042,7 +1104,7 @@ class TestFlags:
          "dataset.augment"),
         (["--scheduler", "vloss", "--val-fraction", "0.001", "--n-samples", "100"],
          "dataset.validation_fraction"),
-        (["--aux-source", "heldout", "--val-fraction", "0.001", "--n-samples", "100"],
+        (["--probe", "heldout", "--val-fraction", "0.001", "--n-samples", "100"],
          "dataset.validation_fraction"),
         (["--scheduler", "vloss", "--val-fraction", "0.9", "--n-samples", "8",
           "--test-samples", "8"], "dataset.validation_fraction"),
@@ -1104,12 +1166,11 @@ class TestFlags:
         assert f"error: {named}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_probe_aux_without_probing_exits_2_naming_both(self, tmp_path, capsys):
+    def test_neve_probing_no_source_exits_2_naming_both(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["train", "--scheduler", "fixed", "--no-probe", "--probe-aux", "train",
-                     "--out", str(out)]) == 2
+        assert main(["train", "--probe", "", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "probe_aux" in err and "probe_velocity" in err
+        assert "scheduler.kind 'neve' requires aux.sources" in err
         assert not out.exists()
 
     def test_class_count_mismatch_checked_before_output(self, tmp_path, capsys):
@@ -1218,7 +1279,7 @@ class TestFlags:
         (command, flag) for command, flags in REFUSED.items() for flag in flags))
     def test_refused_flag_exits_2_before_output(self, command, flag, tmp_path, capsys):
         value = {"--scheduler": "vloss", "--val-fraction": "0.2", "--epsilon": "0.5",
-                 "--optimizer": "adam"}[flag]
+                 "--optimizer": "adam", "--probe": "train"}[flag]
         out = tmp_path / "out"
         assert main([command, flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} is refused by {command}: ")

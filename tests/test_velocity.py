@@ -102,13 +102,13 @@ class TestChangeRate:
 
 class TestVelocityStep:
     def test_first_step_arithmetic(self):
-        state = VelocityState.initial(1, mu=0.5)
+        state = VelocityState.initial(1)
         state = velocity_step(state, np.array([0.9]))
         assert state.v[0] == abs((1.0 - 0.9) - 0.5 * 0.0)
         npt.assert_allclose(state.v[0], 0.1, rtol=0, atol=1e-15)
 
     def test_second_step_cancels(self):
-        state = VelocityState.initial(1, mu=0.5)
+        state = VelocityState.initial(1)
         state = velocity_step(state, np.array([0.9]))
         state = velocity_step(state, np.array([0.95]))
         expected = abs((1.0 - 0.95) - 0.5 * abs(1.0 - 0.9))
@@ -117,7 +117,7 @@ class TestVelocityStep:
 
     def test_rho_one_decays_geometrically(self):
         # with rho = 1 the recurrence is v <- mu * v, an exact halving here
-        state = VelocityState(mu=0.5, v=np.array([0.8, 0.2]), rho=None, history=())
+        state = VelocityState(v=np.array([0.8, 0.2]), rho=None, history=())
         expected = state.v.copy()
         for _ in range(10):
             state = velocity_step(state, np.ones(2))
@@ -125,7 +125,7 @@ class TestVelocityStep:
             npt.assert_array_equal(state.v, expected)
 
     def test_purity(self):
-        state = VelocityState.initial(3, mu=0.5)
+        state = VelocityState.initial(3)
         rho = np.array([0.9, 0.8, 1.0])
         out1 = velocity_step(state, rho)
         out2 = velocity_step(state, rho)
@@ -135,14 +135,14 @@ class TestVelocityStep:
         assert state.history == ()
 
     def test_history_accumulates_model_velocity(self):
-        state = VelocityState.initial(2, mu=0.5)
+        state = VelocityState.initial(2)
         state = velocity_step(state, np.array([0.8, 0.6]))
         npt.assert_allclose(state.history, [(0.2 + 0.4) / 2], atol=1e-15)
         state = velocity_step(state, np.array([1.0, 1.0]))
         assert len(state.history) == 2
 
     def test_shape_mismatch_rejected(self):
-        state = VelocityState.initial(2, mu=0.5)
+        state = VelocityState.initial(2)
         with pytest.raises(ConfigError):
             velocity_step(state, np.ones(3))
 

@@ -18,8 +18,9 @@ then a k3/s3/p0 conv; passed in a config file written there) trains at
 batch 50 with ``pad_crop_flip``, so that tail batches and other conv
 border cases than the workload's k3/s2/p1 are compared too; and a digits
 ``train`` run into ``OUT/data-paths`` with ``subset``, ``normalize``, a
-validation split read by the vloss scheduler and a ``heldout`` aux set,
-probing ``noise`` and ``train`` as well.
+validation split that the vloss scheduler and a ``heldout`` aux set read,
+and ``--probe heldout,noise,train`` (``heldout`` first, so its velocity
+fills the records' ``model_velocity`` column).
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
 Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
@@ -91,7 +92,7 @@ def data_paths_args(seed: int, out_dir: Path) -> list[str]:
     return ["train", "--out", str(out_dir), "--seeds", str(3 * seed + 1),
             "--data-seed", str(seed), "--aux-seed", str(seed), "--dataset", "digits",
             "--n-samples", "600", "--test-samples", "200", "--subset", "300", "--normalize",
-            "--val-fraction", "0.2", "--aux-source", "heldout", "--probe-aux", "noise,train",
+            "--val-fraction", "0.2", "--probe", "heldout,noise,train",
             "--scheduler", "vloss", "--vloss-patience", "1", "--stop-patience", "3",
             "--arch", "mlp:784-32-10", "--batch-size", "50", "--max-epochs", "4"]
 
