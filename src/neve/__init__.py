@@ -8,7 +8,7 @@ once it falls below a threshold — no validation split required.
 
 from .controller import (ControllerDecision, EpsilonAnalysis, SchedulerSpec,
                          SchedulerState, epsilon_analysis, neve_decide, softmax_delta)
-from .data import (AuxSet, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
+from .data import (Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                    load_idx, make_aux_from_samples, make_aux_noise, split, standardize,
                    write_idx)
 from .engine import Model, Optimizer, OptimizerSpec, backward_and_step, build_model, evaluate
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ControllerDecision", "EpsilonAnalysis", "SchedulerSpec", "SchedulerState",
     "epsilon_analysis", "neve_decide", "softmax_delta",
-    "AuxSet", "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
+    "Dataset", "augment", "gen_blobs", "gen_digits", "load_cifar10",
     "load_idx", "make_aux_from_samples", "make_aux_noise", "split", "standardize",
     "write_idx",
     "Model", "Optimizer", "OptimizerSpec", "backward_and_step", "build_model", "evaluate",

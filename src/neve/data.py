@@ -1,5 +1,6 @@
 """Datasets, loaders, splits, augmentation and auxiliary-set builders.
 
+An auxiliary set is a read-only array of label-free probe inputs.
 Datasets and auxiliary sets are immutable after construction and safely
 shareable across concurrent runs; every random choice is driven by an
 explicit seed or a caller-supplied generator. The functions here take
@@ -11,7 +12,6 @@ read-only, so an in-place write raises ValueError.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +34,9 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        if self.labels.dtype.kind not in "iu":
+            raise ConfigError(
+                f"{self.name}: labels must be integers, got dtype {self.labels.dtype}")
         if len(self.samples) != len(self.labels):
             raise ConfigError(
                 f"{self.name}: {len(self.samples)} samples vs {len(self.labels)} labels")
@@ -59,19 +62,6 @@ class Dataset:
             return self
         return self.take(_stratified_draw(self.labels, self.n_classes, n, seed),
                          f"{self.name}[{n}]")
-
-
-@dataclass(frozen=True)
-class AuxSet:
-    """Frozen, label-free probe inputs; identical bytes every epoch."""
-
-    samples: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.samples.tobytes()).hexdigest()
 
 
 def _stratified_counts(labels: np.ndarray, n_classes: int, total: int) -> list[int]:
@@ -287,17 +277,17 @@ def load_cifar10(paths, name: str = "cifar10") -> Dataset:
 # Auxiliary sets
 
 
-def make_aux_noise(count: int, input_shape: tuple[int, ...], seed: int = 0) -> AuxSet:
-    """Standard-normal noise inputs; the default probe source (count 100)."""
+def make_aux_noise(count: int, input_shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
+    """Read-only standard-normal noise inputs; the default probe source (count 100)."""
     if count < 1:
         raise ConfigError(f"aux set needs at least one sample, got {count}")
     samples = np.random.default_rng(seed).standard_normal((count, *input_shape))
     samples.flags.writeable = False
-    return AuxSet(samples)
+    return samples
 
 
-def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> AuxSet:
-    """Freeze ``count`` samples drawn without replacement from ``samples``."""
+def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> np.ndarray:
+    """A read-only copy of ``count`` samples drawn without replacement from ``samples``."""
     if count < 1:
         raise ConfigError(f"aux set needs at least one sample, got {count}")
     if count > len(samples):
@@ -306,7 +296,7 @@ def make_aux_from_samples(samples: np.ndarray, count: int, seed: int = 0) -> Aux
     idx = rng.permutation(len(samples))[:count]
     drawn = samples[np.sort(idx)]       # a copy: the caller's array stays writable
     drawn.flags.writeable = False
-    return AuxSet(drawn)
+    return drawn
 
 
 # ---------------------------------------------------------------------------

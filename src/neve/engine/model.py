@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, check_type
+from ..errors import ConfigError, NumericError, check_type, check_value
 from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax, softmax_cross_entropy
 
 
@@ -281,7 +281,9 @@ def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
     """Mean loss and accuracy over a dataset; never mutates parameters.
     Runs the inference pass without the softmax, which neither reads. With
     ``with_loss=False`` no cross-entropy is computed and the loss is None;
-    the accuracy is the same."""
+    the accuracy is the same. ``batch_size`` must be an integer >= 1."""
+    check_type("batch_size", batch_size, int)
+    check_value("batch_size", batch_size, "[1, inf)")
     if len(samples) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
     labels = _checked_labels(model, samples, labels)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, check_fields, within
+from ..errors import ConfigError, NeveError, check_fields, within
 
 # Adam's moment decay rates and denominator offset, the conventional constants
 ADAM_BETAS = (0.9, 0.999)
@@ -56,7 +56,10 @@ class Optimizer:
         self._t += 1
         for idx, params, grads in model.trainable():
             for name, p in params.items():
-                g = grads[name]
+                g = grads.get(name)
+                if g is None:
+                    raise NeveError(f"layer {idx}/{name} has no gradient; call "
+                                    "compute_gradients before Optimizer.step")
                 if g.shape != p.shape:
                     raise ConfigError(
                         f"gradient shape {g.shape} != parameter shape {p.shape} "

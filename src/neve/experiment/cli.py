@@ -118,8 +118,10 @@ def ensure_out_dir(args) -> Path:
 
 
 def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
+    """``config.json``, with the scheduler the runs read: derived milestones included."""
+    resolved = dataclasses.replace(cfg, scheduler=cfg.scheduler_config())
     with open(out / "config.json", "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, default=str)
+        json.dump(dataclasses.asdict(resolved), f, indent=2, default=str)
         f.write("\n")
 
 
@@ -198,7 +200,7 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
             end = (f"stopped at epoch {result.stop_epoch}" if result.stop_epoch is not None
                    else f"reached max_epochs {result.final.epoch}")
             print(f"  seed {seed}: {end}, test acc {result.final.test_acc:.4f}")
-        runs.append((cfg, results, summarize_results(label, tuple(cfg.seeds), results)))
+        runs.append((cfg, results, summarize_results(label, results)))
     summaries = [summary for _, _, summary in runs]
     _print_table((column, "test acc [%]", "stop epoch"), [_summary_row(s) for s in summaries])
     _write_summary_csv(out / summary_name, summaries)
@@ -313,8 +315,8 @@ def cmd_optim_compare(args) -> int:
     out, runs = _run_variants(args, base, variants, "optim_compare.csv",
                               "optimizer/scheduler")
     vel_series = []
-    for cfg, results, _ in runs:
-        vs = results[0].velocity_series.get(results[0].primary_source)
+    for cfg, results, _ in runs:   # the neve variants make a config without sources exit 2
+        vs = results[0].velocity_series.get(cfg.aux.sources[0])
         if cfg.scheduler.kind == "neve" and vs:
             vel_series.append((cfg.optimizer.kind, list(range(1, len(vs) + 1)), vs))
     if vel_series:

@@ -200,9 +200,6 @@ class ExperimentConfig:
     def dataset_with(self, **kwargs) -> DatasetSpec:
         return dataclasses.replace(self.dataset, **kwargs)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from nested plain dicts, type-checked as they are
@@ -226,4 +223,4 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
 
 def merge_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """A copy of ``cfg`` with dotted-key overrides (e.g. "scheduler.epsilon") applied."""
-    return _from_dict(ExperimentConfig, _layer(cfg.to_dict(), overrides), "")
+    return _from_dict(ExperimentConfig, _layer(dataclasses.asdict(cfg), overrides), "")

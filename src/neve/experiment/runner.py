@@ -59,15 +59,24 @@ CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 @dataclass
 class RunResult:
+    """One seeded run; ``error`` holds the NumericError that ended it early."""
+
     seed: int
     records: list
     decisions: list
     velocity_series: dict            # aux source -> model-velocity list
-    primary_source: str | None
-    stop_epoch: int | None           # None when the run hit max_epochs
-    failed: bool = False
-    error: str = ""
+    error: str | None = None
     model: object = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+    @property
+    def stop_epoch(self) -> int | None:
+        """None when the run hit max_epochs or failed before a stop."""
+        stopped = self.records and self.records[-1].decision == STOP
+        return self.records[-1].epoch if stopped else None
 
     @property
     def final(self) -> RunRecord:
@@ -165,8 +174,8 @@ def load_checked(cfg: ExperimentConfig, seed: int = 0):
     return train, val, test, model
 
 
-def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxSet]:
-    """Freeze one AuxSet per probed source, in ``aux.sources`` order."""
+def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, np.ndarray]:
+    """Freeze one read-only aux array per probed source, in ``aux.sources`` order."""
     aux_sets = {}
     for src in cfg.aux.sources:
         if src == "noise":
@@ -179,8 +188,8 @@ def build_aux_sets(cfg: ExperimentConfig, train, val) -> dict[str, data_mod.AuxS
     return aux_sets
 
 
-def _snapshot(model, aux: data_mod.AuxSet, epoch: int):
-    _, _, capture = model.forward(aux.samples, capture_probes=True)
+def _snapshot(model, aux: np.ndarray, epoch: int):
+    _, _, capture = model.forward(aux, capture_probes=True)
     return normalize_capture(capture, epoch)
 
 
@@ -205,8 +214,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
 
     records: list[RunRecord] = []
     decisions: list[ControllerDecision] = []
-    stop_epoch = None
-    failed, error = False, ""
+    error = None
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
@@ -249,16 +257,14 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
                 decision=decision.verdict,
                 wall_seconds=time.perf_counter() - t0))
             if decision.verdict == STOP:
-                stop_epoch = epoch
                 break
     except NumericError as exc:
-        failed, error = True, str(exc)
+        error = str(exc)
     model.release_buffers()   # the result keeps the model, not its inference buffers
 
     series = {src: list(state.history) for src, state in states.items()}
     return RunResult(seed=seed, records=records, decisions=decisions,
-                     velocity_series=series, primary_source=primary,
-                     stop_epoch=stop_epoch, failed=failed, error=error, model=model)
+                     velocity_series=series, error=error, model=model)
 
 
 def _dump_velocity(dump_dir, epoch: int, state: VelocityState) -> None:
@@ -270,14 +276,15 @@ def _dump_velocity(dump_dir, epoch: int, state: VelocityState) -> None:
             writer.writerow([i, repr(float(r)), repr(float(v))])
 
 
-def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
-    """Aggregate per-seed results; failed seeds are excluded from the
-    statistics (with a warning) but reported in the summary."""
+def summarize_results(label: str, results) -> RunSummary:
+    """Aggregate per-seed results, each under its own ``seed``; failed seeds
+    are excluded from the statistics (with a warning) but reported in the summary."""
     accs, stops, failures = [], [], []
-    for seed, result in zip(seeds, results):
+    for result in results:
         if result.failed or not result.records:
-            failures.append((seed, result.error or "no records produced"))
-            warnings.warn(f"seed {seed} failed: {result.error}", stacklevel=2)
+            reason = result.error or "no records produced"
+            failures.append((result.seed, reason))
+            warnings.warn(f"seed {result.seed} failed: {reason}", stacklevel=2)
             continue
         accs.append(result.final.test_acc)
         stops.append(result.final.epoch)
@@ -286,8 +293,8 @@ def summarize_results(label: str, seeds: tuple, results) -> RunSummary:
         mean_stop, std_stop = float(np.mean(stops)), float(np.std(stops))
     else:
         mean_acc = std_acc = mean_stop = std_stop = float("nan")
-    return RunSummary(label=label, seeds=seeds, test_accs=tuple(accs), mean_acc=mean_acc,
-                      std_acc=std_acc, mean_stop=mean_stop, std_stop=std_stop,
+    return RunSummary(label=label, seeds=tuple(r.seed for r in results), test_accs=tuple(accs),
+                      mean_acc=mean_acc, std_acc=std_acc, mean_stop=mean_stop, std_stop=std_stop,
                       failures=tuple(failures))
 
 

@@ -38,9 +38,6 @@ class ActivationSnapshot:
     units: tuple[np.ndarray, ...]
     zero_flags: tuple[np.ndarray, ...]
 
-    def registry_signature(self) -> tuple[tuple[int, int], ...]:
-        return tuple(u.shape for u in self.units)
-
 
 def normalize_capture(raw: tuple[np.ndarray, ...], epoch: int) -> ActivationSnapshot:
     """Unit-normalize each neuron's row of a capture's (neurons, vector_len)
@@ -63,11 +60,9 @@ def change_rate(prev: ActivationSnapshot, curr: ActivationSnapshot) -> np.ndarra
     dying or reviving counts as maximal change (rate 0). Results are
     clamped to [-1, 1] against rounding spill.
     """
-    if prev.registry_signature() != curr.registry_signature():
-        raise ConfigError(
-            f"snapshot registries differ: {prev.registry_signature()} vs "
-            f"{curr.registry_signature()}"
-        )
+    prev_shapes, curr_shapes = (tuple(u.shape for u in s.units) for s in (prev, curr))
+    if prev_shapes != curr_shapes:
+        raise ConfigError(f"snapshot registries differ: {prev_shapes} vs {curr_shapes}")
     if prev.epoch + 1 != curr.epoch:
         raise ConfigError(
             f"snapshots must be consecutive, got epochs {prev.epoch} and {curr.epoch}"

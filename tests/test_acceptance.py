@@ -180,14 +180,14 @@ def test_c05_frozen_model_sanity():
             state = VelocityState.initial(model.n_probed_neurons)
             sched_state = SchedulerState()
             prev = normalize_capture(
-                model.forward(aux.samples, capture_probes=True)[2], 0)
+                model.forward(aux, capture_probes=True)[2], 0)
             rhos, stop_at = [], None
             for epoch in range(1, 60):
                 if epoch == warm_epochs + 1:
                     opt.lr = 0.0
                 backward_and_step(model, ds.samples, ds.labels, opt)
                 snap = normalize_capture(
-                    model.forward(aux.samples, capture_probes=True)[2], epoch)
+                    model.forward(aux, capture_probes=True)[2], epoch)
                 rho = change_rate(prev, snap)
                 state = velocity_step(state, rho)
                 prev = snap

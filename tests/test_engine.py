@@ -787,6 +787,15 @@ class TestOptimizers:
             for n, p in ps.items():
                 assert np.array_equal(p, before[(i, n)])
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_before_any_gradient_names_the_parameter(self, kind):
+        m, opt, _, _ = self._setup(kind)
+        params = lambda: [p.copy() for _, ps, _ in m.trainable() for p in ps.values()]
+        before = params()
+        with pytest.raises(NeveError, match=r"layer 0/W has no gradient; call compute_gradients"):
+            opt.step(m)
+        assert all(map(np.array_equal, before, params()))
+
     def test_sgd_momentum_matches_reference_recurrence(self):
         m, opt, x, y = self._setup("sgd", lr=0.1, momentum=0.9, weight_decay=0.0)
         w_layer = m.layers[0]
@@ -938,6 +947,14 @@ class TestEvaluate:
         m = build_model("mlp:2-2", seed=0)
         with pytest.raises(ConfigError):
             evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("batch_size", [0, -5, 1.5, True, None])
+    def test_batch_size_must_be_an_integer_of_at_least_one(self, batch_size):
+        # -5 once gave (0.0, 0.0): range() ran no batch and counted nothing correct
+        ds = gen_blobs(100, 2, seed=0)
+        m = build_model("mlp:2-4-2", seed=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(m, ds.samples, ds.labels, batch_size=batch_size)
 
     def test_accuracy_only_pass_makes_no_cross_entropy(self, monkeypatch):
         # a dataset of three batches, the last one short

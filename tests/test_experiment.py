@@ -136,7 +136,7 @@ class TestConfig:
         for cfg in (tiny_cfg(), conv):
             p = tmp_path / "cfg.json"
             with open(p, "w") as f:
-                json.dump(cfg.to_dict(), f)
+                json.dump(dataclasses.asdict(cfg), f)
             assert config_from_file(p) == cfg
 
     def test_merge_overrides(self):
@@ -265,8 +265,7 @@ class TestRunTraining:
         cfg = tiny_cfg(scheduler={"kind": "fixed"}, aux={"sources": ["train", "noise"]},
                        max_epochs=4)
         res = run_training(cfg, seed=7)
-        assert res.primary_source == "train"
-        assert list(res.velocity_series) == ["train", "noise"]
+        assert list(res.velocity_series) == list(cfg.aux.sources) == ["train", "noise"]
         assert all(len(v) == 4 for v in res.velocity_series.values())
         column = [line.split(",")[6] for line in records_to_csv(res.records).splitlines()[1:]]
         assert column == [repr(v) for v in res.velocity_series["train"]]
@@ -314,11 +313,11 @@ class TestRunTraining:
         aux = build_aux_sets(cfg, train, gen_blobs(10, 2, seed=0))["noise"]
         model = build_model(cfg.arch, seed=1, input_shape=train.input_shape)
         opt = Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0))
-        h0 = aux.content_hash()
+        h0 = aux.tobytes()
         for epoch in range(3):
             backward_and_step(model, train.samples[:64], train.labels[:64], opt)
             _snapshot(model, aux, epoch)
-            assert aux.content_hash() == h0
+            assert aux.tobytes() == h0
 
     @pytest.mark.parametrize("train_classes,test_classes,head", [
         (4, 3, 4),     # the test file lacks the top class
@@ -515,40 +514,46 @@ class TestCifarDataset:
 
 
 class TestSuite:
+    @staticmethod
+    def fake(seed, acc=0.5, decision="continue", error=None):
+        rec = RunRecord(epoch=3, train_loss=0.1, train_acc=1.0, test_loss=0.1,
+                        test_acc=acc, val_loss=None, model_velocity=None,
+                        learning_rate=0.1, decision=decision, wall_seconds=0.0)
+        return RunResult(seed=seed, records=[] if error else [rec], decisions=[],
+                         velocity_series={}, error=error)
+
     def test_single_seed_std_zero(self):
         result = run_training(tiny_cfg(max_epochs=5, scheduler={"kind": "fixed"}), seed=1)
-        summary = summarize_results("fixed", (1,), [result])
+        summary = summarize_results("fixed", [result])
+        assert summary.seeds == (1,)
         assert summary.test_accs == (result.final.test_acc,)
         assert summary.std_acc == 0.0
         assert summary.std_stop == 0.0
 
     def test_population_std_arithmetic(self):
-        def fake(acc):
-            rec = RunRecord(epoch=3, train_loss=0.1, train_acc=1.0, test_loss=0.1,
-                            test_acc=acc, val_loss=None, model_velocity=None,
-                            learning_rate=0.1, decision="continue", wall_seconds=0.0)
-            return RunResult(seed=0, records=[rec], decisions=[], velocity_series={},
-                             primary_source=None, stop_epoch=None)
-        summary = summarize_results("x", (1, 2, 3),
-                                    [fake(0.90), fake(0.92), fake(0.94)])
+        summary = summarize_results("x", [self.fake(s, acc) for s, acc in
+                                          ((1, 0.90), (2, 0.92), (3, 0.94))])
+        assert summary.seeds == (1, 2, 3)
         assert summary.mean_acc == pytest.approx(0.92, abs=1e-12)
         assert summary.std_acc == pytest.approx(0.016329931618554536, rel=1e-9)
 
     def test_failed_seed_excluded_with_warning(self):
-        def fake(failed):
-            if failed:
-                return RunResult(seed=0, records=[], decisions=[], velocity_series={},
-                                 primary_source=None, stop_epoch=None, failed=True,
-                                 error="boom")
-            rec = RunRecord(epoch=1, train_loss=0.1, train_acc=1.0, test_loss=0.1,
-                            test_acc=0.5, val_loss=None, model_velocity=None,
-                            learning_rate=0.1, decision="continue", wall_seconds=0.0)
-            return RunResult(seed=0, records=[rec], decisions=[], velocity_series={},
-                             primary_source=None, stop_epoch=None)
-        with pytest.warns(UserWarning, match="seed 2 failed"):
-            summary = summarize_results("x", (1, 2), [fake(False), fake(True)])
+        with pytest.warns(UserWarning, match="seed 2 failed: boom"):
+            summary = summarize_results("x", [self.fake(1), self.fake(2, error="boom")])
+        assert summary.seeds == (1, 2)
         assert summary.failures == ((2, "boom"),)
         assert summary.test_accs == (0.5,)
+
+    def test_seeds_are_the_results_own(self):
+        summary = summarize_results("x", [self.fake(9), self.fake(4)])
+        assert summary.seeds == (9, 4)
+
+    def test_stop_and_failure_derived(self):
+        assert self.fake(1, decision="stop").stop_epoch == 3
+        assert self.fake(1, decision="rescale").stop_epoch is None
+        failed = self.fake(1, error="")     # an empty message still marks a failure
+        assert failed.failed and failed.stop_epoch is None
+        assert not self.fake(1).failed
 
 
 # each kind with settings that make it rescale (and stop, where it can) within 30 epochs
@@ -573,6 +578,14 @@ def recorded_run(request):
     res = run_training(cfg, seed=5)
     signals = [r.model_velocity if kind == "neve" else r.val_loss for r in res.records]
     return cfg, res, signals
+
+
+class TestExports:
+    @pytest.mark.parametrize("package", ["neve", "neve.engine", "neve.experiment"])
+    def test_every_exported_name_resolves(self, package):
+        module = importlib.import_module(package)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        assert len(set(module.__all__)) == len(module.__all__)
 
 
 class TestReadme:
@@ -728,6 +741,21 @@ class TestCli:
         assert not {"probe_aux", "probe_velocity"} & set(raw)
         assert "mu_vel" not in raw["scheduler"]
         assert config_from_dict(raw).aux.sources == ("train", "noise")
+
+    def test_config_json_records_derived_milestones(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["train", *TINY_CLI, "--scheduler", "step_decay", "--max-epochs", "8",
+                     "--out", str(first)]) == 0
+        raw = json.loads((first / "config.json").read_text())
+        assert raw["scheduler"]["milestones"] == [4, 6]
+
+        def rows(out):   # the run CSV without its wall_seconds column
+            text = (out / "run_seed1.csv").read_text()
+            return [line.rsplit(",", 1)[0].split(",") for line in text.splitlines()]
+        rescaled = [int(row[0]) for row in rows(first)[1:] if row[8] == "rescale"]
+        assert rescaled == [4, 6]
+        assert main(["train", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+        assert rows(again) == rows(first)
 
     def test_failed_seed_reported_and_summary_written(self, tmp_path, capsys):
         # lr 1e300 overflows the weights in the first epoch: a NumericError run
@@ -1012,7 +1040,7 @@ def _run_untrained(argv, monkeypatch) -> int:
     """``main(argv)`` with every run failing at once, so nothing trains but
     everything before the runs (configs, refusals, data checks) happens."""
     monkeypatch.setattr("neve.experiment.cli.run_training", lambda cfg, seed, dump_dir=None:
-                        RunResult(seed, [], [], {}, None, None, failed=True, error="untrained"))
+                        RunResult(seed, [], [], {}, error="untrained"))
     return main(argv)
 
 
