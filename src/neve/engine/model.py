@@ -12,14 +12,19 @@ need seen; a smaller batch uses a prefix. In both passes (the inference
 pass of ``Model.forward``, ``evaluate`` and probe snapshots; the
 recording pass of ``compute_gradients``) each hidden dense or conv layer
 writes its output into its own buffer and the convs write their im2col
-``cols`` into one shared buffer. Only that packing differs: an inference
-pass starts every conv's ``cols`` at offset 0, since they are dead once
-its GEMM has run; a recording pass packs them, since backward reads them
-all. So training's recorded state lives in the memory evaluation uses.
-``release_buffers`` frees it all. Every pass applies a ReLU in place to
-an activation the same pass produced, never to the caller's batch. What
-a pass returns is fresh: the logits (the head writes no buffer), the
-probabilities and the capture blocks, which are copies.
+``cols`` into one shared buffer. Only that packing and the batching
+differ. A recording pass is one block: it packs every conv's ``cols``,
+since backward reads them all, so training's recorded state lives in the
+memory evaluation uses. An inference pass walks the stack once per block
+of at most ``Model._block_rows`` rows, the most whose widest ``cols`` and
+hidden outputs fit in ``INFERENCE_BYTES``, and starts every conv's
+``cols`` at offset 0, since they are dead once its GEMM has run; so its
+workspace does not grow with the batch. ``release_buffers`` frees it
+all. Every pass applies a ReLU in place to an activation the same pass
+produced, never to the caller's batch. What a pass returns is fresh and
+written once: each block's head writes its rows of the logits, each block
+copies its columns of every capture block, and the probabilities come
+from the whole logits.
 
 The loss head computes what a caller reads and nothing twice: a training
 step takes its loss and gradient from one softmax pass, ``evaluate``
@@ -36,12 +41,11 @@ import numpy as np
 from ..errors import ConfigError, NumericError, check_type, check_value
 from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax, softmax_cross_entropy
 
-
-def _capture_site(act: np.ndarray) -> np.ndarray:
-    if act.ndim == 4:
-        # (b, c, h, w) -> (c, b*h*w), a copy: spatial positions join the sample axis
-        return np.array(act.transpose(1, 0, 2, 3), order="C").reshape(act.shape[1], -1)
-    return act.T.copy()
+# workspace bytes an inference pass may hold per block of rows. Smaller
+# blocks fit a cache better, but each pays the layers' fixed per-call cost
+# (im2col alone makes ~45 numpy calls per conv); 4 MiB was the fastest of
+# 0.5, 1, 1.5, 2 and 4 MiB on the benchmark's conv net (2 MiB L2 per core)
+INFERENCE_BYTES = 2 ** 22
 
 
 # layer kind -> its size keys and their defaults; None marks a required key
@@ -78,48 +82,63 @@ class Model:
     """Layer stack built from layer dicts (``LAYER_KEYS``) by one walk that
     sizes each layer for the shape before it (ConfigError naming ``arch[i]``
     on a bad dict or shape) and draws its parameters from ``seed``; then
-    checks for a dense head and counts probed rows in ``n_probed_neurons``."""
+    checks for a dense head and counts probed rows in ``n_probed_neurons``.
+    The same walk plans every pass: each layer's workspace buffer, whether
+    a ReLU may work in place and which capture slot it fills, and the
+    inference block size ``_block_rows``."""
 
     def __init__(self, descs: list, input_shape: tuple[int, ...], seed: int):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layers = []
         shape = self.input_shape
-        relu_neurons = 0
-        self._sizes = {}   # hidden dense or conv index -> (cols, output) values per sample
         rng = np.random.default_rng(int(seed))
+        # one step per layer: (layer, workspace key or None, cols and output
+        # values per sample, ReLU in place, capture slot or None)
+        self._plan = []
+        self._sites = []   # capture slot -> the ReLU's output shape per sample
+        owned = False      # some earlier layer is not a Flatten: the pass made x
         for idx, desc in enumerate(descs):
             try:
-                self.layers.append(_layer(desc, shape, rng))
-                shape = self.layers[-1].output_shape(shape)
+                layer = _layer(desc, shape, rng)
+                shape = layer.output_shape(shape)
             except ConfigError as exc:
                 raise ConfigError(f"arch[{idx}]: {exc}") from exc
-            layer = self.layers[-1]
+            self.layers.append(layer)
+            key, n_cols, n_out, site = None, 0, 0, None
             if isinstance(layer, ReLU):
-                relu_neurons += shape[0]
-            elif isinstance(layer, Dense):
-                self._sizes[idx] = (0, layer.out_features)
-            elif isinstance(layer, Conv2d):
-                f, oh, ow = shape
-                self._sizes[idx] = (layer.in_channels * layer.kernel ** 2 * oh * ow, f * oh * ow)
+                site = len(self._sites)
+                self._sites.append(shape)
+            elif isinstance(layer, (Dense, Conv2d)):
+                key, n_out = idx, math.prod(shape)
+                if isinstance(layer, Conv2d):
+                    n_cols = layer.in_channels * layer.kernel ** 2 * shape[1] * shape[2]
+            self._plan.append((layer, key, n_cols, n_out, owned and site is not None, site))
+            owned = owned or not isinstance(layer, Flatten)
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
-        del self._sizes[len(self.layers) - 1]   # the head's logits are fresh
-        n_cols = [n for n, _ in self._sizes.values()]   # conv cols values per sample
+        del self._plan[-1]   # the head writes the pass's fresh logits
+        n_cols = [step[2] for step in self._plan]
         self._cols_packed, self._cols_widest = sum(n_cols), max(n_cols, default=0)
+        per_row = self._cols_widest + sum(step[3] for step in self._plan)
+        self._block_rows = max(1, INFERENCE_BYTES // (8 * max(per_row, 1)))
         self.n_classes = shape[0]
-        self.n_probed_neurons = relu_neurons + self.n_classes
+        self.n_probed_neurons = sum(site[0] for site in self._sites) + self.n_classes
         self._buffers: dict = {}   # layer index -> its output; "cols" -> the conv cols
+        self._walks: dict = {}     # (rows, record, capture) -> ``_steps`` over the buffers
 
     def release_buffers(self) -> None:
         """Free the workspace; the next pass makes a new one."""
         self._buffers.clear()
+        self._walks.clear()
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        """A ``shape`` view of the front of workspace buffer ``key``, grown to fit."""
+        """A ``shape`` view of the front of workspace buffer ``key``, grown to
+        fit; growing it drops the walks that view the old one."""
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
             buf = self._buffers[key] = np.empty(size)
+            self._walks.clear()
         return buf[:size].reshape(shape)
 
     def n_parameters(self) -> int:
@@ -136,56 +155,89 @@ class Model:
 
         Returns (logits, probabilities, capture): ``capture`` is None unless
         requested, else a tuple of (neurons, vector_len) blocks, one per
-        capture site in stack order. Only the logits are scanned for
+        capture site in stack order. The stack runs once per block of at
+        most ``_block_rows`` rows (equal blocks, the last one possibly
+        shorter), so the pass needs no more workspace than
+        ``INFERENCE_BYTES`` (or one row's, if that is more) however large
+        the batch; each block writes its rows of the logits and its columns
+        of each capture block. Only the logits are scanned for
         non-finite values: NaN and +-inf reach them through every layer (a
-        ReLU turns -inf into NaN). When the scan fails, the stack is run
+        ReLU turns -inf into NaN). When the scan fails, each block is run
         again with a check after each layer, and the NumericError names the
-        first layer whose output is not finite. A value that never reaches
-        the logits (say, in a border row a strided conv skips) cannot change
-        the loss or the gradients and is not reported. The returned arrays
-        are fresh: none aliases a buffer that a later pass overwrites. An
-        empty batch, or one whose sample shape is not ``input_shape``,
-        raises ConfigError.
+        first layer whose output is not finite in any block, the layer a
+        scan of the whole batch would name, since rows are independent. A
+        value that never reaches the logits (say, in a border row a strided
+        conv skips) cannot change the loss or the gradients and is not
+        reported. The returned arrays are fresh: none aliases a buffer that
+        a later pass overwrites. An empty batch, or one whose sample shape
+        is not ``input_shape``, raises ConfigError.
         """
         logits, captured = self._logits(batch, capture_probes, record=False)
         probs = softmax(logits)
         if captured is None:
             return logits, probs, None
-        return logits, probs, (*captured, _capture_site(probs))
+        return logits, probs, (*captured, probs.T.copy())
+
+    def _steps(self, rows: int, record: bool, capture: bool) -> list:
+        """The walk for a block of ``rows`` rows: per layer before the head,
+        (layer, its workspace arguments, ReLU in place, capture slot or
+        None). Kept until the workspace grows or is released."""
+        steps = self._walks.get((rows, record, capture))
+        if steps is not None:
+            return steps
+        cols = self._buffer("cols", ((self._cols_packed if record else self._cols_widest) * rows,))
+        start, steps = 0, []
+        for layer, key, n_cols, n_out, in_place, site in self._plan:
+            kwargs = {}
+            if key is not None:
+                kwargs = {"cols": cols[start:start + n_cols * rows],
+                          "out": self._buffer(key, (rows, n_out))}
+                start += n_cols * rows if record else 0
+            steps.append((layer, kwargs, in_place, site if capture else None))
+        self._walks[rows, record, capture] = steps
+        return steps
 
     def _logits(self, batch: np.ndarray, capture_probes: bool, record: bool):
         """(logits, ReLU capture blocks or None) of ``forward``, without the
-        softmax; each layer keeps its backward state when ``record``."""
-        x = inputs = np.asarray(batch, dtype=np.float64)
-        if x.shape[1:] != self.input_shape:
+        softmax. A recording pass runs as one block, and each layer keeps
+        its backward state."""
+        inputs = np.asarray(batch, dtype=np.float64)
+        if inputs.shape[1:] != self.input_shape:
             raise ConfigError(
-                f"batch shape {x.shape[1:]} does not match input shape {self.input_shape}"
+                f"batch shape {inputs.shape[1:]} does not match input shape {self.input_shape}"
             )
-        if not len(x):
+        b = len(inputs)
+        if not b:
             raise ConfigError("a forward pass needs a non-empty batch")
-        captured = [] if capture_probes else None
-        owned = False   # x was made by this pass; a flatten view of the batch is not
-        b = len(x)
-        cols = self._buffer("cols", ((self._cols_packed if record else self._cols_widest) * b,))
-        start = 0
-        for idx, layer in enumerate(self.layers):
-            if isinstance(layer, ReLU) and owned:
-                x = layer.forward(x, record=record, out=x)
-            elif idx in self._sizes:
-                n_cols, n_out = self._sizes[idx]
-                x = layer.forward(x, record=record, cols=cols[start:start + n_cols * b],
-                                  out=self._buffer(idx, (b, n_out)))
-                start += n_cols * b if record else 0
-            else:
-                x = layer.forward(x, record=record)
-            owned = owned or not isinstance(layer, Flatten)
-            if captured is not None and isinstance(layer, ReLU):
-                captured.append(_capture_site(x))
-        if not np.isfinite(x).all():
-            idx = self._first_nonfinite_layer(inputs)
+        n_blocks = 1 if record else -(-b // self._block_rows)
+        rows = -(-b // n_blocks)   # equal blocks; the last may be shorter
+        logits = np.empty((b, self.n_classes))
+        # sample-major: block rows [s0, s1) fill columns [s0 * h * w, s1 * h * w)
+        captured = ([np.empty((shape[0], b, *shape[1:])) for shape in self._sites]
+                    if capture_probes else None)
+        head = self.layers[-1]
+        steps = self._steps(rows, record, capture_probes)
+        for s0 in range(0, b, rows):
+            s1 = min(s0 + rows, b)
+            if s1 - s0 < rows:
+                steps = self._steps(s1 - s0, record, capture_probes)
+            x = inputs[s0:s1]
+            for layer, kwargs, in_place, site in steps:
+                if in_place:
+                    x = layer.forward(x, record, out=x)
+                else:
+                    x = layer.forward(x, record, **kwargs)
+                if site is not None:
+                    captured[site][:, s0:s1] = x.swapaxes(0, 1)
+            head.forward(x, record, out=logits[s0:s1])
+        if not np.isfinite(logits).all():
+            idx = min(self._first_nonfinite_layer(inputs[s0:s0 + rows])
+                      for s0 in range(0, b, rows))
             raise NumericError(
                 f"non-finite activation at layer {idx} ({self.layers[idx].name})")
-        return x, captured
+        if captured is not None:
+            captured = [cap.reshape(len(cap), -1) for cap in captured]
+        return logits, captured
 
     def _first_nonfinite_layer(self, x: np.ndarray) -> int:
         """Index of the first layer whose output on ``x`` is not finite."""

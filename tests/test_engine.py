@@ -197,20 +197,34 @@ class TestForward:
         ("mlp:16-8-6-3", (1, 4, 4)), (TWO_CONV, (1, 6, 6))])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_weight_named_as_per_layer_scan(self, arch, input_shape, bad):
-        x = np.random.default_rng(5).standard_normal((4, *input_shape))
-        for idx, _, _ in build_model(arch, seed=2, input_shape=input_shape).trainable():
-            for capture in (False, True):
-                m = build_model(arch, seed=2, input_shape=input_shape)
-                m.layers[idx].params["W"].flat[0] = bad
-                with np.errstate(invalid="ignore"):
-                    h, first_bad = x, None
-                    for i, layer in enumerate(m.layers):
-                        h = layer.forward(h)
-                        if first_bad is None and not np.isfinite(h).all():
-                            first_bad = i
-                    assert first_bad is not None
-                    with pytest.raises(NumericError, match=f"at layer {first_bad} "):
-                        m.forward(x, capture_probes=capture)
+        rng = np.random.default_rng(5)
+        clean = build_model(arch, seed=2, input_shape=input_shape)
+        # 4 rows are one block; 3R + 1 rows are four
+        for rows in (4, 3 * clean._block_rows + 1):
+            x = rng.standard_normal((rows, *input_shape))
+            for idx, _, _ in clean.trainable():
+                for capture in (False, True):
+                    m = build_model(arch, seed=2, input_shape=input_shape)
+                    m.layers[idx].params["W"].flat[0] = bad
+                    with np.errstate(invalid="ignore"):
+                        h, first_bad = x, None
+                        for i, layer in enumerate(m.layers):
+                            h = layer.forward(h)
+                            if first_bad is None and not np.isfinite(h).all():
+                                first_bad = i
+                        assert first_bad is not None
+                        with pytest.raises(NumericError, match=f"at layer {first_bad} "):
+                            m.forward(x, capture_probes=capture)
+
+    def test_nonfinite_row_of_a_later_block_named(self):
+        # the logits of only the third block are not finite, and a
+        # per-layer scan of the whole batch names the first conv
+        m = build_model(TWO_CONV, seed=2, input_shape=(1, 6, 6))
+        r = m._block_rows
+        x = np.random.default_rng(6).standard_normal((3 * r + 1, 1, 6, 6))
+        x[2 * r + 3, 0, 2, 2] = np.nan
+        with pytest.raises(NumericError, match="at layer 0 "):
+            m.forward(x)
 
 
 class TestInferencePass:
@@ -259,7 +273,8 @@ class TestInferenceBuffers:
     def test_results_survive_a_later_forward(self, arch, input_shape):
         rng = np.random.default_rng(21)
         m = build_model(arch, seed=4, input_shape=input_shape)
-        for first, second in ((6, 9), (9, 4)):
+        r = m._block_rows
+        for first, second in ((6, 9), (9, 4), (3 * r + 5, r + 1)):
             out = m.forward(rng.standard_normal((first, *input_shape)), capture_probes=True)
             kept = [a.copy() for a in (out[0], out[1], *out[2])]
             m.forward(rng.standard_normal((second, *input_shape)), capture_probes=True)
@@ -432,6 +447,97 @@ class TestConvWorkspace:
         m.release_buffers()
         assert not m._buffers
         assert np.array_equal(m.forward(x)[0], logits)
+
+
+DIGITS_CONV = [{"kind": "conv", "out_channels": 8, "kernel": 3, "stride": 2, "pad": 1},
+               {"kind": "relu"},
+               {"kind": "conv", "out_channels": 16, "kernel": 3, "stride": 2, "pad": 1},
+               {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "out": 10}]
+
+
+class TestBlockedPass:
+    """An inference pass walks the stack once per block of at most
+    ``_block_rows`` rows, in equal blocks; each block writes its rows of
+    the logits and its columns of each capture block."""
+
+    @staticmethod
+    def fresh_blocks(m, x, rows):
+        """``forward``'s results from walks in which every layer makes fresh
+        arrays, one per block of ``rows`` rows, concatenated."""
+        logits, captured = [], []
+        for s0 in range(0, len(x), rows):
+            h, blocks = x[s0:s0 + rows], []
+            for layer in m.layers:
+                h = layer.forward(h, record=False)
+                if layer.name == "relu":
+                    blocks.append(np.ascontiguousarray(h.swapaxes(0, 1)).reshape(h.shape[1], -1))
+            logits.append(h)
+            captured.append(blocks)
+        logits = np.concatenate(logits)
+        probs = softmax(logits)
+        sites = [np.concatenate(site, axis=1) for site in zip(*captured, strict=True)]
+        return logits, probs, (*sites, probs.T)
+
+    def test_block_rows_of_the_benchmark_archs(self):
+        # per row: the widest cols (8*9*7*7) and the hidden outputs
+        # (8*14*14 + 16*7*7), 5880 doubles; the MLPs never block at 512 rows
+        digits = build_model(DIGITS_CONV, seed=0, input_shape=(1, 28, 28))
+        assert digits._block_rows == model_mod.INFERENCE_BYTES // (8 * 5880)
+        assert build_model("mlp:784-128-64-10", seed=0, input_shape=(1, 28, 28))._block_rows >= 512
+        assert build_model("mlp:2-64-64-6", seed=0)._block_rows >= 512
+
+    def test_blocked_pass_matches_fresh_walks_per_block(self):
+        rng = np.random.default_rng(31)
+        m = build_model(DIGITS_CONV, seed=3, input_shape=(1, 28, 28))
+        r = m._block_rows
+        for b in (1, r - 1, r, r + 1, 3 * r + 5, 512):
+            x = rng.standard_normal((b, 1, 28, 28))
+            n_blocks = -(-b // r)
+            got = m.forward(x, capture_probes=True)
+            want = self.fresh_blocks(m, x, -(-b // n_blocks))
+            for a, w in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2]), strict=True):
+                assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+    def test_blocks_are_equal(self, monkeypatch):
+        m = build_model(DIGITS_CONV, seed=3, input_shape=(1, 28, 28))
+        head, rows = m.layers[-1], []
+
+        def forward(x, *args, **kwargs):
+            rows.append(len(x))
+            return Dense.forward(head, x, *args, **kwargs)
+
+        monkeypatch.setattr(head, "forward", forward)
+        m.forward(np.zeros((100, 1, 28, 28)))
+        # at R = 89, 100 rows run as 2 x 50, not 89 + 11
+        size = -(-100 // -(-100 // m._block_rows))
+        assert rows == [min(size, 100 - s0) for s0 in range(0, 100, size)]
+        rows.clear()
+        compute_gradients(m, np.zeros((100, 1, 28, 28)), np.zeros(100, dtype=int))
+        assert rows == [100]
+
+    def test_workspace_does_not_grow_with_the_batch(self):
+        rng = np.random.default_rng(32)
+        m = build_model(DIGITS_CONV, seed=3, input_shape=(1, 28, 28))
+        evaluate(m, rng.standard_normal((1100, 1, 28, 28)), rng.integers(0, 10, size=1100),
+                 batch_size=1100)
+        m.forward(rng.standard_normal((2000, 1, 28, 28)), capture_probes=True)
+        assert sum(buf.nbytes for buf in m._buffers.values()) <= model_mod.INFERENCE_BYTES
+
+    def test_second_evaluate_peaks_at_a_few_blocks(self):
+        # measured: 0.63 MB, mostly the batch-last copy of one 86-row block's
+        # input (0.54 MB), then the group's logits and loss terms; 1.5 MB
+        # leaves a margin yet stays far under one 512-row group's 24 MB
+        rng = np.random.default_rng(33)
+        m = build_model(DIGITS_CONV, seed=3, input_shape=(1, 28, 28))
+        x, y = rng.standard_normal((1100, 1, 28, 28)), rng.integers(0, 10, size=1100)
+        evaluate(m, x, y)
+        tracemalloc.start()
+        try:
+            evaluate(m, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 def reference_softmax(logits):

@@ -15,8 +15,10 @@ then the ``noise`` and ``heldout`` aux sources at two sizes each, with
 ``--dump-velocity``) into ``OUT/aux-sweep``; a digits
 ``train`` run into ``OUT/conv-geometry`` whose conv net (a k5/s1/p2 conv,
 then a k3/s3/p0 conv; passed in a config file written there) trains at
-batch 50 with ``pad_crop_flip``, so that tail batches and other conv
-border cases than the workload's k3/s2/p1 are compared too; and a digits
+batch 50 with ``pad_crop_flip`` and ``--dump-velocity``, so that tail
+batches, other conv border cases than the workload's k3/s2/p1, and the
+per-neuron velocities of a probe that runs in 5 inference blocks of 20
+rows are compared too; and a digits
 ``train`` run into ``OUT/data-paths`` with ``subset``, ``normalize``, a
 validation split that the vloss scheduler and a ``heldout`` aux set read,
 and ``--probe heldout,noise,train`` (``heldout`` first, so its velocity
@@ -84,7 +86,8 @@ def conv_geometry_args(seed: int, out_dir: Path) -> list[str]:
     return ["train", "--config", str(config), "--out", str(out_dir),
             "--seeds", str(3 * seed + 1), "--data-seed", str(seed), "--aux-seed", str(seed),
             "--dataset", "digits", "--n-samples", "330", "--test-samples", "170",
-            "--augment", "pad_crop_flip", "--batch-size", "50", "--max-epochs", "3"]
+            "--augment", "pad_crop_flip", "--batch-size", "50", "--max-epochs", "3",
+            "--dump-velocity"]
 
 
 def data_paths_args(seed: int, out_dir: Path) -> list[str]:
