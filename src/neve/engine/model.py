@@ -7,24 +7,24 @@ head's softmax output; a probed "neuron" is one output unit of a flat
 activation or one channel of a (b, c, h, w) activation (spatial
 positions are folded into the sample axis).
 
-The model owns a workspace of flat buffers, each grown to the largest
-need seen; a smaller batch uses a prefix. In both passes (the inference
-pass of ``Model.forward``, ``evaluate`` and probe snapshots; the
-recording pass of ``compute_gradients``) each hidden dense or conv layer
-writes its output into its own buffer and the convs write their im2col
-``cols`` into one shared buffer. Only that packing and the batching
-differ. A recording pass is one block: it packs every conv's ``cols``,
-since backward reads them all, so training's recorded state lives in the
-memory evaluation uses. An inference pass walks the stack once per block
-of at most ``Model._block_rows`` rows, the most whose widest ``cols`` and
-hidden outputs fit in ``INFERENCE_BYTES``, and starts every conv's
-``cols`` at offset 0, since they are dead once its GEMM has run; so its
-workspace does not grow with the batch. ``release_buffers`` frees it
-all. Every pass applies a ReLU in place to an activation the same pass
-produced, never to the caller's batch. What a pass returns is fresh and
-written once: each block's head writes its rows of the logits, each block
-copies its columns of every capture block, and the probabilities come
-from the whole logits.
+The model owns one flat workspace array, ``Model._workspace``, grown to
+the largest pass seen. Both passes (the inference pass of
+``Model.forward``, ``evaluate`` and probe snapshots; the recording pass of
+``compute_gradients``) lay a block of ``rows`` rows out in its front as
+the convs' im2col ``cols``, then each hidden dense or conv layer's output
+in stack order, so a block needs ``rows`` times its cols and output values
+per row. Only the cols and the batching differ. A recording pass is one
+block: it packs every conv's ``cols``, since backward reads them all, so
+training's recorded state lives in the memory evaluation uses. An
+inference pass walks the stack once per block of at most
+``Model._block_rows`` rows, the most whose widest ``cols`` and hidden
+outputs fit in ``INFERENCE_BYTES``, and starts every conv's ``cols`` at
+offset 0, since they are dead once its GEMM has run; so its workspace does
+not grow with the batch. ``release_buffers`` frees it. Every pass applies
+a ReLU in place to an activation the same pass produced, never to the
+caller's batch. What a pass returns is fresh and written once: each
+block's head writes its rows of the logits, each block copies its columns
+of every capture block, and the probabilities come from the whole logits.
 
 The loss head computes what a caller reads and nothing twice: a training
 step takes its loss and gradient from one softmax pass, ``evaluate``
@@ -83,17 +83,19 @@ class Model:
     sizes each layer for the shape before it (ConfigError naming ``arch[i]``
     on a bad dict or shape) and draws its parameters from ``seed``; then
     checks for a dense head and counts probed rows in ``n_probed_neurons``.
-    The same walk plans every pass: each layer's workspace buffer, whether
-    a ReLU may work in place and which capture slot it fills, and the
-    inference block size ``_block_rows``."""
+    The same walk plans every pass: where each layer's ``cols`` and output
+    lie in the one workspace array ``_workspace`` (the cols region first,
+    then the hidden outputs in stack order), whether a ReLU may work in
+    place and which capture slot it fills, and the inference block size
+    ``_block_rows``."""
 
     def __init__(self, descs: list, input_shape: tuple[int, ...], seed: int):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layers = []
         shape = self.input_shape
         rng = np.random.default_rng(int(seed))
-        # one step per layer: (layer, workspace key or None, cols and output
-        # values per sample, ReLU in place, capture slot or None)
+        # one step per layer: (layer, cols and output values per sample, 0
+        # unless dense or conv, ReLU in place, capture slot or None)
         self._plan = []
         self._sites = []   # capture slot -> the ReLU's output shape per sample
         owned = False      # some earlier layer is not a Flatten: the pass made x
@@ -104,42 +106,33 @@ class Model:
             except ConfigError as exc:
                 raise ConfigError(f"arch[{idx}]: {exc}") from exc
             self.layers.append(layer)
-            key, n_cols, n_out, site = None, 0, 0, None
+            n_cols, n_out, site = 0, 0, None
             if isinstance(layer, ReLU):
                 site = len(self._sites)
                 self._sites.append(shape)
             elif isinstance(layer, (Dense, Conv2d)):
-                key, n_out = idx, math.prod(shape)
+                n_out = math.prod(shape)
                 if isinstance(layer, Conv2d):
                     n_cols = layer.in_channels * layer.kernel ** 2 * shape[1] * shape[2]
-            self._plan.append((layer, key, n_cols, n_out, owned and site is not None, site))
+            self._plan.append((layer, n_cols, n_out, owned and site is not None, site))
             owned = owned or not isinstance(layer, Flatten)
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ConfigError("architecture must end in a dense classification head")
         del self._plan[-1]   # the head writes the pass's fresh logits
-        n_cols = [step[2] for step in self._plan]
+        n_cols = [step[1] for step in self._plan]
         self._cols_packed, self._cols_widest = sum(n_cols), max(n_cols, default=0)
-        per_row = self._cols_widest + sum(step[3] for step in self._plan)
+        self._n_outputs = sum(step[2] for step in self._plan)
+        per_row = self._cols_widest + self._n_outputs
         self._block_rows = max(1, INFERENCE_BYTES // (8 * max(per_row, 1)))
         self.n_classes = shape[0]
         self.n_probed_neurons = sum(site[0] for site in self._sites) + self.n_classes
-        self._buffers: dict = {}   # layer index -> its output; "cols" -> the conv cols
-        self._walks: dict = {}     # (rows, record, capture) -> ``_steps`` over the buffers
+        self._workspace = np.empty(0)
+        self._walks: dict = {}     # (rows, record, capture) -> ``_steps`` over the workspace
 
     def release_buffers(self) -> None:
         """Free the workspace; the next pass makes a new one."""
-        self._buffers.clear()
+        self._workspace = np.empty(0)
         self._walks.clear()
-
-    def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        """A ``shape`` view of the front of workspace buffer ``key``, grown to
-        fit; growing it drops the walks that view the old one."""
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
-            self._walks.clear()
-        return buf[:size].reshape(shape)
 
     def n_parameters(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params.values())
@@ -181,18 +174,23 @@ class Model:
     def _steps(self, rows: int, record: bool, capture: bool) -> list:
         """The walk for a block of ``rows`` rows: per layer before the head,
         (layer, its workspace arguments, ReLU in place, capture slot or
-        None). Kept until the workspace grows or is released."""
+        None), viewing ``_workspace``. Kept until a larger need replaces the
+        array or it is released."""
         steps = self._walks.get((rows, record, capture))
         if steps is not None:
             return steps
-        cols = self._buffer("cols", ((self._cols_packed if record else self._cols_widest) * rows,))
-        start, steps = 0, []
-        for layer, key, n_cols, n_out, in_place, site in self._plan:
+        start, end = 0, rows * (self._cols_packed if record else self._cols_widest)
+        if self._workspace.size < end + rows * self._n_outputs:
+            self._walks.clear()
+            self._workspace = np.empty(end + rows * self._n_outputs)
+        steps = []
+        for layer, n_cols, n_out, in_place, site in self._plan:
             kwargs = {}
-            if key is not None:
-                kwargs = {"cols": cols[start:start + n_cols * rows],
-                          "out": self._buffer(key, (rows, n_out))}
+            if n_out:
+                kwargs = {"cols": self._workspace[start:start + n_cols * rows],
+                          "out": self._workspace[end:end + n_out * rows].reshape(rows, n_out)}
                 start += n_cols * rows if record else 0
+                end += n_out * rows
             steps.append((layer, kwargs, in_place, site if capture else None))
         self._walks[rows, record, capture] = steps
         return steps

@@ -189,6 +189,8 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
             if cfg.dump_velocity:
                 dump_dir = out / f"velocity_{name}"
                 dump_dir.mkdir(exist_ok=True)
+                for stale in dump_dir.glob("velocity_epoch*.csv"):   # an earlier run's dumps
+                    stale.unlink()
             result = run_training(cfg, seed, dump_dir=dump_dir)
             results.append(result)
             if result.records:
@@ -293,8 +295,8 @@ def cmd_epsilon_analysis(args) -> int:
         raise ConfigError("--eps-grid lists no epsilon")
     for eps in args.eps_grid:
         check_value("--eps-grid", eps, "(0, 1)")
-    if args.svg and not Path(args.svg).parent.is_dir():
-        raise ConfigError(f"--svg directory {Path(args.svg).parent} does not exist")
+    if args.svg and (Path(args.svg).is_dir() or not Path(args.svg).parent.is_dir()):
+        raise ConfigError(f"--svg {args.svg} is not a file in an existing directory")
     rows = [(f"{eps:g}", f"{epsilon_analysis(eps).max_delta:.6g}") for eps in args.eps_grid]
     _print_table(("epsilon", "max_delta"), rows)
     if args.svg:

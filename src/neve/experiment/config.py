@@ -211,11 +211,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a JSON config file and build it as ``config_from_dict`` does."""
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return config_from_dict(raw, overrides)

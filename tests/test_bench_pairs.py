@@ -57,6 +57,26 @@ def test_gain_needs_a_median_gap_beyond_the_parent_iqr():
     assert not bench_pairs.compare(parent, beyond, "higher")["gain_holds"]
 
 
+def test_verdict_worse_beyond_the_bound():
+    parent = [10.0, 10.0, 10.1, 10.1]
+    assert bench_pairs.verdict(parent, [11.2] * 4, "lower", 0.1) == "worse"   # +11%
+    assert bench_pairs.verdict(parent, [8.9] * 4, "higher", 0.1) == "worse"   # -11%
+    assert bench_pairs.verdict(parent, [10.9] * 4, "lower", 0.1) != "worse"   # +9%
+
+
+def test_verdict_unresolved_when_the_spread_exceeds_the_bound():
+    parent = [8.0, 9.0, 11.0, 12.0]   # median 10, Q3 - Q1 = 2.5 > 0.1 * 10
+    assert bench_pairs.verdict(parent, parent, "lower", 0.1) == "unresolved"
+    # every change run beats every parent run: resolved
+    assert bench_pairs.verdict(parent, [7.5, 7.9, 7.0, 7.2], "lower", 0.1) == "ok"
+
+
+def test_verdict_ok_within_the_bound():
+    parent = [10.0, 10.1, 10.2, 10.3]
+    assert bench_pairs.verdict(parent, [10.6, 10.7, 10.8, 10.9], "lower", 0.1) == "ok"
+    assert bench_pairs.verdict(parent, [9.0, 9.1, 9.2, 9.3], "lower", 0.1) == "ok"
+
+
 def make_tree(root: Path, spec: dict, worker: str) -> Path:
     (root / "perfbench" / "__pycache__").mkdir(parents=True)
     (root / "perfbench" / "out").mkdir()

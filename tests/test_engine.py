@@ -298,7 +298,7 @@ class TestInferenceBuffers:
     @pytest.mark.parametrize("before", ["smaller", "larger"])
     def test_evaluate_matches_fresh_forwards(self, before):
         # 1100 rows in batches of 512 leave a 76-row tail; a smaller run
-        # first makes the buffers grow, a larger one makes 512 a prefix
+        # first makes the workspace grow, a larger one makes 512 a prefix
         rng = np.random.default_rng(22)
         m = build_model("mlp:3-32-16-4", seed=6)
         x = rng.standard_normal((1100, 3))
@@ -339,29 +339,32 @@ class TestInferenceBuffers:
         assert peak < 512 * 64 * 8
 
     def test_recorded_input_is_the_workspace(self):
-        # flatten, dense, relu, dense, relu, dense: the second dense keeps
-        # as its input the first dense's buffer, which the ReLU rectified in place
+        # flatten, dense, relu, dense, relu, dense: the second dense keeps as
+        # its input the first dense's slot of the workspace, its first 6 * 8
+        # values (no cols), which the ReLU rectified in place
         m = build_model("mlp:16-8-6-3", seed=4, input_shape=(1, 4, 4))
         x = np.random.default_rng(29).standard_normal((6, 1, 4, 4))
         compute_gradients(m, x, np.arange(6) % 3)
         assert isinstance(m.layers[3], Dense)
-        assert np.shares_memory(m.layers[3]._saved, m._buffers[1])
+        assert np.shares_memory(m.layers[3]._saved, m._workspace[:6 * 8])
+        assert not np.shares_memory(m.layers[3]._saved, m._workspace[6 * 8:])
         p = m.layers[1].params
         assert np.array_equal(m.layers[3]._saved, np.maximum(x.reshape(6, -1) @ p["W"] + p["b"], 0))
 
-    def test_release_buffers(self):
-        m = build_model("mlp:3-8-2", seed=0)
-        x = np.random.default_rng(24).standard_normal((5, 3))
+    @pytest.mark.parametrize("arch,input_shape", [("mlp:3-8-2", (3,)), (TWO_CONV, (1, 6, 6))])
+    def test_release_buffers(self, arch, input_shape):
+        m = build_model(arch, seed=0, input_shape=input_shape)
+        x = np.random.default_rng(24).standard_normal((5, *input_shape))
         logits = m.forward(x)[0].copy()
-        assert m._buffers
+        assert m._workspace.size and m._walks
         m.release_buffers()
-        assert not m._buffers
+        assert m._workspace.size == 0 and not m._walks
         assert np.array_equal(m.forward(x)[0], logits)
 
 
 class TestConvWorkspace:
-    """Both passes of a conv stack share the model's workspace: one cols
-    buffer and one output buffer per conv, used as prefixes."""
+    """Both passes of a conv stack share the model's one workspace array:
+    a cols region, then one output slot per conv, used as prefixes."""
 
     @staticmethod
     def fresh_logits(m, x):
@@ -426,9 +429,10 @@ class TestConvWorkspace:
         assert peak < 9 * 14 * 14 * 512 * 8
 
     @pytest.mark.parametrize("arch,input_shape,step,per_sample", [
-        # TWO_CONV on 1x6x6: 1*9*6*6 cols for the first conv, 2*9*2*2 for the second
-        (TWO_CONV, (1, 6, 6), False, 324), (TWO_CONV, (1, 6, 6), True, 324 + 72),
-        ("mlp:3-8-2", (3,), True, 0)])
+        # TWO_CONV on 1x6x6: 1*9*6*6 cols for the first conv, 2*9*2*2 for the
+        # second, and outputs 2*6*6 and 3*2*2; the MLP's one hidden output is 8
+        (TWO_CONV, (1, 6, 6), False, 324 + 84), (TWO_CONV, (1, 6, 6), True, 324 + 72 + 84),
+        ("mlp:3-8-2", (3,), True, 8)])
     def test_cols_buffer_fits_the_pass(self, arch, input_shape, step, per_sample):
         # a forward reuses the widest conv's cols; a training step packs them all
         m = build_model(arch, seed=0, input_shape=input_shape)
@@ -437,16 +441,25 @@ class TestConvWorkspace:
             compute_gradients(m, x, np.arange(5) % 2)
         else:
             m.forward(x)
-        assert m._buffers["cols"].size == per_sample * 5
+        assert m._workspace.size == per_sample * 5
 
-    def test_release_buffers_empties_the_conv_workspace(self):
-        m = build_model(TWO_CONV, seed=0, input_shape=(1, 6, 6))
-        x = np.random.default_rng(28).standard_normal((5, 1, 6, 6))
-        logits = m.forward(x)[0].copy()
-        assert {"cols", 0, 2} <= set(m._buffers)
-        m.release_buffers()
-        assert not m._buffers
-        assert np.array_equal(m.forward(x)[0], logits)
+    # per row: widest cols, every conv's cols, hidden outputs. TWO_CONV on
+    # 1x6x6: cols 1*9*6*6 and 2*9*2*2, outputs 2*6*6 and 3*2*2; R = 1285 rows
+    NETS = {"conv": (TWO_CONV, (1, 6, 6), 324, 324 + 72, 84),
+            "mlp": ("mlp:3-8-2", (3,), 0, 0, 8)}   # R = 65536 rows
+
+    @pytest.mark.parametrize("net,b,n", [("conv", 5, 7), ("conv", 5, 3000), ("conv", 1500, 7),
+                                         ("mlp", 5, 7), ("mlp", 5, 70000), ("mlp", 70000, 7)])
+    def test_workspace_is_the_largest_pass(self, net, b, n):
+        # a training step on b rows packs every conv's cols; a forward on n
+        # rows runs in blocks of r rows, each reusing the widest conv's cols
+        arch, input_shape, widest, packed, outputs = self.NETS[net]
+        m = build_model(arch, seed=0, input_shape=input_shape)
+        rng = np.random.default_rng(28)
+        compute_gradients(m, rng.standard_normal((b, *input_shape)), np.arange(b) % 2)
+        m.forward(rng.standard_normal((n, *input_shape)))
+        r = -(-n // -(-n // m._block_rows))
+        assert m._workspace.size == max(b * (packed + outputs), r * (widest + outputs))
 
 
 DIGITS_CONV = [{"kind": "conv", "out_channels": 8, "kernel": 3, "stride": 2, "pad": 1},
@@ -521,7 +534,7 @@ class TestBlockedPass:
         evaluate(m, rng.standard_normal((1100, 1, 28, 28)), rng.integers(0, 10, size=1100),
                  batch_size=1100)
         m.forward(rng.standard_normal((2000, 1, 28, 28)), capture_probes=True)
-        assert sum(buf.nbytes for buf in m._buffers.values()) <= model_mod.INFERENCE_BYTES
+        assert m._workspace.nbytes <= model_mod.INFERENCE_BYTES
 
     def test_second_evaluate_peaks_at_a_few_blocks(self):
         # measured: 0.63 MB, mostly the batch-last copy of one 86-row block's

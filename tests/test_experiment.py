@@ -198,7 +198,7 @@ class TestRunTraining:
         with np.errstate(all="ignore"):
             res = run_training(tiny_cfg(optimizer=optimizer, max_epochs=3), seed=1)
         assert res.failed == (lr > 1)
-        assert res.model._buffers == {}
+        assert res.model._workspace.size == 0
 
     def test_no_records_after_stop(self):
         res = run_training(tiny_cfg(max_epochs=60), seed=1)
@@ -842,7 +842,7 @@ class TestCli:
         assert svg.exists() and "polyline" in svg.read_text()
 
     @pytest.mark.parametrize("argv,flag", [
-        (["--eps", "1e-3", "--svg", "missing-dir/x.svg"], "--svg"),
+        (["--eps", "1e-3", "--svg", "missing-dir/x.svg"], "--svg"), (["--svg", "."], "--svg"),
         (["--eps-grid", "1e-3,nan"], "--eps-grid"), (["--eps-grid", ","], "--eps-grid")])
     def test_epsilon_analysis_bad_value_exits_2_naming_flag(self, argv, flag, tmp_path,
                                                             monkeypatch, capsys):
@@ -977,6 +977,28 @@ class TestCli:
         rows = (tmp_path / "run_neve-0-val_seed1.csv").read_text().splitlines()[1:]
         dumps = sorted(p.name for p in (tmp_path / "velocity_neve-0-val_seed1").iterdir())
         assert dumps == [f"velocity_epoch{e:04d}.csv" for e in range(1, len(rows) + 1)]
+
+    def test_rerun_leaves_only_its_own_dumps(self, tmp_path):
+        argv = ["train", *TINY_CLI, "--scheduler", "fixed", "--dump-velocity",
+                "--test-samples", "100", "--out", str(tmp_path)]
+        assert main([*argv, "--max-epochs", "5"]) == 0
+        dumps = tmp_path / "velocity_seed1"
+        (dumps / "notes.txt").write_text("kept")
+        assert main([*argv, "--max-epochs", "2"]) == 0
+        rows = (tmp_path / "run_seed1.csv").read_text().splitlines()[1:]
+        assert sorted(p.name for p in dumps.iterdir()) == [
+            "notes.txt", *(f"velocity_epoch{e:04d}.csv" for e in range(1, len(rows) + 1))]
+        assert len(rows) == 2 and (dumps / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("conf", ["missing.json", ".", "utf16.json"])
+    def test_unreadable_config_file_exits_2_naming_it(self, conf, tmp_path, capsys):
+        conf = tmp_path / conf
+        if conf.name == "utf16.json":   # starts with the bytes ff fe
+            conf.write_bytes("\ufeff{}".encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {conf}: ")
+        assert not out.exists()
 
     def test_per_run_records_match_direct_runs(self, tmp_path):
         flags = [*TINY_CLI, "--max-epochs", "5"]

@@ -15,8 +15,13 @@ and the change's median with quartiles (Q1-Q3), the change's wins k/n
 (a pair is a win when the change's value is better in the direction the
 metric's ``better`` names; ties count for neither side) and whether a gain
 may be claimed: at least ten pairs, at least nine wins in ten, and a
-median better than the parent's by more than the parent's Q3 - Q1. A
-workload is compared on its own, so ``--workload all`` is refused.
+median better than the parent's by more than the parent's Q3 - Q1. It
+also prints the no-regression verdict, with the metric's ``bound``:
+``worse`` when the change's median is worse than the parent's by more
+than ``bound * |parent median|``; else ``unresolved`` when the parent's
+Q3 - Q1 exceeds that margin, unless every change run beats every parent
+run; else ``ok``. A workload is compared on its own, so ``--workload
+all`` is refused.
 
 Both trees must hold byte-identical ``BENCHMARK.json`` files and
 ``perfbench/`` directories (``__pycache__`` and ``perfbench/out`` aside),
@@ -86,6 +91,18 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             and gain > p_q3 - p_q1}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict of one metric: "worse", "unresolved" or "ok"."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_q1, p_med, p_q3 = quartiles(parent)
+    margin = bound * abs(p_med)
+    if sign * (quartiles(change)[1] - p_med) < -margin:
+        return "worse"
+    if p_q3 - p_q1 > margin and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "ok"
+
+
 def run_side(tree: Path, args, out: Path) -> dict:
     """The final JSON line of one ``perfbench/run.py`` run on ``tree``."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
@@ -135,19 +152,23 @@ def main(argv: list[str] | None = None) -> int:
     except RunFailed as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
-    summary = {m["name"]: compare([r[m["name"]] for r in runs["parent"]],
-                                  [r[m["name"]] for r in runs["change"]], m["better"])
-               for m in metrics}
+    summary = {}
+    for m in metrics:
+        values = [[r[m["name"]] for r in runs[side]] for side in SIDES]
+        summary[m["name"]] = {**compare(*values, m["better"]),
+                              "verdict": verdict(*values, m["better"], m["bound"])}
     with open(args.out / "pairs.json", "w") as f:
         json.dump({"workload": args.workload, "seed": args.seed,
                    "runs": runs, "summary": summary}, f, indent=1)
     print(f"== {args.workload}, seed {args.seed}, {PAIRS} pairs: median [Q1-Q3]")
-    print(f"{'metric':14s} {'unit':9s} {'parent':>30s} {'change':>30s} {'wins':>6s}  gain")
+    print(f"{'metric':14s} {'unit':9s} {'parent':>30s} {'change':>30s} {'wins':>6s}  gain  "
+          "verdict")
     for m in metrics:
         s = summary[m["name"]]
         cells = ["{1:.4g} [{0:.4g}-{2:.4g}]".format(*s[side]) for side in SIDES]
         print(f"{m['name']:14s} {m['unit']:9s} {cells[0]:>30s} {cells[1]:>30s} "
-              f"{s['wins']:>3d}/{s['pairs']:<2d}  {'holds' if s['gain_holds'] else 'no'}")
+              f"{s['wins']:>3d}/{s['pairs']:<2d}  {'holds' if s['gain_holds'] else 'no':5s} "
+              f"{s['verdict']}")
     return 0
 
 
