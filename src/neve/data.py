@@ -1,13 +1,12 @@
 """Datasets, loaders, splits, augmentation and auxiliary-set builders.
 
-An auxiliary set is a read-only array of label-free probe inputs.
-Datasets and auxiliary sets are immutable after construction and safely
-shareable across concurrent runs; every random choice is driven by an
-explicit seed or a caller-supplied generator. The functions here take
-plain arguments; the run configuration's ``DatasetSpec`` names them and
-checks them when it is built, and the runner's ``load_dataset`` reuses
-the last loaded (train, test) pair across runs and makes its arrays
-read-only, so an in-place write raises ValueError.
+An auxiliary set is a read-only array of label-free probe inputs. The
+arrays of a ``Dataset`` from ``gen_blobs``, ``gen_digits`` or a file
+loader are writable; the runner's ``load_dataset`` makes them read-only
+(an in-place write raises ValueError) and reuses the last loaded (train,
+test) pair across runs. Every random choice is driven by an explicit seed
+or a caller-supplied generator. The functions take plain arguments, which
+the run configuration's ``DatasetSpec`` names and checks when it is built.
 """
 
 from __future__ import annotations
@@ -145,22 +144,24 @@ _DIGIT_FONT = {
 }
 
 
-def digits_max_shift(size: int = 28) -> int:
+DIGITS_SIZE = 28   # height and width of a ``gen_digits`` image
+
+
+def digits_max_shift() -> int:
     """Largest shift ``gen_digits`` takes: a glyph of 7+ rows stays on the canvas."""
-    return (size - 7) // 2
+    return (DIGITS_SIZE - 7) // 2
 
 
-def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2,
-               size: int = 28) -> Dataset:
+def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2) -> Dataset:
     """Procedural 10-class digit images: a 5x7 glyph font upscaled onto a
-    ``size`` x ``size`` canvas with per-sample shift, intensity and pixel
+    square ``DIGITS_SIZE`` canvas with per-sample shift, intensity and pixel
     noise. Values are quantized to the u8 grid so IDX round-trips exactly."""
     if n < 10:
         raise ConfigError(f"need at least one sample per class, got n={n}")
-    if not 0 <= shift <= digits_max_shift(size):
-        raise ConfigError(f"shift {shift} outside [0, {digits_max_shift(size)}] for size {size}")
+    if not 0 <= shift <= digits_max_shift():
+        raise ConfigError(f"shift {shift} outside [0, {digits_max_shift()}]")
     check_value("noise", noise, "[0, inf)")
-    scale = max(1, (size - 2 * shift - 2) // 7)
+    scale = max(1, (DIGITS_SIZE - 2 * shift - 2) // 7)
     glyph_h, glyph_w = 7 * scale, 5 * scale
     templates = {}
     for d, rows in _DIGIT_FONT.items():
@@ -168,19 +169,19 @@ def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2,
         templates[d] = np.kron(mask, np.ones((scale, scale)))
     rng = np.random.default_rng(seed)
     counts = [n // 10 + (1 if c < n % 10 else 0) for c in range(10)]
-    images = np.zeros((n, 1, size, size))
+    images = np.zeros((n, 1, DIGITS_SIZE, DIGITS_SIZE))
     labels = np.empty(n, dtype=np.int64)
-    base_r = (size - glyph_h) // 2
-    base_c = (size - glyph_w) // 2
+    base_r = (DIGITS_SIZE - glyph_h) // 2
+    base_c = (DIGITS_SIZE - glyph_w) // 2
     i = 0
     for d, cnt in enumerate(counts):
         for _ in range(cnt):
-            canvas = np.zeros((size, size))
+            canvas = np.zeros((DIGITS_SIZE, DIGITS_SIZE))
             dr, dc = rng.integers(-shift, shift + 1, size=2)
             intensity = rng.uniform(0.7, 1.0)
             r0, c0 = base_r + dr, base_c + dc
             canvas[r0:r0 + glyph_h, c0:c0 + glyph_w] = intensity * templates[d]
-            canvas += noise * rng.standard_normal((size, size))
+            canvas += noise * rng.standard_normal((DIGITS_SIZE, DIGITS_SIZE))
             images[i, 0] = np.clip(canvas, 0.0, 1.0)
             labels[i] = d
             i += 1
@@ -229,6 +230,10 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         raise DataFormatError(
             f"{len(images)} images vs {len(labels)} labels "
             f"({images_path} / {labels_path})")
+    if not len(labels):
+        raise DataFormatError(f"{labels_path}: no items")
+    if not images.shape[1] or not images.shape[2]:
+        raise DataFormatError(f"{images_path}: images of zero size {images.shape[1:]}")
     samples = images.astype(np.float64)[:, None, :, :] / 255.0
     n_classes = int(labels.max()) + 1
     return Dataset(name, samples, labels.astype(np.int64), n_classes)

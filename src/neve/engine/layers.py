@@ -2,27 +2,29 @@
 
 Every layer works on float64 numpy arrays. ``forward`` keeps what the
 matching ``backward`` needs, or, given ``record=False``, keeps nothing.
-``backward`` reads that state (NeveError when there is none), fills
+``backward`` reads that state (NeveError when there is none), writes
 ``grads`` for trainable layers and returns the gradient w.r.t. the layer
-input; a trainable layer given ``input_grad=False`` skips that gradient
-and returns None. Single-threaded use: one recording forward, then at
-most one backward.
+input, or None when a trainable layer is given ``input_grad=False``.
+Single-threaded use: one recording forward, then at most one backward.
 
-``Dense.forward`` and ``Conv2d.forward`` take ``cols`` and ``out`` arrays
-of the exact size from the model's workspace (a dense layer packs no
-``cols`` and ignores them), ``ReLU.forward`` an ``out`` array, its own
-input; without them each makes fresh arrays and never writes to its
-input, and a recording forward keeps what it is given. ``ReLU.backward``
-multiplies into the gradient it is given and returns it;
-``Conv2d.backward`` writes its input gradient's ``cols`` over its
-recorded ones and then keeps no state.
+``Dense.forward`` and ``Conv2d.forward`` take exact-size ``cols`` and
+``out`` arrays from the model's workspace (a dense layer ignores
+``cols``), ``ReLU.forward`` an ``out`` array, its own input; without them
+each makes fresh arrays and never writes to its input, and a recording
+forward keeps what it is given. ``ReLU.backward`` multiplies into the
+gradient it is given; ``Conv2d.backward`` writes its input gradient's
+``cols`` over its recorded ones, then keeps no state.
 
 ``Dense`` and ``Conv2d`` draw He-normal weights (std ``sqrt(2 / fan_in)``,
-the usual choice ahead of ReLU) from the ``rng`` they are built with; their
-biases start at zero.
+the usual choice ahead of ReLU) from their ``rng`` and zero biases. Their
+``params`` and ``grads`` are read-only mappings of views of two flat
+vectors (``pack``), the layer's own until a ``Model`` packs it: write into
+a weight (``params["W"][...] = w``), never rebind it.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from ..errors import ConfigError, NeveError
 class _Layer:
     """Backward state kept by one forward; defaults of a parameter-free layer."""
 
-    params: dict = {}
-    grads: dict = {}
+    params = grads = MappingProxyType({})
     _saved = None
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,6 +44,22 @@ class _Layer:
         if self._saved is None:
             raise NeveError(f"{self.name}: backward needs a forward with record=True first")
         return self._saved
+
+
+def pack(layers) -> tuple[np.ndarray, np.ndarray]:
+    """(params, grads): the layers' parameters copied, in order, into one flat
+    vector, and a gradient vector of its size, NaN until a backward writes
+    it. Each layer's ``params`` and ``grads`` become read-only views of them."""
+    params = np.concatenate([p.ravel() for layer in layers for p in layer.params.values()])
+    grads, start = np.full(params.size, np.nan), 0
+    for layer in layers:
+        views = ({}, {})
+        for name, p in layer.params.items():
+            views[0][name] = params[start:start + p.size].reshape(p.shape)
+            views[1][name] = grads[start:start + p.size].reshape(p.shape)
+            start += p.size
+        layer.params, layer.grads = map(MappingProxyType, views)
+    return params, grads
 
 
 class Dense(_Layer):
@@ -59,7 +76,7 @@ class Dense(_Layer):
         std = np.sqrt(2.0 / in_features)
         self.params = {"W": rng.normal(0.0, std, size=(in_features, out_features)),
                        "b": np.zeros(out_features)}
-        self.grads = {}
+        pack([self])
 
     @property
     def name(self) -> str:
@@ -80,8 +97,8 @@ class Dense(_Layer):
         return out
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        self.grads["W"] = self._recorded().T @ grad
-        self.grads["b"] = grad.sum(axis=0)
+        np.matmul(self._recorded().T, grad, out=self.grads["W"])
+        grad.sum(axis=0, out=self.grads["b"])
         return grad @ self.params["W"].T if input_grad else None
 
 
@@ -120,7 +137,7 @@ class Conv2d(_Layer):
         std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         self.params = {"W": rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel)),
                        "b": np.zeros(out_channels)}
-        self.grads = {}
+        pack([self])
 
     @property
     def name(self) -> str:
@@ -187,8 +204,8 @@ class Conv2d(_Layer):
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x_shape, oh, ow, cols = self._recorded()
         g = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
-        self.grads["W"] = (g @ cols.T).reshape(self.params["W"].shape)
-        self.grads["b"] = g.sum(axis=1)
+        np.matmul(g, cols.T, out=self.grads["W"].reshape(self.out_channels, -1))
+        g.sum(axis=1, out=self.grads["b"])
         if not input_grad:
             return None
         w_mat = self.params["W"].reshape(self.out_channels, -1)

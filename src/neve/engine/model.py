@@ -8,23 +8,21 @@ activation or one channel of a (b, c, h, w) activation (spatial
 positions are folded into the sample axis).
 
 The model owns one flat workspace array, ``Model._workspace``, grown to
-the largest pass seen. Both passes (the inference pass of
-``Model.forward``, ``evaluate`` and probe snapshots; the recording pass of
-``compute_gradients``) lay a block of ``rows`` rows out in its front as
-the convs' im2col ``cols``, then each hidden dense or conv layer's output
-in stack order, so a block needs ``rows`` times its cols and output values
-per row. Only the cols and the batching differ. A recording pass is one
-block: it packs every conv's ``cols``, since backward reads them all, so
-training's recorded state lives in the memory evaluation uses. An
-inference pass walks the stack once per block of at most
+the largest pass seen. A pass (the inference pass of ``Model.forward``,
+``evaluate`` and probe snapshots; the recording pass of
+``compute_gradients``) lays a block of ``rows`` rows out in it: the convs'
+im2col ``cols``, then each hidden dense or conv layer's output in stack
+order. A recording pass is one block and packs every conv's ``cols``, as
+backward reads them all. An inference pass runs in blocks of at most
 ``Model._block_rows`` rows, the most whose widest ``cols`` and hidden
 outputs fit in ``INFERENCE_BYTES``, and starts every conv's ``cols`` at
-offset 0, since they are dead once its GEMM has run; so its workspace does
-not grow with the batch. ``release_buffers`` frees it. Every pass applies
-a ReLU in place to an activation the same pass produced, never to the
-caller's batch. What a pass returns is fresh and written once: each
-block's head writes its rows of the logits, each block copies its columns
-of every capture block, and the probabilities come from the whole logits.
+offset 0, dead once its GEMM has run; so its workspace does not grow with
+the batch. ``release_buffers`` frees it. A ReLU works in place only on an
+activation the same pass produced.
+
+The trainable state is two flat vectors, ``Model.params`` (every weight
+and bias, in stack order) and ``Model.grads``, which the layers' ``params``
+and ``grads`` view (``layers.pack``): weights are written into, never rebound.
 
 The loss head computes what a caller reads and nothing twice: a training
 step takes its loss and gradient from one softmax pass, ``evaluate``
@@ -39,7 +37,8 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, NumericError, check_type, check_value
-from .layers import Conv2d, Dense, Flatten, ReLU, cross_entropy, softmax, softmax_cross_entropy
+from .layers import (Conv2d, Dense, Flatten, ReLU, cross_entropy, pack, softmax,
+                     softmax_cross_entropy)
 
 # workspace bytes an inference pass may hold per block of rows. Smaller
 # blocks fit a cache better, but each pays the layers' fixed per-call cost
@@ -82,12 +81,11 @@ class Model:
     """Layer stack built from layer dicts (``LAYER_KEYS``) by one walk that
     sizes each layer for the shape before it (ConfigError naming ``arch[i]``
     on a bad dict or shape) and draws its parameters from ``seed``; then
-    checks for a dense head and counts probed rows in ``n_probed_neurons``.
-    The same walk plans every pass: where each layer's ``cols`` and output
-    lie in the one workspace array ``_workspace`` (the cols region first,
-    then the hidden outputs in stack order), whether a ReLU may work in
-    place and which capture slot it fills, and the inference block size
-    ``_block_rows``."""
+    checks for a dense head, counts probed rows in ``n_probed_neurons`` and
+    packs ``params`` and ``grads``. The same walk plans every pass: where
+    each layer's ``cols`` and output lie in ``_workspace``, whether a ReLU
+    may work in place and which capture slot it fills, and the inference
+    block size ``_block_rows``."""
 
     def __init__(self, descs: list, input_shape: tuple[int, ...], seed: int):
         self.input_shape = tuple(int(d) for d in input_shape)
@@ -128,20 +126,12 @@ class Model:
         self.n_probed_neurons = sum(site[0] for site in self._sites) + self.n_classes
         self._workspace = np.empty(0)
         self._walks: dict = {}     # (rows, record, capture) -> ``_steps`` over the workspace
+        self.params, self.grads = pack(self.layers)
 
     def release_buffers(self) -> None:
         """Free the workspace; the next pass makes a new one."""
         self._workspace = np.empty(0)
         self._walks.clear()
-
-    def n_parameters(self) -> int:
-        return sum(p.size for layer in self.layers for p in layer.params.values())
-
-    def trainable(self):
-        """Yield (key, params, grads) per trainable layer, in stack order."""
-        for idx, layer in enumerate(self.layers):
-            if layer.params:
-                yield idx, layer.params, layer.grads
 
     def forward(self, batch: np.ndarray, capture_probes: bool = False):
         """Inference pass over ``batch``: no layer keeps backward state.
@@ -150,20 +140,16 @@ class Model:
         requested, else a tuple of (neurons, vector_len) blocks, one per
         capture site in stack order. The stack runs once per block of at
         most ``_block_rows`` rows (equal blocks, the last one possibly
-        shorter), so the pass needs no more workspace than
-        ``INFERENCE_BYTES`` (or one row's, if that is more) however large
-        the batch; each block writes its rows of the logits and its columns
-        of each capture block. Only the logits are scanned for
-        non-finite values: NaN and +-inf reach them through every layer (a
-        ReLU turns -inf into NaN). When the scan fails, each block is run
-        again with a check after each layer, and the NumericError names the
-        first layer whose output is not finite in any block, the layer a
-        scan of the whole batch would name, since rows are independent. A
-        value that never reaches the logits (say, in a border row a strided
-        conv skips) cannot change the loss or the gradients and is not
-        reported. The returned arrays are fresh: none aliases a buffer that
-        a later pass overwrites. An empty batch, or one whose sample shape
-        is not ``input_shape``, raises ConfigError.
+        shorter). Only the logits are scanned for non-finite values: NaN and
+        +-inf reach them through every layer (a ReLU turns -inf into NaN).
+        When the scan fails, each block is run again with a check after each
+        layer, and the NumericError names the first layer whose output is not
+        finite in any block, as a scan of the whole batch would, since rows
+        are independent. A value that never reaches the logits (say, in a
+        border row a strided conv skips) cannot change the loss or the
+        gradients and is not reported. The returned arrays are fresh. An
+        empty batch, or one whose sample shape is not ``input_shape``,
+        raises ConfigError.
         """
         logits, captured = self._logits(batch, capture_probes, record=False)
         probs = softmax(logits)
@@ -300,19 +286,17 @@ def _checked_labels(model: Model, batch, labels) -> np.ndarray:
 
 
 def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Recording forward plus backward pass: fills every layer's ``grads``
-    with the mean cross-entropy gradient and returns the loss. No parameter
-    update. The loss and the logits' gradient come from one shift, exp and
-    row sum (``softmax_cross_entropy``), bit for bit what ``cross_entropy``
-    and ``softmax`` give. The layers before the first trainable one run no
-    backward, and the first trainable one computes no input gradient."""
+    """Recording forward plus backward pass: writes the mean cross-entropy
+    gradient into ``model.grads`` and returns the loss; no update. Loss and
+    gradient come from one shift, exp and row sum (``softmax_cross_entropy``),
+    bit for bit what ``cross_entropy`` and ``softmax`` give. Backprop ends at
+    the first trainable layer, which computes no input gradient."""
     labels = _checked_labels(model, batch, labels)
     logits, _ = model._logits(batch, False, record=True)
     loss, grad = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss; halting the run")
-    # backprop ends at the first trainable layer: nothing reads its input gradient
-    first = next(idx for idx, _, _ in model.trainable())
+    first = next(idx for idx, layer in enumerate(model.layers) if layer.params)
     for layer in reversed(model.layers[first + 1:]):
         grad = layer.backward(grad)
     model.layers[first].backward(grad, input_grad=False)

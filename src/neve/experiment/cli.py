@@ -107,13 +107,10 @@ def resolve_config(args, variants=()) -> ExperimentConfig:
 
 def ensure_out_dir(args) -> Path:
     out = Path(args.out or os.environ.get("NEVE_OUT_DIR") or DEFAULT_OUT)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise NeveError(f"output directory {out} is not writable: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    probe = out / ".write-probe"   # an unwritable directory fails before any run
+    probe.write_text("")
+    probe.unlink()
     return out
 
 
@@ -384,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except NeveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # creating or writing run outputs, or reading a data file
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

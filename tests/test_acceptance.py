@@ -156,7 +156,7 @@ def test_c04_gradient_correctness():
                 shape = (ch, 6, 6)
             model = build_model(arch, seed=int(rng.integers(0, 1000)),
                                 input_shape=shape)
-            assert model.n_parameters() <= 1000
+            assert model.params.size <= 1000
             x = rng.standard_normal((8, *shape))
             y = rng.integers(0, 3, size=8)
             if relu_kink_margin(model, x) < 1e-3:

@@ -1,5 +1,7 @@
 """Dataset, loader, split, aux-set and augmentation tests."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -128,6 +130,26 @@ class TestIdx:
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         assert ds.samples.max() == 1.0
         assert ds.labels[0] == 7
+
+    @staticmethod
+    def _write_pair(tmp_path, n, h, w):
+        import struct
+        (tmp_path / "i.idx").write_bytes(struct.pack(">IIII", 0x803, n, h, w)
+                                         + bytes(n * h * w))
+        (tmp_path / "l.idx").write_bytes(struct.pack(">II", 0x801, n) + bytes(n))
+        return tmp_path / "i.idx", tmp_path / "l.idx"
+
+    def test_zero_items_name_the_label_file(self, tmp_path):
+        # once a bare ValueError from the maximum of an empty label array
+        images, labels = self._write_pair(tmp_path, 0, 28, 28)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(labels))}: no items"):
+            load_idx(images, labels)
+
+    @pytest.mark.parametrize("h,w", [(0, 28), (28, 0), (0, 0)])
+    def test_zero_size_images_name_the_image_file(self, tmp_path, h, w):
+        images, labels = self._write_pair(tmp_path, 3, h, w)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(images))}: images of zero"):
+            load_idx(images, labels)
 
 
 class TestCifar10:

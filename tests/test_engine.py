@@ -32,8 +32,8 @@ def fd_gradients(model, batch, labels):
     """Central finite differences of the mean cross-entropy, parameter by
     parameter. Never touches layer.backward."""
     out = {}
-    for idx, params, _ in model.trainable():
-        for name, p in params.items():
+    for idx, layer in enumerate(model.layers):
+        for name, p in layer.params.items():
             g = np.zeros_like(p)
             flat_p = p.ravel()
             flat_g = g.ravel()
@@ -52,9 +52,9 @@ def fd_gradients(model, batch, labels):
 def assert_grads_match(model, batch, labels, rel_tol=1e-4, skip_below=1e-8):
     compute_gradients(model, batch, labels)
     numeric = fd_gradients(model, batch, labels)
-    for idx, params, grads in model.trainable():
-        for name in params:
-            a = grads[name].ravel()
+    for idx, layer in enumerate(model.layers):
+        for name, g in layer.grads.items():
+            a = g.ravel()
             n = numeric[(idx, name)].ravel()
             for i in range(a.size):
                 if abs(a[i]) < skip_below and abs(n[i]) < skip_below:
@@ -69,9 +69,7 @@ class TestBuildModel:
     def test_same_seed_bit_identical(self):
         m1 = build_model("mlp:784-64-64-10", seed=7)
         m2 = build_model("mlp:784-64-64-10", seed=7)
-        for (_, p1, _), (_, p2, _) in zip(m1.trainable(), m2.trainable()):
-            for name in p1:
-                assert np.array_equal(p1[name], p2[name])
+        assert m1.params.tobytes() == m2.params.tobytes()
 
     def test_different_seed_differs(self):
         m1 = build_model("mlp:8-4-2", seed=1)
@@ -85,9 +83,9 @@ class TestBuildModel:
         # one generator, trainable layers in stack order: He-normal W, zero b
         m = build_model(arch, seed=seed, input_shape=input_shape)
         rng = np.random.default_rng(seed)
-        trainable = list(m.trainable())
+        trainable = [layer.params for layer in m.layers if layer.params]
         assert len(trainable) == 3
-        for _, params, _ in trainable:
+        for params in trainable:
             W = params["W"]
             # dense W is (in, out); conv W is (out, in, k, k)
             fan_in = W.shape[0] if W.ndim == 2 else int(np.prod(W.shape[1:]))
@@ -120,10 +118,9 @@ class TestBuildModel:
         b = build_model(dicts, seed=5, input_shape=(1, 4, 4))
         assert [layer.name for layer in a.layers] == [layer.name for layer in b.layers]
         assert len(a.layers) == 4
-        for (_, pa, _), (_, pb, _) in zip(a.trainable(), b.trainable(), strict=True):
-            assert pa.keys() == pb.keys()
-            for name in pa:
-                assert pa[name].tobytes() == pb[name].tobytes()
+        for la, lb in zip(a.layers, b.layers, strict=True):
+            assert la.params.keys() == lb.params.keys()
+        assert a.params.tobytes() == b.params.tobytes()
 
     def test_incompatible_layers_named(self):
         arch = [{"kind": "dense", "out": 4}, {"kind": "relu"},
@@ -140,16 +137,16 @@ class TestBuildModel:
 class TestForward:
     def test_identity_dense(self):
         m = build_model("mlp:3-3", seed=0)
-        m.layers[0].params["W"] = np.eye(3)
-        m.layers[0].params["b"] = np.zeros(3)
+        m.layers[0].params["W"][...] = np.eye(3)
+        m.layers[0].params["b"][...] = 0.0
         x = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -0.5]])
         logits, _, _ = m.forward(x)
         npt.assert_array_equal(logits, x)
 
     def test_dead_relu_probe_is_zero(self):
         m = build_model("mlp:2-4-2", seed=3)
-        m.layers[0].params["W"] = -np.ones((2, 4))
-        m.layers[0].params["b"] = np.zeros(4)
+        m.layers[0].params["W"][...] = -1.0
+        m.layers[0].params["b"][...] = 0.0
         x = np.abs(np.random.default_rng(0).standard_normal((5, 2))) + 0.1
         _, _, cap = m.forward(x, capture_probes=True)
         npt.assert_array_equal(cap[0], np.zeros((4, 5)))
@@ -202,7 +199,7 @@ class TestForward:
         # 4 rows are one block; 3R + 1 rows are four
         for rows in (4, 3 * clean._block_rows + 1):
             x = rng.standard_normal((rows, *input_shape))
-            for idx, _, _ in clean.trainable():
+            for idx in (i for i, layer in enumerate(clean.layers) if layer.params):
                 for capture in (False, True):
                     m = build_model(arch, seed=2, input_shape=input_shape)
                     m.layers[idx].params["W"].flat[0] = bad
@@ -615,7 +612,7 @@ class TestLossHead:
         x = rng.standard_normal((40, 5))
         y = rng.integers(0, 6, size=40)
         loss = compute_gradients(m, x, y)
-        got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
+        got = m.grads.copy()
         logits = m._logits(x, False, record=True)[0]
         assert loss == reference_cross_entropy(logits, y)
         grad = reference_softmax(logits)
@@ -623,9 +620,7 @@ class TestLossHead:
         grad /= 40
         for layer in reversed(m.layers):
             grad = layer.backward(grad)
-        for i, _, grads in m.trainable():
-            for n, g in grads.items():
-                assert g.tobytes() == got[(i, n)].tobytes(), (i, n)
+        assert m.grads.tobytes() == got.tobytes()
 
 
 class TestMalformedBatches:
@@ -698,33 +693,27 @@ class TestGradients:
         x = rng.standard_normal((6, *input_shape))
         y = rng.integers(0, 3, size=6)
         compute_gradients(m, x, y)
-        got = {(i, n): g.copy() for i, _, grads in m.trainable() for n, g in grads.items()}
+        got = m.grads.copy()
         grad = softmax(m._logits(x, False, record=True)[0])
         grad[np.arange(6), y] -= 1.0
         grad /= 6
         for layer in reversed(m.layers):
             grad = layer.backward(grad)
         assert grad.shape == x.shape
-        for i, _, grads in m.trainable():
-            for n, g in grads.items():
-                assert np.array_equal(got[(i, n)], g), (i, n)
+        assert np.array_equal(got, m.grads)
 
     def test_single_neuron_hand_step(self):
         # squared loss on y = w*x with w=1, x=2, target 1:
         # dL/dw = 2*(y - t)*x = 4, so one step at lr 0.1 gives w = 1 - 0.4
-        layer = Dense(1, 1, rng=np.random.default_rng(0))
-        layer.params["W"] = np.array([[1.0]])
-        layer.params["b"] = np.array([0.0])
+        m = build_model("mlp:1-1", seed=0)
+        layer = m.layers[0]
+        layer.params["W"][...] = 1.0
+        layer.params["b"][...] = 0.0
         x = np.array([[2.0]])
         y = layer.forward(x)
         dy = 2.0 * (y - 1.0)
         layer.backward(dy)
-
-        class _Single:
-            def trainable(self):
-                yield 0, layer.params, layer.grads
-
-        Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0)).step(_Single())
+        Optimizer(OptimizerSpec(lr=0.1, momentum=0.0, weight_decay=0.0)).step(m)
         assert layer.params["W"][0, 0] == 1.0 - 0.1 * 4.0
         assert layer.params["b"][0] == 0.0 - 0.1 * 2.0
 
@@ -814,7 +803,7 @@ class TestConv:
     def test_matches_loop_reference(self, b, c, f, h, w, k, stride, pad):
         rng = np.random.default_rng(b * 1000 + c * 100 + f * 10 + k)
         layer = Conv2d(c, f, k, stride, pad, rng=rng)
-        layer.params["b"] = rng.standard_normal(f)
+        layer.params["b"][...] = rng.standard_normal(f)
         x = rng.standard_normal((b, c, h, w))
         y = layer.forward(x)
         grad = rng.standard_normal(y.shape)
@@ -857,7 +846,7 @@ class TestConv:
         m = build_model(TWO_CONV, seed=6, input_shape=(1, 6, 6))
         conv1, conv2, head = m.layers[0], m.layers[2], m.layers[5]
         for layer in (conv1, conv2, head):
-            layer.params["b"] = rng.standard_normal(layer.params["b"].shape)
+            layer.params["b"][...] = rng.standard_normal(layer.params["b"].shape)
         x = rng.standard_normal((4, 1, 6, 6))
         y = rng.integers(0, 3, size=4)
         compute_gradients(m, x, y)
@@ -890,6 +879,45 @@ class TestConv:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestParameterStore:
+    """Every layer's weights and gradients are views of ``Model.params`` and
+    ``Model.grads``, laid out in stack order, and cannot be rebound."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("arch,input_shape", [("mlp:16-8-6-3", (1, 4, 4)),
+                                                  (TWO_CONV, (1, 6, 6))])
+    def test_layer_arrays_view_the_flat_vectors_in_stack_order(self, arch, input_shape, kind):
+        m = build_model(arch, seed=3, input_shape=input_shape)
+        opt = Optimizer(OptimizerSpec(kind=kind, weight_decay=1e-3))
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((5, *input_shape))
+        y = rng.integers(0, 3, size=5)
+        assert np.isnan(m.grads).all()
+        for steps in range(3):
+            start = 0
+            for layer in m.layers:
+                assert layer.params.keys() == layer.grads.keys()
+                for name, p in layer.params.items():
+                    stop = start + p.size
+                    for view, flat in ((p, m.params), (layer.grads[name], m.grads)):
+                        assert view.flags.c_contiguous and view.size == stop - start
+                        assert np.shares_memory(view, flat[start:stop])
+                        assert not np.shares_memory(view, flat[:start])
+                        assert not np.shares_memory(view, flat[stop:])
+                    start = stop
+            assert start == m.params.size == m.grads.size
+            assert np.isfinite(m.grads).all() == (steps > 0)
+            backward_and_step(m, x, y, opt)
+
+    def test_rebinding_a_parameter_raises(self):
+        m = build_model(TWO_CONV, seed=0, input_shape=(1, 6, 6))
+        before = m.params.copy()
+        for mapping in (m.layers[0].params, m.layers[0].grads, m.layers[-1].params):
+            with pytest.raises(TypeError):
+                mapping["W"] = np.zeros_like(mapping["W"])
+        assert np.array_equal(m.params, before)
+
+
 class TestOptimizers:
     def _setup(self, kind, **kw):
         m = build_model("mlp:3-4-2", seed=1)
@@ -900,20 +928,17 @@ class TestOptimizers:
 
     def test_sgd_zero_lr_keeps_parameters(self):
         m, opt, x, y = self._setup("sgd", lr=0.0, momentum=0.9, weight_decay=1e-4)
-        before = {(i, n): p.copy() for i, ps, _ in m.trainable() for n, p in ps.items()}
+        before = m.params.copy()
         backward_and_step(m, x, y, opt)
-        for i, ps, _ in m.trainable():
-            for n, p in ps.items():
-                assert np.array_equal(p, before[(i, n)])
+        assert np.array_equal(m.params, before)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_step_before_any_gradient_names_the_parameter(self, kind):
         m, opt, _, _ = self._setup(kind)
-        params = lambda: [p.copy() for _, ps, _ in m.trainable() for p in ps.values()]
-        before = params()
-        with pytest.raises(NeveError, match=r"layer 0/W has no gradient; call compute_gradients"):
+        before = m.params.copy()
+        with pytest.raises(NeveError, match=r"parameter 0 has no gradient; call compute_gradients"):
             opt.step(m)
-        assert all(map(np.array_equal, before, params()))
+        assert np.array_equal(before, m.params)
 
     def test_sgd_momentum_matches_reference_recurrence(self):
         m, opt, x, y = self._setup("sgd", lr=0.1, momentum=0.9, weight_decay=0.0)
@@ -936,16 +961,15 @@ class TestOptimizers:
         for _ in range(3):
             compute_gradients(m, x, y)
             expected = {}
-            for i, params, grads in m.trainable():
-                for n, p in params.items():
-                    g = grads[n] + 1e-3 * p
+            for i, layer in enumerate(m.layers):
+                for n, p in layer.params.items():
+                    g = layer.grads[n] + 1e-3 * p
                     if momentum:
                         g = bufs[(i, n)] = g if (i, n) not in bufs else 0.9 * bufs[(i, n)] + g
                     expected[(i, n)] = p - 0.1 * g
             opt.step(m)
-            for i, params, _ in m.trainable():
-                for n in ("W", "b"):
-                    assert np.array_equal(params[n], expected[(i, n)]), (i, n)
+            for (i, n), want in expected.items():
+                assert np.array_equal(m.layers[i].params[n], want), (i, n)
 
     def test_adam_first_step_size(self):
         # with bias correction the first Adam step is ~lr * sign(g)
@@ -960,19 +984,29 @@ class TestOptimizers:
         npt.assert_allclose(step[mask], 1e-3 * np.sign(g)[mask], rtol=1e-2)
 
     def test_adam_matches_reference_recurrence(self):
-        m, opt, x, y = self._setup("adam", lr=1e-2, weight_decay=1e-3)
-        w_layer = m.layers[0]
-        m1 = v1 = 0.0
+        # every parameter of a conv net, biases included, bit for bit
+        rng = np.random.default_rng(0)
+        m = build_model(TWO_CONV, seed=1, input_shape=(1, 6, 6))
+        opt = Optimizer(OptimizerSpec(kind="adam", lr=1e-2, weight_decay=1e-3))
+        x = rng.standard_normal((6, 1, 6, 6))
+        y = rng.integers(0, 3, size=6)
+        moments = {}
         for t in range(1, 4):
-            w_before = w_layer.params["W"].copy()
             compute_gradients(m, x, y)
-            g = w_layer.grads["W"] + 1e-3 * w_before
-            m1 = 0.9 * m1 + (1.0 - 0.9) * g
-            v1 = 0.999 * v1 + (1.0 - 0.999) * g * g
-            m_hat, v_hat = m1 / (1.0 - 0.9 ** t), v1 / (1.0 - 0.999 ** t)
-            expected = w_before - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            expected = {}
+            for i, layer in enumerate(m.layers):
+                for n, p in layer.params.items():
+                    g = layer.grads[n] + 1e-3 * p
+                    m1, v1 = moments.get((i, n), (0.0, 0.0))
+                    m1 = 0.9 * m1 + (1.0 - 0.9) * g
+                    v1 = 0.999 * v1 + (1.0 - 0.999) * g * g
+                    moments[i, n] = m1, v1
+                    m_hat, v_hat = m1 / (1.0 - 0.9 ** t), v1 / (1.0 - 0.999 ** t)
+                    expected[i, n] = p - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
             opt.step(m)
-            assert np.array_equal(w_layer.params["W"], expected)
+            assert len(expected) == 6
+            for (i, n), want in expected.items():
+                assert np.array_equal(m.layers[i].params[n], want), (i, n)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_second_step_allocates_no_parameter_sized_array(self, kind):
@@ -998,21 +1032,17 @@ class TestOptimizers:
     def test_convex_quadratic_monotone_descent(self):
         # 200 SGD steps on a single linear layer with squared loss
         rng = np.random.default_rng(4)
-        layer = Dense(5, 1, rng=rng)
+        m = build_model("mlp:5-1", seed=4)
+        layer = m.layers[0]
         x = rng.standard_normal((32, 5))
         t = x @ rng.standard_normal((5, 1)) + 0.3
-
-        class _Single:
-            def trainable(self):
-                yield 0, layer.params, layer.grads
-
         opt = Optimizer(OptimizerSpec(lr=0.01, momentum=0.0, weight_decay=0.0))
         losses = []
         for _ in range(200):
             y = layer.forward(x)
             losses.append(float(np.mean((y - t) ** 2)))
             layer.backward(2.0 * (y - t) / len(x))
-            opt.step(_Single())
+            opt.step(m)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("kwargs,field", [
@@ -1030,15 +1060,15 @@ class TestOptimizers:
             m, _, x, y = self._setup("sgd")
             for _ in range(3):
                 backward_and_step(m, x, y, opt)
-            params.append([p.copy() for _, ps, _ in m.trainable() for p in ps.values()])
-        assert all(np.array_equal(a, b) for a, b in zip(*params))
+            params.append(m.params.copy())
+        assert np.array_equal(*params)
 
 
 class TestEvaluate:
     def test_uniform_predictor_loss_is_log_k(self):
         m = build_model("mlp:4-6", seed=0)
-        m.layers[0].params["W"] = np.zeros((4, 6))
-        m.layers[0].params["b"] = np.zeros(6)
+        m.layers[0].params["W"][...] = 0.0
+        m.layers[0].params["b"][...] = 0.0
         x = np.random.default_rng(0).standard_normal((50, 4))
         y = np.random.default_rng(1).integers(0, 6, size=50)
         loss, _ = evaluate(m, x, y)
@@ -1046,8 +1076,8 @@ class TestEvaluate:
 
     def test_perfect_predictions(self):
         m = build_model("mlp:3-3", seed=0)
-        m.layers[0].params["W"] = 50.0 * np.eye(3)
-        m.layers[0].params["b"] = np.zeros(3)
+        m.layers[0].params["W"][...] = 50.0 * np.eye(3)
+        m.layers[0].params["b"][...] = 0.0
         x = np.eye(3)
         y = np.array([0, 1, 2])
         _, acc = evaluate(m, x, y)
@@ -1055,8 +1085,8 @@ class TestEvaluate:
 
     def test_constant_class0_on_balanced_pair(self):
         m = build_model("mlp:2-2", seed=0)
-        m.layers[0].params["W"] = np.zeros((2, 2))
-        m.layers[0].params["b"] = np.array([5.0, 0.0])
+        m.layers[0].params["W"][...] = 0.0
+        m.layers[0].params["b"][...] = [5.0, 0.0]
         x = np.random.default_rng(2).standard_normal((10, 2))
         y = np.array([0, 1] * 5)
         _, acc = evaluate(m, x, y)
@@ -1092,13 +1122,11 @@ class TestEvaluate:
 
     def test_no_parameter_mutation(self):
         m = build_model("mlp:3-4-2", seed=8)
-        before = {(i, n): p.copy() for i, ps, _ in m.trainable() for n, p in ps.items()}
+        before = m.params.copy()
         x = np.random.default_rng(3).standard_normal((20, 3))
         y = np.random.default_rng(4).integers(0, 2, size=20)
         evaluate(m, x, y)
-        for i, ps, _ in m.trainable():
-            for n, p in ps.items():
-                assert np.array_equal(p, before[(i, n)])
+        assert np.array_equal(m.params, before)
 
     def test_bad_labels_rejected(self):
         m = build_model("mlp:2-2", seed=0)

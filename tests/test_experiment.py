@@ -733,6 +733,19 @@ class TestCli:
         cfg = json.loads((tmp_path / "config.json").read_text())
         assert cfg["scheduler"]["kind"] == "fixed"
 
+    @pytest.mark.parametrize("blocked", ["out", "out/velocity_seed1"])
+    def test_output_write_error_exits_1_naming_the_path(self, tmp_path, capsys, blocked):
+        # a file where the output or the velocity dump directory goes; the
+        # dump directory's once ended in a FileExistsError traceback
+        if blocked != "out":
+            (tmp_path / "out").mkdir()
+        (tmp_path / blocked).write_text("")
+        code = main(["train", *TINY_CLI, "--max-epochs", "2", "--scheduler", "fixed",
+                     "--dump-velocity", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / blocked}: "), err
+
     def test_config_json_names_the_probed_sources(self, tmp_path):
         assert main(["train", *TINY_CLI, "--max-epochs", "2", "--scheduler", "fixed",
                      "--probe", "train,noise", "--out", str(tmp_path)]) == 0
