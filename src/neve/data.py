@@ -325,12 +325,11 @@ def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     padded[:, :, p:p + h, p:p + w] = batch
     rows, cols = rng.integers(0, (2 * p + 1, 2 * p + 1), size=(n, 2)).T
     flips = np.flatnonzero(rng.random(n) < 0.5)
-    view = np.lib.stride_tricks.sliding_window_view
-    # view(...)[i, :, r, q] is sample i's (c, h, w) crop at offset (r, q); mirrored,
-    # the crop at column offset q is the mirrored image's crop at offset 2p - q
-    out = view(padded, (h, w), axis=(2, 3))[np.arange(n), :, rows, cols]
-    mirrored = view(padded[..., ::-1], (h, w), axis=(2, 3))
-    out[flips] = mirrored[flips, :, rows[flips], 2 * p - cols[flips]]
+    # the window view's [i, :, r, q] is sample i's (c, h, w) crop at offset (r, q);
+    # the gather copies, so the flipped crops are mirrored in place
+    view = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+    out = view[np.arange(n), :, rows, cols]
+    out[flips] = out[flips, ..., ::-1]
     return out
 
 

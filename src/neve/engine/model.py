@@ -16,9 +16,9 @@ order. A recording pass is one block and packs every conv's ``cols``, as
 backward reads them all. An inference pass runs in blocks of at most
 ``Model._block_rows`` rows, the most whose widest ``cols`` and hidden
 outputs fit in ``INFERENCE_BYTES``, and starts every conv's ``cols`` at
-offset 0, dead once its GEMM has run; so its workspace does not grow with
-the batch. ``release_buffers`` frees it. A ReLU works in place only on an
-activation the same pass produced.
+offset 0, dead once its GEMM has run; so its workspace grows neither with
+the batch nor with ``evaluate``'s ``EVAL_ROWS`` groups. ``release_buffers``
+frees it. A ReLU works in place only on an activation the same pass produced.
 
 The trainable state is two flat vectors, ``Model.params`` (every weight
 and bias, in stack order) and ``Model.grads``, which the layers' ``params``
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, check_type, check_value
+from ..errors import ConfigError, NumericError, check_type
 from .layers import (Conv2d, Dense, Flatten, ReLU, cross_entropy, pack, softmax,
                      softmax_cross_entropy)
 
@@ -45,6 +45,10 @@ from .layers import (Conv2d, Dense, Flatten, ReLU, cross_entropy, pack, softmax,
 # (im2col alone makes ~45 numpy calls per conv); 4 MiB was the fastest of
 # 0.5, 1, 1.5, 2 and 4 MiB on the benchmark's conv net (2 MiB L2 per core)
 INFERENCE_BYTES = 2 ** 22
+
+# rows per ``evaluate`` group; the row blocks bound its memory, but the
+# loss is summed group by group, so the group size fixes the loss's bits
+EVAL_ROWS = 512
 
 
 # layer kind -> its size keys and their defaults; None marks a required key
@@ -311,21 +315,19 @@ def backward_and_step(model: Model, batch: np.ndarray, labels: np.ndarray, opt) 
 
 
 def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
-             batch_size: int = 512, *, with_loss: bool = True) -> tuple[float | None, float]:
-    """Mean loss and accuracy over a dataset; never mutates parameters.
-    Runs the inference pass without the softmax, which neither reads. With
-    ``with_loss=False`` no cross-entropy is computed and the loss is None;
-    the accuracy is the same. ``batch_size`` must be an integer >= 1."""
-    check_type("batch_size", batch_size, int)
-    check_value("batch_size", batch_size, "[1, inf)")
+             *, with_loss: bool = True) -> tuple[float | None, float]:
+    """Mean loss and accuracy over a dataset, in groups of ``EVAL_ROWS``
+    rows; never mutates parameters. Runs the inference pass without the
+    softmax, which neither reads. With ``with_loss=False`` no cross-entropy
+    is computed and the loss is None; the accuracy is the same."""
     if len(samples) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
     labels = _checked_labels(model, samples, labels)
     losses = []
     correct = 0
-    for start in range(0, len(samples), batch_size):
-        xb = samples[start:start + batch_size]
-        yb = labels[start:start + batch_size]
+    for start in range(0, len(samples), EVAL_ROWS):
+        xb = samples[start:start + EVAL_ROWS]
+        yb = labels[start:start + EVAL_ROWS]
         logits, _ = model._logits(xb, False, record=False)
         if with_loss:
             losses.append(cross_entropy(logits, yb) * len(yb))

@@ -42,9 +42,9 @@ class Optimizer:
     holds a gradient (a model's starts as NaN) and allocates the slots that
     later steps update in place, each the size of ``params``: a scratch
     vector for ``wd*p + g`` and the step, then the momentum buffer (SGD) or
-    ``m``, ``v`` and a temporary (Adam). Each in-place product or quotient
-    keeps the operands of the textbook expression, so the bits do not
-    change.
+    ``m``, ``v`` and a temporary (Adam); a step on a model of another size
+    raises. Each in-place product or quotient keeps the operands of the
+    textbook expression, so the bits do not change.
     """
 
     def __init__(self, spec: OptimizerSpec = OptimizerSpec()):
@@ -61,6 +61,8 @@ class Optimizer:
                                 "compute_gradients before Optimizer.step")
             n_buffers = 3 if self.kind == "adam" else (1 if self.momentum else 0)
             self._slots = [np.empty_like(p), *(np.zeros_like(p) for _ in range(n_buffers))]
+        elif p.size != self._slots[0].size:
+            raise NeveError(f"this optimizer steps {self._slots[0].size} parameters, not {p.size}")
         self._t += 1
         scratch, *buffers = self._slots
         if self.weight_decay:

@@ -13,6 +13,7 @@ else NEVE_OUT_DIR, else ./neve-out.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -105,15 +106,6 @@ def resolve_config(args, variants=()) -> ExperimentConfig:
     return config_from_file(args.config, flags) if args.config else config_from_dict({}, flags)
 
 
-def ensure_out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get("NEVE_OUT_DIR") or DEFAULT_OUT)
-    out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"   # an unwritable directory fails before any run
-    probe.write_text("")
-    probe.unlink()
-    return out
-
-
 def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
     """``config.json``, with the scheduler the runs read: derived milestones included."""
     resolved = dataclasses.replace(cfg, scheduler=cfg.scheduler_config())
@@ -139,11 +131,16 @@ def _summary_row(summary):
 
 
 def _write_summary_csv(path, summaries) -> None:
-    with open(path, "w") as f:
-        f.write("label,mean_test_acc,std_test_acc,mean_stop_epoch,std_stop_epoch,seeds\n")
-        for s in summaries:
-            f.write(f"{s.label},{s.mean_acc!r},{s.std_acc!r},{s.mean_stop!r},"
-                    f"{s.std_stop!r},{' '.join(map(str, s.seeds))}\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["label", "mean_test_acc", "std_test_acc", "mean_stop_epoch",
+                         "std_stop_epoch", "seeds"])
+        writer.writerows([s.label, s.mean_acc, s.std_acc, s.mean_stop, s.std_stop,
+                          " ".join(map(str, s.seeds))] for s in summaries)
+
+
+def _run_name(tag: str, seed: int) -> str:
+    return f"{tag}_seed{seed}" if tag else f"seed{seed}"
 
 
 def _slug(label: str) -> str:
@@ -157,10 +154,11 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
 
     Every variant config is built, which checks it; what ``load_checked``
     checks on each variant's data is checked, and no two tags may be equal,
-    before the output directory is created and ``base`` written to it.
-    Each run then writes ``run_<tag>_seed<N>.csv``, its velocity and loss
-    charts and, with ``dump_velocity``, ``velocity_<tag>_seed<N>/`` (the
-    empty tag drops ``<tag>_``). Last come the table and the summary CSV.
+    before the output directory is created. Then, before any run, each
+    run's dump directory ``velocity_<tag>_seed<N>/`` (with ``dump_velocity``)
+    is created and emptied of dumps, and ``base`` is written to ``config.json``.
+    Each run then writes ``run_<tag>_seed<N>.csv`` and its velocity and loss
+    charts (the empty tag drops ``<tag>_``). Last come the table and the summary CSV.
     Returns the output directory and one ``(cfg, results, summary)`` per variant.
     """
     if not variants:
@@ -174,21 +172,23 @@ def _run_variants(args, base: ExperimentConfig, variants, summary_name: str, col
             raise ConfigError(f"variant {label!r}: another variant has the tag {tag!r}, "
                               "so their run files would collide")
         tags.add(tag)
-    out = ensure_out_dir(args)
+    out = Path(args.out or os.environ.get("NEVE_OUT_DIR") or DEFAULT_OUT)
+    out.mkdir(parents=True, exist_ok=True)
+    # the first write into out, a dump directory or config.json, is its writability check
+    dump_dirs = {(tag, seed): out / f"velocity_{_run_name(tag, seed)}"
+                 for _, tag, cfg in variants if cfg.dump_velocity for seed in cfg.seeds}
+    for dump_dir in dump_dirs.values():
+        dump_dir.mkdir(exist_ok=True)
+        for stale in dump_dir.glob("velocity_epoch*.csv"):   # an earlier run's dumps
+            stale.unlink()
     _echo_config(base, out)
     runs = []
     for label, tag, cfg in variants:
         print(f"{args.command}: {label}")
         results = []
         for seed in cfg.seeds:
-            name = f"{tag}_seed{seed}" if tag else f"seed{seed}"
-            dump_dir = None
-            if cfg.dump_velocity:
-                dump_dir = out / f"velocity_{name}"
-                dump_dir.mkdir(exist_ok=True)
-                for stale in dump_dir.glob("velocity_epoch*.csv"):   # an earlier run's dumps
-                    stale.unlink()
-            result = run_training(cfg, seed, dump_dir=dump_dir)
+            name = _run_name(tag, seed)
+            result = run_training(cfg, seed, dump_dir=dump_dirs.get((tag, seed)))
             results.append(result)
             if result.records:
                 emit_csv(result.records, out / f"run_{name}.csv")

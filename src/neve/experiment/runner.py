@@ -18,7 +18,7 @@ import io
 import os
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +253,7 @@ def run_training(cfg: ExperimentConfig, seed: int, dump_dir=None) -> RunResult:
             records.append(RunRecord(
                 epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                 test_loss=test_loss, test_acc=test_acc, val_loss=val_loss,
-                model_velocity=v_bar, learning_rate=opt.lr,
+                model_velocity=v_bar, learning_rate=float(opt.lr),   # a config's 1 is 1.0
                 decision=decision.verdict,
                 wall_seconds=time.perf_counter() - t0))
             if decision.verdict == STOP:
@@ -328,20 +328,15 @@ def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:
     return written
 
 
-def _fmt(value, kind: str) -> str:
-    if kind in ("int", "str"):
-        return str(value)
-    return "" if value is None else repr(float(value))
-
-
 def records_to_csv(records) -> str:
-    """Render records with the fixed CSV schema (header is bit-exact)."""
+    """Render records with the fixed CSV schema (header is bit-exact), one
+    ``\n``-ended line each: a float is its repr, None an empty cell."""
     if not records:
         raise ConfigError("cannot emit CSV for an empty record list")
     buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in records:
-        buf.write(",".join(_fmt(getattr(r, f.name), f.type) for f in fields(r)) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(map(astuple, records))
     return buf.getvalue()
 
 

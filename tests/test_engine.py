@@ -294,17 +294,18 @@ class TestInferenceBuffers:
 
     @pytest.mark.parametrize("before", ["smaller", "larger"])
     def test_evaluate_matches_fresh_forwards(self, before):
-        # 1100 rows in batches of 512 leave a 76-row tail; a smaller run
-        # first makes the workspace grow, a larger one makes 512 a prefix
+        # 1100 rows in groups of EVAL_ROWS (512) leave a 76-row tail; a
+        # smaller pass first makes the workspace grow, a larger one (a
+        # 2000-row forward, one block) makes a group's rows a prefix
         rng = np.random.default_rng(22)
         m = build_model("mlp:3-32-16-4", seed=6)
         x = rng.standard_normal((1100, 3))
         y = rng.integers(0, 4, size=1100)
-        rows, batch = (100, 512) if before == "smaller" else (1500, 1024)
-        evaluate(m, rng.standard_normal((rows, 3)), rng.integers(0, 4, size=rows), batch)
+        assert model_mod.EVAL_ROWS == 512 and m._block_rows >= 2000
+        m.forward(rng.standard_normal((100 if before == "smaller" else 2000, 3)))
         for _ in range(2):
             got = evaluate(m, x, y)
-            assert got == self.reference_evaluate(m, x, y, 512)
+            assert got == self.reference_evaluate(m, x, y, model_mod.EVAL_ROWS)
 
     @pytest.mark.parametrize("lead,input_shape", [([], (6,)), ([{"kind": "flatten"}], (1, 2, 3))])
     def test_read_only_batch_through_a_leading_relu(self, lead, input_shape):
@@ -386,22 +387,23 @@ class TestConvWorkspace:
             assert got.tobytes() == want.tobytes()
 
     def test_evaluate_with_a_tail_matches_fresh_forwards(self):
-        # 50 rows in batches of 16 leave a 2-row tail; a training step in
-        # between packs its cols where evaluation starts every conv's
+        # 1074 rows in groups of EVAL_ROWS (512) leave a 50-row tail; a
+        # training step in between packs its cols where evaluation starts every conv's
         rng = np.random.default_rng(26)
         m = build_model(TWO_CONV, seed=6, input_shape=(1, 6, 6))
-        x = rng.standard_normal((50, 1, 6, 6))
-        y = rng.integers(0, 3, size=50)
+        n, group = 2 * model_mod.EVAL_ROWS + 50, model_mod.EVAL_ROWS
+        x = rng.standard_normal((n, 1, 6, 6))
+        y = rng.integers(0, 3, size=n)
         want_loss, want_correct = 0.0, 0
-        for start in range(0, 50, 16):
-            logits = self.fresh_logits(m, x[start:start + 16])
-            want_loss += cross_entropy(logits, y[start:start + 16]) * len(logits)
-            want_correct += int((logits.argmax(axis=1) == y[start:start + 16]).sum())
-        want = (float(want_loss / 50), want_correct / 50)
+        for start in range(0, n, group):
+            logits = self.fresh_logits(m, x[start:start + group])
+            want_loss += cross_entropy(logits, y[start:start + group]) * len(logits)
+            want_correct += int((logits.argmax(axis=1) == y[start:start + group]).sum())
+        want = (float(want_loss / n), want_correct / n)
         for _ in range(2):
-            assert evaluate(m, x, y, batch_size=16) == want
+            assert evaluate(m, x, y) == want
             grads = compute_gradients(m, x[:20], y[:20])
-            assert evaluate(m, x, y, batch_size=16) == want
+            assert evaluate(m, x, y) == want
             assert compute_gradients(m, x[:20], y[:20]) == grads
 
     def test_second_evaluate_allocates_less_than_one_batch_of_cols(self):
@@ -526,10 +528,10 @@ class TestBlockedPass:
         assert rows == [100]
 
     def test_workspace_does_not_grow_with_the_batch(self):
+        # each 512-row group of evaluate spans 6 blocks of R = 89 rows
         rng = np.random.default_rng(32)
         m = build_model(DIGITS_CONV, seed=3, input_shape=(1, 28, 28))
-        evaluate(m, rng.standard_normal((1100, 1, 28, 28)), rng.integers(0, 10, size=1100),
-                 batch_size=1100)
+        evaluate(m, rng.standard_normal((1100, 1, 28, 28)), rng.integers(0, 10, size=1100))
         m.forward(rng.standard_normal((2000, 1, 28, 28)), capture_probes=True)
         assert m._workspace.nbytes <= model_mod.INFERENCE_BYTES
 
@@ -940,6 +942,19 @@ class TestOptimizers:
             opt.step(m)
         assert np.array_equal(before, m.params)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_on_a_second_model_names_both_sizes(self, kind):
+        # the slots are sized by the first model stepped: 27 parameters, then 51
+        opt = Optimizer(OptimizerSpec(kind=kind))
+        x, y = np.random.default_rng(0).standard_normal((6, 2)), np.arange(6) % 3
+        backward_and_step(build_model("mlp:2-4-3", seed=1), x, y, opt)
+        m = build_model("mlp:2-8-3", seed=1)
+        compute_gradients(m, x, y)
+        before = m.params.copy()
+        with pytest.raises(NeveError, match=r"this optimizer steps 27 parameters, not 51"):
+            opt.step(m)
+        assert np.array_equal(before, m.params)
+
     def test_sgd_momentum_matches_reference_recurrence(self):
         m, opt, x, y = self._setup("sgd", lr=0.1, momentum=0.9, weight_decay=0.0)
         w_layer = m.layers[0]
@@ -1096,14 +1111,6 @@ class TestEvaluate:
         m = build_model("mlp:2-2", seed=0)
         with pytest.raises(ConfigError):
             evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-    @pytest.mark.parametrize("batch_size", [0, -5, 1.5, True, None])
-    def test_batch_size_must_be_an_integer_of_at_least_one(self, batch_size):
-        # -5 once gave (0.0, 0.0): range() ran no batch and counted nothing correct
-        ds = gen_blobs(100, 2, seed=0)
-        m = build_model("mlp:2-4-2", seed=0)
-        with pytest.raises(ConfigError, match="batch_size"):
-            evaluate(m, ds.samples, ds.labels, batch_size=batch_size)
 
     def test_accuracy_only_pass_makes_no_cross_entropy(self, monkeypatch):
         # a dataset of three batches, the last one short

@@ -375,6 +375,16 @@ class TestRunTraining:
         assert header == "neuron_id,rho,v"
         assert len(rows) == 16 + 3  # hidden relu + softmax head
 
+    def test_velocity_dump_lines_end_in_crlf_and_hold_repr_floats(self, tmp_path):
+        cfg = tiny_cfg(max_epochs=2, scheduler={"kind": "fixed"})
+        run_training(cfg, seed=1, dump_dir=tmp_path)
+        lines = (tmp_path / "velocity_epoch0002.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"neuron_id,rho,v" and lines[-1] == b"" and len(lines) == 21
+        for i, line in enumerate(lines[1:-1]):
+            neuron, *cells = line.decode().split(",")
+            assert neuron == str(i) and "\n" not in line.decode()
+            assert [repr(float(c)) for c in cells] == cells
+
     def test_train_split_pass_computes_accuracy_only(self, monkeypatch):
         losses = []     # batch sizes of the cross-entropy calls model.py makes
         real_cross_entropy = model_mod.cross_entropy
@@ -647,6 +657,39 @@ class TestCsv:
         with pytest.raises(ConfigError):
             records_to_csv([])
 
+    def test_cells_are_repr_floats_and_empty_for_none(self, tmp_path):
+        record = RunRecord(epoch=2, train_loss=0.1, train_acc=2 / 3, test_loss=1e-300,
+                           test_acc=0.5, val_loss=None, model_velocity=None,
+                           learning_rate=0.1, decision="continue", wall_seconds=1 / 3)
+        full = dataclasses.replace(record, val_loss=np.float64(0.7), model_velocity=5e-5)
+        want = (f"{CSV_HEADER}\n2,0.1,0.6666666666666666,1e-300,0.5,,,0.1,continue,"
+                "0.3333333333333333\n2,0.1,0.6666666666666666,1e-300,0.5,0.7,5e-05,0.1,"
+                "continue,0.3333333333333333\n")
+        assert records_to_csv([record, full]) == want
+        runner.emit_csv([record, full], tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == want.encode()
+
+    def test_config_integer_learning_rate_is_written_as_a_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"optimizer": {"lr": 1, "momentum": 0.0}}))
+        cfg = config_from_file(path, {"dataset.name": "blobs", "arch": "mlp:2-16-4",
+                                      "max_epochs": 2, "scheduler.kind": "fixed"})
+        assert type(cfg.optimizer.lr) is int
+        res = run_training(cfg, seed=1)
+        rows = records_to_csv(res.records).splitlines()[1:]
+        assert [row.split(",")[7] for row in rows] == ["1.0", "1.0"]
+
+    def test_summary_cells_are_repr_floats(self, tmp_path):
+        from neve.experiment.cli import _write_summary_csv
+        summaries = [runner.RunSummary("eps=0.001", (1, 2), (0.5, 1 / 3), 5 / 12, 1 / 12,
+                                       3.5, 0.5),
+                     runner.RunSummary("neve", (3,), (), *[float("nan")] * 4)]
+        _write_summary_csv(tmp_path / "summary.csv", summaries)
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"label,mean_test_acc,std_test_acc,mean_stop_epoch,std_stop_epoch,seeds\n"
+            b"eps=0.001,0.4166666666666667,0.08333333333333333,3.5,0.5,1 2\n"
+            b"neve,nan,nan,nan,nan,3\n")
+
 
 class TestPlots:
     def test_emit_plots_marks_stop_epoch(self, tmp_path):
@@ -736,15 +779,18 @@ class TestCli:
     @pytest.mark.parametrize("blocked", ["out", "out/velocity_seed1"])
     def test_output_write_error_exits_1_naming_the_path(self, tmp_path, capsys, blocked):
         # a file where the output or the velocity dump directory goes; the
-        # dump directory's once ended in a FileExistsError traceback
+        # dump directory's once ended in a FileExistsError traceback, and
+        # once failed after config.json was written and the run announced
         if blocked != "out":
             (tmp_path / "out").mkdir()
         (tmp_path / blocked).write_text("")
         code = main(["train", *TINY_CLI, "--max-epochs", "2", "--scheduler", "fixed",
                      "--dump-velocity", "--out", str(tmp_path / "out")])
         assert code == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"error: {tmp_path / blocked}: "), err
+        assert out == ""
+        assert not (tmp_path / "out" / "config.json").exists()
 
     def test_config_json_names_the_probed_sources(self, tmp_path):
         assert main(["train", *TINY_CLI, "--max-epochs", "2", "--scheduler", "fixed",
@@ -1314,7 +1360,8 @@ class TestFlags:
             assert _run_untrained(workloads.cli_args(name, 7, out, smoke), monkeypatch) == 0
 
     @pytest.mark.parametrize("builder", ["optim_compare_args", "aux_sweep_args",
-                                         "conv_geometry_args", "data_paths_args"])
+                                         "conv_geometry_args", "data_paths_args",
+                                         "output_formats_args", "epsilon_analysis_args"])
     @pytest.mark.filterwarnings("ignore:seed")
     def test_tool_commands_resolve(self, builder, tmp_path, monkeypatch):
         tool = _load("tools/run_workloads.py")

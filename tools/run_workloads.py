@@ -7,7 +7,7 @@ this tool, so that two trees get the same arguments), runs
 ``neve <cli_args(name, N, OUT/name)>`` in a fresh interpreter that
 imports neve from ``SRC/src``, with ``OPENBLAS_NUM_THREADS=1`` set before
 numpy loads. Each workload writes its run directory ``OUT/<name>``.
-Four small runs follow, each covering a path no workload takes: an
+Six small runs follow, each covering a path no workload takes: an
 ``optim-compare`` run (blobs; SGD with momentum and Adam, each under neve
 and fixed, weight decay 1e-3) into ``OUT/optim-compare``; an
 ``aux-sweep`` run (blobs; probe-free ``val=0`` and ``val=0.2`` variants,
@@ -18,11 +18,17 @@ then a k3/s3/p0 conv; passed in a config file written there) trains at
 batch 50 with ``pad_crop_flip`` and ``--dump-velocity``, so that tail
 batches, other conv border cases than the workload's k3/s2/p1, and the
 per-neuron velocities of a probe that runs in 5 inference blocks of 20
-rows are compared too; and a digits
+rows are compared too; a digits
 ``train`` run into ``OUT/data-paths`` with ``subset``, ``normalize``, a
 validation split that the vloss scheduler and a ``heldout`` aux set read,
 and ``--probe heldout,noise,train`` (``heldout`` first, so its velocity
-fills the records' ``model_velocity`` column).
+fills the records' ``model_velocity`` column); a blobs ``train`` run into
+``OUT/output-formats`` over two seeds with ``--dump-velocity`` whose config
+file (written there) sets the integer learning rate ``"lr": 1``, so that
+an integer-valued rate cell and the dumps' line endings are compared; and
+an ``epsilon-analysis`` run whose chart goes to
+``OUT/epsilon-analysis/eps.svg`` and whose printed table goes to
+``OUT/epsilon-analysis/table.txt``. Every other run's output is discarded.
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
 Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
@@ -100,6 +106,21 @@ def data_paths_args(seed: int, out_dir: Path) -> list[str]:
             "--arch", "mlp:784-32-10", "--batch-size", "50", "--max-epochs", "4"]
 
 
+def output_formats_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra output-formats run; writes its config file to ``out_dir``."""
+    config = out_dir / "formats_config.json"
+    config.write_text(json.dumps({"optimizer": {"lr": 1, "momentum": 0.0}}))
+    return ["train", "--config", str(config), "--out", str(out_dir), "--seeds", "1,2",
+            "--data-seed", str(seed), "--aux-seed", str(seed), "--dataset", "blobs",
+            "--n-samples", "400", "--test-samples", "200", "--arch", "mlp:2-16-4",
+            "--max-epochs", "3", "--scheduler", "fixed", "--dump-velocity"]
+
+
+def epsilon_analysis_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra epsilon-analysis run; the same at every seed."""
+    return ["epsilon-analysis", "--eps-grid", "1e-4,1e-3,1e-2", "--svg", str(out_dir / "eps.svg")]
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
@@ -114,7 +135,8 @@ def main(argv: list[str]) -> int:
                PYTHONPATH=str((args.src / "src").resolve()))
     failed = []
     extra = {"optim-compare": optim_compare_args, "aux-sweep": aux_sweep_args,
-             "conv-geometry": conv_geometry_args, "data-paths": data_paths_args}
+             "conv-geometry": conv_geometry_args, "data-paths": data_paths_args,
+             "output-formats": output_formats_args, "epsilon-analysis": epsilon_analysis_args}
     for name in (*workloads.WORKLOADS, *extra):
         out_dir = args.out / name
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -123,8 +145,10 @@ def main(argv: list[str]) -> int:
         else:
             cli = workloads.cli_args(name, args.seed, out_dir)
         print(f"{name}: neve {' '.join(cli)}", flush=True)
-        proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *cli],
-                              env=env, stdout=subprocess.DEVNULL)
+        printed = out_dir / "table.txt" if name == "epsilon-analysis" else os.devnull
+        with open(printed, "w") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *cli],
+                                  env=env, stdout=stdout)
         if proc.returncode != 0:
             print(f"{name}: exited with {proc.returncode}", file=sys.stderr)
             failed.append(name)
