@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_value
+from .errors import ConfigError, DataFormatError, check_labels, check_value
 
 IDX_DTYPE_U8 = 0x08
 IDX_IMAGE_MAGIC = 0x00000803   # u8, 3 dimensions
@@ -25,7 +25,7 @@ IDX_LABEL_MAGIC = 0x00000801   # u8, 1 dimension
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled samples: float64 inputs plus one integer class per sample."""
+    """Labeled samples: float64 inputs plus labels that pass ``errors.check_labels``."""
 
     name: str
     samples: np.ndarray
@@ -33,14 +33,8 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        if self.labels.dtype.kind not in "iu":
-            raise ConfigError(
-                f"{self.name}: labels must be integers, got dtype {self.labels.dtype}")
-        if len(self.samples) != len(self.labels):
-            raise ConfigError(
-                f"{self.name}: {len(self.samples)} samples vs {len(self.labels)} labels")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise ConfigError(f"{self.name}: labels outside [0, {self.n_classes})")
+        object.__setattr__(self, "labels", check_labels(
+            self.labels, len(self.samples), self.n_classes, f"{self.name}: "))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -147,9 +141,7 @@ _DIGIT_FONT = {
 DIGITS_SIZE = 28   # height and width of a ``gen_digits`` image
 
 
-def digits_max_shift() -> int:
-    """Largest shift ``gen_digits`` takes: a glyph of 7+ rows stays on the canvas."""
-    return (DIGITS_SIZE - 7) // 2
+DIGITS_MAX_SHIFT = (DIGITS_SIZE - 7) // 2   # largest shift: a 7+-row glyph stays on the canvas
 
 
 def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2) -> Dataset:
@@ -158,8 +150,7 @@ def gen_digits(n: int, seed: int = 0, noise: float = 0.25, shift: int = 2) -> Da
     noise. Values are quantized to the u8 grid so IDX round-trips exactly."""
     if n < 10:
         raise ConfigError(f"need at least one sample per class, got n={n}")
-    if not 0 <= shift <= digits_max_shift():
-        raise ConfigError(f"shift {shift} outside [0, {digits_max_shift()}]")
+    check_value("shift", shift, f"[0, {DIGITS_MAX_SHIFT}]")
     check_value("noise", noise, "[0, inf)")
     scale = max(1, (DIGITS_SIZE - 2 * shift - 2) // 7)
     glyph_h, glyph_w = 7 * scale, 5 * scale
@@ -240,10 +231,18 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
 
 
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Write a grayscale image dataset as an IDX pair (values scaled to u8)."""
+    """Write a grayscale image dataset as an IDX pair: (n, 1, h, w) samples in
+    [0, 1], scaled to u8, and labels of at most 255. A u8 would wrap any other
+    value, so one raises ConfigError naming the dataset before a file is written."""
     samples = dataset.samples
     if samples.ndim != 4 or samples.shape[1] != 1:
         raise ConfigError(f"IDX writer needs (n, 1, h, w) samples, got {samples.shape}")
+    if samples.size and not 0 <= samples.min() <= samples.max() <= 1:   # NaN fails too
+        raise ConfigError(f"{dataset.name}: IDX samples must lie in [0, 1], got range "
+                          f"[{samples.min()}, {samples.max()}]")
+    if len(dataset.labels) and dataset.labels.max() > 255:
+        raise ConfigError(
+            f"{dataset.name}: IDX labels must be at most 255, got {dataset.labels.max()}")
     images = np.round(samples[:, 0] * 255.0).astype(np.uint8)
     n, h, w = images.shape
     with open(images_path, "wb") as f:

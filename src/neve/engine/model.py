@@ -28,6 +28,7 @@ The loss head computes what a caller reads and nothing twice: a training
 step takes its loss and gradient from one softmax pass, ``evaluate``
 skips the softmax, and an accuracy-only ``evaluate`` skips the loss. No
 GEMM changes shape or batching for it, so every number keeps its bits.
+Both check their labels with ``errors.check_labels``, as a ``Dataset`` does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, check_type
+from ..errors import ConfigError, NumericError, check_labels, check_type
 from .layers import (Conv2d, Dense, Flatten, ReLU, cross_entropy, pack, softmax,
                      softmax_cross_entropy)
 
@@ -269,33 +270,13 @@ def build_model(arch_spec, seed: int = 0, input_shape: tuple[int, ...] | None = 
     return Model(arch_spec, input_shape, seed)
 
 
-def _checked_labels(model: Model, batch, labels) -> np.ndarray:
-    """``labels`` as an array, or ConfigError unless they are integers, one
-    per row of ``batch``, in [0, n_classes): a float, missing or surplus
-    label would otherwise index the logits wrongly or fail deep in numpy."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ConfigError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.shape != (len(batch),):
-        raise ConfigError(
-            f"labels of shape {labels.shape} for a batch of {len(batch)} rows; "
-            "give one label per row"
-        )
-    if len(labels) and (labels.min() < 0 or labels.max() >= model.n_classes):
-        raise ConfigError(
-            f"labels must lie in [0, {model.n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
-
 def compute_gradients(model: Model, batch: np.ndarray, labels: np.ndarray) -> float:
     """Recording forward plus backward pass: writes the mean cross-entropy
     gradient into ``model.grads`` and returns the loss; no update. Loss and
     gradient come from one shift, exp and row sum (``softmax_cross_entropy``),
     bit for bit what ``cross_entropy`` and ``softmax`` give. Backprop ends at
     the first trainable layer, which computes no input gradient."""
-    labels = _checked_labels(model, batch, labels)
+    labels = check_labels(labels, len(batch), model.n_classes)
     logits, _ = model._logits(batch, False, record=True)
     loss, grad = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
@@ -322,7 +303,7 @@ def evaluate(model: Model, samples: np.ndarray, labels: np.ndarray,
     is computed and the loss is None; the accuracy is the same."""
     if len(samples) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
-    labels = _checked_labels(model, samples, labels)
+    labels = check_labels(labels, len(samples), model.n_classes)
     losses = []
     correct = 0
     for start in range(0, len(samples), EVAL_ROWS):

@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit, and the type and range rules for config fields."""
+"""Exception types shared across the toolkit, the type and range rules for
+config fields, and the label rule (``check_labels``): labels are an integer
+array of shape (rows,) whose values lie in [0, n_classes)."""
 
 import dataclasses
 import functools
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class NeveError(Exception):
@@ -97,3 +101,19 @@ def check_fields(spec, prefix: str = "") -> None:
         for item in value if isinstance(value, tuple) else (value,):
             if allowed is not None and item is not None:
                 check_value(prefix + f.name, item, allowed)
+
+
+def check_labels(labels, rows: int, n_classes: int, prefix: str = "") -> np.ndarray:
+    """``labels`` as an array, or ConfigError (its message led by ``prefix``)
+    unless they are integers of shape (rows,) in [0, n_classes): a float,
+    missing, surplus or nested label would index the logits wrongly or fail deep in numpy."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ConfigError(f"{prefix}labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (rows,):
+        raise ConfigError(f"{prefix}labels of shape {labels.shape} for a batch of {rows} "
+                          "rows; give one label per row")
+    if rows and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ConfigError(f"{prefix}labels must lie in [0, {n_classes}), got range "
+                          f"[{labels.min()}, {labels.max()}]")
+    return labels

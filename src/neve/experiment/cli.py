@@ -220,8 +220,8 @@ def cmd_compare(args) -> int:
     variants = []
     for kind, frac in (("neve", 0.0), ("fixed", 0.0), ("step_decay", 0.0),
                        ("vloss", args.vloss_fraction)):
-        # int() raises on NaN; // 1 truncates as int() does and leaves NaN to the config check
-        variants.append((f"{kind} ({100 * frac // 1:.0f}% val)",
+        # rounded, as 100 * 0.29 is 28.999999999999996; NaN is left to the config check
+        variants.append((f"{kind} ({round(100 * frac, 6):g}% val)",
                          {"scheduler.kind": kind, "dataset.validation_fraction": frac}))
     base = resolve_config(args, variants)
     out, runs = _run_variants(args, base, variants, "summary.csv", "scheduler")

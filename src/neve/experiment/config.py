@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import get_origin
 
 from ..controller import SchedulerSpec
-from ..data import digits_max_shift
+from ..data import DIGITS_MAX_SHIFT
 from ..engine.optim import OptimizerSpec
-from ..errors import ConfigError, check_fields, check_type, field_types, within
+from ..errors import ConfigError, check_fields, check_type, check_value, field_types, within
 
 AUX_SOURCES = ("noise", "heldout", "train")
 AUGMENT_KINDS = ("none", "pad_crop_flip")
@@ -107,9 +107,8 @@ class DatasetSpec:
 
     def __post_init__(self):
         check_fields(self, "dataset.")
-        most = digits_max_shift()
-        if self.name == "digits" and not 0 <= self.shift <= most:
-            raise ConfigError(f"dataset.shift must lie in [0, {most}], got {self.shift}")
+        if self.name == "digits":
+            check_value("dataset.shift", self.shift, f"[0, {DIGITS_MAX_SHIFT}]")
         least = {"blobs": self.n_classes, "digits": 10}.get(self.name, 0)
         for key in ("n_samples", "test_samples"):
             if getattr(self, key) < least:

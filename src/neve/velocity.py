@@ -41,14 +41,13 @@ class ActivationSnapshot:
 
 def normalize_capture(raw: tuple[np.ndarray, ...], epoch: int) -> ActivationSnapshot:
     """Unit-normalize each neuron's row of a capture's (neurons, vector_len)
-    blocks; near-zero rows are zero-flagged and kept as zeros, not divided by ~0."""
+    blocks; near-zero rows are zero-flagged and divided by inf, not by ~0."""
     units = []
     flags = []
     for block in raw:
         norms = np.linalg.norm(block, axis=1)
         dead = norms < ZERO_NORM_EPS
-        safe = np.where(dead, 1.0, norms)
-        units.append(np.where(dead[:, None], 0.0, block / safe[:, None]))
+        units.append(block / np.where(dead, np.inf, norms)[:, None])   # a dead row: +-0
         flags.append(dead)
     return ActivationSnapshot(int(epoch), tuple(units), tuple(flags))
 

@@ -9,7 +9,8 @@ import pytest
 from neve.data import (AUGMENT_PAD, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                        load_idx, make_aux_from_samples, make_aux_noise, split,
                        standardize, write_idx)
-from neve.engine import Optimizer, OptimizerSpec, backward_and_step, build_model, evaluate
+from neve.engine import (Optimizer, OptimizerSpec, backward_and_step, build_model,
+                         compute_gradients, evaluate)
 from neve.errors import ConfigError, DataFormatError
 
 
@@ -19,6 +20,33 @@ class TestDataset:
         # split and subset would otherwise fail inside np.bincount
         with pytest.raises(ConfigError, match=r"^d: labels must be integers, got dtype"):
             Dataset("d", np.zeros((3, 2)), np.array(labels), 3)
+
+
+# malformed labels for 4 rows and 3 classes -> the rule's message, which
+# a Dataset prefixes with its name
+MALFORMED_LABELS = {
+    "float": ([0.0, 1.0, 2.0, 0.0], "labels must be integers, got dtype float64"),
+    "column": ([[0], [1], [2], [0]],
+               "labels of shape (4, 1) for a batch of 4 rows; give one label per row"),
+    "one short": ([0, 1, 2], "labels of shape (3,) for a batch of 4 rows; give one label per row"),
+    "negative": ([0, -1, 2, 0], "labels must lie in [0, 3), got range [-1, 2]"),
+    "n_classes": ([0, 1, 3, 0], "labels must lie in [0, 3), got range [0, 3]"),
+}
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+    @pytest.mark.parametrize("call", ["Dataset", "evaluate", "compute_gradients"])
+    def test_datasets_and_the_engine_share_one_rule(self, call, case):
+        labels, message = MALFORMED_LABELS[case]
+        samples, labels = np.zeros((4, 2)), np.array(labels)
+        with pytest.raises(ConfigError) as exc:
+            if call == "Dataset":
+                Dataset("d", samples, labels, 3)
+            else:
+                fn = evaluate if call == "evaluate" else compute_gradients
+                fn(build_model("mlp:2-4-3", seed=0), samples, labels)
+        assert str(exc.value) == ("d: " if call == "Dataset" else "") + message
 
 
 class TestBlobs:
@@ -95,6 +123,30 @@ class TestIdx:
         write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
         assert (tmp_path / "i.idx").read_bytes()[:4] == b"\x00\x00\x08\x03"
         assert (tmp_path / "l.idx").read_bytes()[:4] == b"\x00\x00\x08\x01"
+
+    @pytest.mark.parametrize("value", [1.5, -0.2, np.nan, np.inf])
+    def test_sample_outside_unit_range_rejected_before_writing(self, value, tmp_path):
+        # a u8 wraps it: 1.5 read back as 0.494 and -0.2 as 0.804
+        samples = np.full((2, 1, 2, 2), 0.5)
+        samples[1, 0, 1, 0] = value
+        ds = Dataset("bad", samples, np.array([0, 1]), 2)
+        with pytest.raises(ConfigError, match=r"^bad: IDX samples must lie in \[0, 1\], got "):
+            write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not any(tmp_path.iterdir())
+
+    def test_label_above_255_rejected_before_writing(self, tmp_path):
+        # a u8 wraps it: 299 read back as 43
+        ds = Dataset("big", np.zeros((2, 1, 2, 2)), np.array([0, 299]), 300)
+        with pytest.raises(ConfigError, match=r"^big: IDX labels must be at most 255, got 299$"):
+            write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not any(tmp_path.iterdir())
+
+    def test_range_ends_round_trip(self, tmp_path):
+        ds = Dataset("ends", np.array([0.0, 1.0]).reshape(2, 1, 1, 1), np.array([0, 255]), 256)
+        write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        assert back.samples.tobytes() == ds.samples.tobytes()
+        assert back.labels.tolist() == [0, 255] and back.n_classes == 256
 
     def test_wrong_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.idx"

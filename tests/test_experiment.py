@@ -852,6 +852,14 @@ class TestCli:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 4 schedulers
 
+    @pytest.mark.parametrize("frac,shown", [("0.29", "29"), ("0.125", "12.5")])
+    def test_compare_vloss_label_keeps_its_percent(self, frac, shown, tmp_path, capsys):
+        # 100 * 0.29 is 28.999999999999996, which truncation labelled 28%
+        assert main(["compare", *TINY_CLI, "--max-epochs", "2", "--vloss-fraction", frac,
+                     "--out", str(tmp_path)]) == 0
+        assert f"vloss ({shown}% val)" in capsys.readouterr().out
+        assert (tmp_path / f"run_vloss-{shown}-val_seed1.csv").exists()
+
     def test_epsilon_sweep_writes_curves(self, tmp_path, capsys):
         code = main(["epsilon-sweep", "--dataset", "blobs", "--n-samples", "200",
                      "--n-classes", "3", "--arch", "mlp:2-8-3", "--seeds", "1",
@@ -1361,10 +1369,12 @@ class TestFlags:
 
     @pytest.mark.parametrize("builder", ["optim_compare_args", "aux_sweep_args",
                                          "conv_geometry_args", "data_paths_args",
-                                         "output_formats_args", "epsilon_analysis_args"])
+                                         "output_formats_args", "epsilon_analysis_args",
+                                         "idx_data_args", "cifar_data_args"])
     @pytest.mark.filterwarnings("ignore:seed")
     def test_tool_commands_resolve(self, builder, tmp_path, monkeypatch):
         tool = _load("tools/run_workloads.py")
+        monkeypatch.chdir(tmp_path)       # the tool starts each run in its directory
         assert _run_untrained(getattr(tool, builder)(7, tmp_path), monkeypatch) == 0
 
     @pytest.mark.parametrize("command", sorted(REFUSED))

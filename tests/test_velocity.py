@@ -6,7 +6,8 @@ import pytest
 
 from neve.engine import Optimizer, OptimizerSpec, backward_and_step, build_model
 from neve.errors import ConfigError
-from neve.velocity import VelocityState, change_rate, normalize_capture, velocity_step
+from neve.velocity import (ZERO_NORM_EPS, ActivationSnapshot, VelocityState, change_rate,
+                           normalize_capture, velocity_step)
 
 
 def capture_of(*blocks):
@@ -39,6 +40,52 @@ class TestNormalize:
         snap = snapshot_of(0, rng.standard_normal((40, 17)))
         norms = np.linalg.norm(snap.units[0], axis=1)
         npt.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
+
+
+def reference_snapshot(raw, epoch):
+    """``normalize_capture`` in its earlier form: a safe divisor for the dead
+    rows, then a zero fill of them over the whole block."""
+    units, flags = [], []
+    for block in raw:
+        norms = np.linalg.norm(block, axis=1)
+        dead = norms < ZERO_NORM_EPS
+        safe = np.where(dead, 1.0, norms)
+        units.append(np.where(dead[:, None], 0.0, block / safe[:, None]))
+        flags.append(dead)
+    return ActivationSnapshot(epoch, tuple(units), tuple(flags))
+
+
+class TestDeadRows:
+    def test_rates_and_velocities_match_the_reference_bit_for_bit(self):
+        # per site, rows 0-1 stay live, row 2 dies at epoch 1, row 3 revives
+        # at epoch 2, rows 4-5 stay dead (one all zeros, one of tiny negatives)
+        rng = np.random.default_rng(11)
+        dead = {0: [3, 4, 5], 1: [2, 3, 4, 5], 2: [2, 4, 5]}
+        captures = []
+        for epoch in range(3):
+            blocks = []
+            for length in (7, 30):
+                block = rng.standard_normal((6, length))
+                block[dead[epoch]] *= 1e-15
+                block[4] = 0.0
+                block[5] = -np.abs(block[5])
+                blocks.append(block)
+            captures.append(tuple(blocks))
+        states = []
+        for normalize in (normalize_capture, reference_snapshot):
+            snaps = [normalize(raw, epoch) for epoch, raw in enumerate(captures)]
+            state = VelocityState.initial(12)
+            for prev, curr in zip(snaps, snaps[1:]):
+                state = velocity_step(state, change_rate(prev, curr))
+            states.append((snaps, state))
+        (snaps, state), (ref_snaps, ref_state) = states
+        assert state.rho.tobytes() == ref_state.rho.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+        assert state.history == ref_state.history
+        for snap, ref in zip(snaps, ref_snaps):
+            for units, ref_units, flags in zip(snap.units, ref.units, snap.zero_flags):
+                assert units[~flags].tobytes() == ref_units[~flags].tobytes()
+                assert (units[flags] == 0.0).all()
 
 
 class TestChangeRate:

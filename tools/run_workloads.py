@@ -28,10 +28,18 @@ file (written there) sets the integer learning rate ``"lr": 1``, so that
 an integer-valued rate cell and the dumps' line endings are compared; and
 an ``epsilon-analysis`` run whose chart goes to
 ``OUT/epsilon-analysis/eps.svg`` and whose printed table goes to
-``OUT/epsilon-analysis/table.txt``. Every other run's output is discarded.
+``OUT/epsilon-analysis/table.txt``. Two more runs read dataset files,
+which they first write from ``random.Random(seed)`` bytes, so that both
+trees read the same files: an ``idx-data`` ``train --dataset idx`` run
+with ``--subset`` on an IDX train and test pair of 8x8 images, and a
+``cifar-data`` ``train`` run whose config file names two CIFAR-10 train
+batches and a test batch; each trains a small MLP. Every run is started
+from its own ``OUT/<name>`` directory, and these two name their files and
+``--out`` relative to it, so ``config.json`` holds no OUT root. Every
+other run's output is discarded.
 Two such OUT directories, one per tree, are what
 ``tools/compare_outputs.py`` compares for the same-behaviour check.
-Exit status: 0 when every workload exits 0, else 1; 2 on a usage error.
+Exit status: 0 when every run exits 0, else 1; 2 on a usage error.
 Standard library only; nothing under ``perfbench/`` is written.
 """
 
@@ -41,6 +49,8 @@ import argparse
 import importlib.util
 import json
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +131,47 @@ def epsilon_analysis_args(seed: int, out_dir: Path) -> list[str]:
     return ["epsilon-analysis", "--eps-grid", "1e-4,1e-3,1e-2", "--svg", str(out_dir / "eps.svg")]
 
 
+def _shuffled_labels(rng: random.Random, n: int, n_classes: int) -> bytes:
+    """``n`` label bytes holding every class, in an order drawn from ``rng``."""
+    labels = [i % n_classes for i in range(n)]
+    rng.shuffle(labels)
+    return bytes(labels)
+
+
+def idx_data_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra idx-data run; writes its IDX files (300 train and
+    100 test 8x8 images, 4 classes) to ``out_dir`` and names them relative to it."""
+    rng = random.Random(seed)
+    for part, n in (("train", 300), ("test", 100)):
+        (out_dir / f"{part}-images.idx").write_bytes(
+            struct.pack(">IIII", 0x803, n, 8, 8) + rng.randbytes(n * 8 * 8))
+        (out_dir / f"{part}-labels.idx").write_bytes(
+            struct.pack(">II", 0x801, n) + _shuffled_labels(rng, n, 4))
+    return ["train", "--out", ".", "--seeds", str(3 * seed + 1), "--data-seed", str(seed),
+            "--aux-seed", str(seed), "--dataset", "idx",
+            "--train-images", "train-images.idx", "--train-labels", "train-labels.idx",
+            "--test-images", "test-images.idx", "--test-labels", "test-labels.idx",
+            "--subset", "200", "--arch", "mlp:64-16-4", "--batch-size", "32",
+            "--max-epochs", "4"]
+
+
+def cifar_data_args(seed: int, out_dir: Path) -> list[str]:
+    """argv of the extra cifar-data run; writes two CIFAR-10 train batches of
+    150 records, a test batch of 100 and a config file naming them to
+    ``out_dir``, each named relative to it."""
+    rng = random.Random(seed)
+    batches = {"train-1.bin": 150, "train-2.bin": 150, "test.bin": 100}
+    for name, n in batches.items():
+        (out_dir / name).write_bytes(b"".join(bytes([label]) + rng.randbytes(3 * 32 * 32)
+                                              for label in _shuffled_labels(rng, n, 10)))
+    (out_dir / "cifar_config.json").write_text(json.dumps(
+        {"dataset": {"name": "cifar10", "cifar_train_paths": ["train-1.bin", "train-2.bin"],
+                     "cifar_test_paths": ["test.bin"]}}))
+    return ["train", "--config", "cifar_config.json", "--out", ".",
+            "--seeds", str(3 * seed + 1), "--data-seed", str(seed), "--aux-seed", str(seed),
+            "--arch", "mlp:3072-16-10", "--batch-size", "50", "--max-epochs", "3"]
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path, help="neve source tree (holds src/neve)")
@@ -136,9 +187,10 @@ def main(argv: list[str]) -> int:
     failed = []
     extra = {"optim-compare": optim_compare_args, "aux-sweep": aux_sweep_args,
              "conv-geometry": conv_geometry_args, "data-paths": data_paths_args,
-             "output-formats": output_formats_args, "epsilon-analysis": epsilon_analysis_args}
+             "output-formats": output_formats_args, "epsilon-analysis": epsilon_analysis_args,
+             "idx-data": idx_data_args, "cifar-data": cifar_data_args}
     for name in (*workloads.WORKLOADS, *extra):
-        out_dir = args.out / name
+        out_dir = (args.out / name).resolve()
         out_dir.mkdir(parents=True, exist_ok=True)
         if name in extra:
             cli = extra[name](args.seed, out_dir)
@@ -148,7 +200,7 @@ def main(argv: list[str]) -> int:
         printed = out_dir / "table.txt" if name == "epsilon-analysis" else os.devnull
         with open(printed, "w") as stdout:
             proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *cli],
-                                  env=env, stdout=stdout)
+                                  env=env, stdout=stdout, cwd=out_dir)
         if proc.returncode != 0:
             print(f"{name}: exited with {proc.returncode}", file=sys.stderr)
             failed.append(name)
