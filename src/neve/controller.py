@@ -66,19 +66,19 @@ STOP = "stop"
 
 @dataclass(frozen=True)
 class ControllerDecision:
-    """Verdict for one epoch: continue, rescale (with the new lr) or stop."""
+    """Verdict for the new state's ``epoch``: continue, rescale (with the new lr) or stop."""
 
     verdict: str
-    epoch: int
     reason: str = ""
     new_lr: float | None = None
 
 
 class SchedulerState(NamedTuple):
     """What a scheduler carries between epochs, as an immutable record of
-    plain numbers; ``SchedulerState()`` starts a run. ``window``: the last
-    patience+1 model velocities (neve); ``best`` and the waits since an
-    improvement (``rescale_wait`` also resets on a rescale): vloss."""
+    plain numbers; ``SchedulerState()`` starts a run. neve: ``window``, the
+    last patience+1 model velocities, and ``last_rescale``, the epoch of its
+    last rescale (for the cooldown). vloss: ``best`` and the waits since an
+    improvement (``rescale_wait`` also resets on a rescale)."""
 
     epoch: int = 0
     window: tuple[float, ...] = ()
@@ -86,11 +86,6 @@ class SchedulerState(NamedTuple):
     best: float = math.inf
     rescale_wait: int = 0
     stop_wait: int = 0
-
-
-def _rescale(state, reason: str, new_lr: float):
-    return (state._replace(last_rescale=state.epoch),
-            ControllerDecision(RESCALE, state.epoch, reason, new_lr=new_lr))
 
 
 # Named for the velocity controller: the benchmark tracer times decisions under this name.
@@ -114,7 +109,7 @@ def neve_decide(sched, state: SchedulerState, signal,
         state = state._replace(epoch=epoch, window=window)
         if signal < sched.epsilon:
             return state, ControllerDecision(
-                STOP, epoch, f"model velocity {signal:.6g} < epsilon {sched.epsilon:.6g}")
+                STOP, f"model velocity {signal:.6g} < epsilon {sched.epsilon:.6g}")
         cooldown = sched.patience if sched.cooldown is None else sched.cooldown
         cooled = state.last_rescale is None or epoch - state.last_rescale >= cooldown
         if len(window) == sched.patience + 1 and cooled:
@@ -123,12 +118,13 @@ def neve_decide(sched, state: SchedulerState, signal,
             if span <= sched.plateau_rel_span * mean:
                 if sched.min_lr is not None and lr <= sched.min_lr:
                     return state, ControllerDecision(
-                        CONTINUE, epoch, f"plateau but lr already at floor {sched.min_lr:g}")
+                        CONTINUE, f"plateau but lr already at floor {sched.min_lr:g}")
                 new_lr = sched.alpha * lr
                 if sched.min_lr is not None:
                     new_lr = max(new_lr, sched.min_lr)
-                return _rescale(state, f"velocity plateau: span {span:.6g} <= "
-                                       f"{sched.plateau_rel_span:g} * mean {mean:.6g}", new_lr)
+                return state._replace(last_rescale=epoch), ControllerDecision(
+                    RESCALE, f"velocity plateau: span {span:.6g} <= "
+                             f"{sched.plateau_rel_span:g} * mean {mean:.6g}", new_lr=new_lr)
     elif kind == "vloss":
         if signal < state.best:
             state = state._replace(epoch=epoch, best=signal, rescale_wait=0, stop_wait=0)
@@ -137,16 +133,17 @@ def neve_decide(sched, state: SchedulerState, signal,
                                    stop_wait=state.stop_wait + 1)
         if state.stop_wait >= sched.stop_patience:
             return state, ControllerDecision(
-                STOP, epoch, f"validation loss flat for {state.stop_wait} epochs")
+                STOP, f"validation loss flat for {state.stop_wait} epochs")
         if state.rescale_wait >= sched.vloss_patience:
-            return _rescale(state._replace(rescale_wait=0),
-                            f"validation loss flat for {state.rescale_wait} epochs",
-                            sched.factor * lr)
+            return state._replace(rescale_wait=0), ControllerDecision(
+                RESCALE, f"validation loss flat for {state.rescale_wait} epochs",
+                new_lr=sched.factor * lr)
     else:
         state = state._replace(epoch=epoch)
         if kind == "step_decay" and epoch in sched.milestones:
-            return _rescale(state, f"step-decay milestone at epoch {epoch}", sched.factor * lr)
-    return state, ControllerDecision(CONTINUE, epoch)
+            return state, ControllerDecision(
+                RESCALE, f"step-decay milestone at epoch {epoch}", new_lr=sched.factor * lr)
+    return state, ControllerDecision(CONTINUE)
 
 
 def baseline_decide(cfg: SchedulerSpec, signals, lr: float,
@@ -185,7 +182,6 @@ def replay_neve_decisions(signals, sched, initial_lr: float) -> list[ControllerD
 class EpsilonAnalysis:
     """Worst-case softmax output variation when the head velocity is epsilon."""
 
-    epsilon: float
     p_star: float      # argmax probability: (1 - eps)^(1/eps)
     max_delta: float   # p_star * ((1 - eps)^(-1) - 1)
 
@@ -205,4 +201,4 @@ def epsilon_analysis(epsilon: float) -> EpsilonAnalysis:
     # (1 - eps)^(1/eps) via exp(log1p(-eps)/eps) keeps small-eps accuracy
     p_star = math.exp(math.log1p(-epsilon) / epsilon)
     max_delta = p_star * (epsilon / (1.0 - epsilon))
-    return EpsilonAnalysis(epsilon, p_star, max_delta)
+    return EpsilonAnalysis(p_star, max_delta)

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, check_labels, check_value
 
 IDX_DTYPE_U8 = 0x08
-IDX_IMAGE_MAGIC = 0x00000803   # u8, 3 dimensions
-IDX_LABEL_MAGIC = 0x00000801   # u8, 1 dimension
 
 
 @dataclass(frozen=True)
@@ -228,29 +226,6 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     samples = images.astype(np.float64)[:, None, :, :] / 255.0
     n_classes = int(labels.max()) + 1
     return Dataset(name, samples, labels.astype(np.int64), n_classes)
-
-
-def write_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Write a grayscale image dataset as an IDX pair: (n, 1, h, w) samples in
-    [0, 1], scaled to u8, and labels of at most 255. A u8 would wrap any other
-    value, so one raises ConfigError naming the dataset before a file is written."""
-    samples = dataset.samples
-    if samples.ndim != 4 or samples.shape[1] != 1:
-        raise ConfigError(f"IDX writer needs (n, 1, h, w) samples, got {samples.shape}")
-    if samples.size and not 0 <= samples.min() <= samples.max() <= 1:   # NaN fails too
-        raise ConfigError(f"{dataset.name}: IDX samples must lie in [0, 1], got range "
-                          f"[{samples.min()}, {samples.max()}]")
-    if len(dataset.labels) and dataset.labels.max() > 255:
-        raise ConfigError(
-            f"{dataset.name}: IDX labels must be at most 255, got {dataset.labels.max()}")
-    images = np.round(samples[:, 0] * 255.0).astype(np.uint8)
-    n, h, w = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes

@@ -85,12 +85,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Across-seed statistics; std is the population standard deviation
-    (reported as 0 for a single seed)."""
+    """Mean and population std (0 for one seed) of the final test accuracy and
+    epoch over the seeds that did not fail; ``failures`` names the others."""
 
     label: str
     seeds: tuple
-    test_accs: tuple
     mean_acc: float
     std_acc: float
     mean_stop: float
@@ -293,9 +292,8 @@ def summarize_results(label: str, results) -> RunSummary:
         mean_stop, std_stop = float(np.mean(stops)), float(np.std(stops))
     else:
         mean_acc = std_acc = mean_stop = std_stop = float("nan")
-    return RunSummary(label=label, seeds=tuple(r.seed for r in results), test_accs=tuple(accs),
-                      mean_acc=mean_acc, std_acc=std_acc, mean_stop=mean_stop, std_stop=std_stop,
-                      failures=tuple(failures))
+    return RunSummary(label, tuple(r.seed for r in results), mean_acc, std_acc,
+                      mean_stop, std_stop, tuple(failures))
 
 
 def emit_plots(result: RunResult, out_dir, tag: str = "") -> list:

@@ -41,6 +41,16 @@ def test_numeric_drift_reported_per_column(tmp_path, capsys):
     assert out.splitlines()[-1] == "decision, learning_rate and accuracy columns match"
 
 
+def test_largest_relative_and_absolute_differences_named_apart(tmp_path, capsys):
+    # a near-zero v holds the largest relative difference, the loss the largest absolute one
+    a = write_run(tmp_path / "a", ["1,0.5,0.9,0.1,continue,1\n"], velocity="0,0.5,1e-16\n")
+    b = write_run(tmp_path / "b", ["1,0.50001,0.9,0.1,continue,1\n"], velocity="0,0.5,5e-16\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "differ; largest relative difference 0.8 (velocity_seed1/velocity_epoch0001.csv: v); "
+        "largest absolute difference 1e-05 (run_seed1.csv: train_loss)")
+
+
 @pytest.mark.parametrize("row", ["1,0.5,0.9,0.05,rescale,1\n", "1,0.5,0.8,0.1,continue,1\n"])
 def test_changed_key_column_flagged(tmp_path, capsys, row):
     a = write_run(tmp_path / "a", ["1,0.5,0.9,0.1,continue,1\n"])

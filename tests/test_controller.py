@@ -35,9 +35,9 @@ def decide(history, cfg=DEFAULTS, lr=0.1, last_rescale=None):
 
 class TestNeveDecide:
     def test_stop_below_epsilon(self):
-        d = decide([0.5, 0.2, 9e-4])
+        state, d = neve_decide(DEFAULTS, SchedulerState(epoch=2, window=(0.5, 0.2)), 9e-4, 0.1)
         assert d.verdict == "stop"
-        assert d.epoch == 3
+        assert state.epoch == 3
 
     def test_plateau_triggers_rescale(self):
         window = [0.200, 0.201, 0.199, 0.2005, 0.2002, 0.1998]
@@ -214,6 +214,18 @@ class TestBaselines:
         d = baseline_decide(cfg, series, 0.1, 6)
         assert d.verdict == "rescale"
         assert d.new_lr == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("sched,signal", [
+        (SchedulerSpec(kind="vloss", vloss_patience=1), 0.7),
+        (SchedulerSpec(kind="step_decay", milestones=(2,)), None)])
+    def test_baseline_rescale_leaves_last_rescale_unset(self, sched, signal):
+        # last_rescale feeds neve's cooldown only, so the other kinds never write it
+        state, verdicts = SchedulerState(), []
+        for _ in range(2):
+            state, d = neve_decide(sched, state, signal, 0.1)
+            verdicts.append(d.verdict)
+        assert verdicts == ["continue", "rescale"]
+        assert state.last_rescale is None
 
     def test_vloss_stops_after_stop_patience(self):
         cfg = SchedulerSpec(kind="vloss", vloss_patience=5, stop_patience=10)

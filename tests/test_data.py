@@ -8,10 +8,11 @@ import pytest
 
 from neve.data import (AUGMENT_PAD, Dataset, augment, gen_blobs, gen_digits, load_cifar10,
                        load_idx, make_aux_from_samples, make_aux_noise, split,
-                       standardize, write_idx)
+                       standardize)
 from neve.engine import (Optimizer, OptimizerSpec, backward_and_step, build_model,
                          compute_gradients, evaluate)
 from neve.errors import ConfigError, DataFormatError
+from tests.idx_files import write_idx_pair
 
 
 class TestDataset:
@@ -111,41 +112,31 @@ class TestDigits:
 
 
 class TestIdx:
+    @staticmethod
+    def _write_zeros(tmp_path, n, h=28, w=28, tag=""):
+        return write_idx_pair(tmp_path / f"i{tag}.idx", tmp_path / f"l{tag}.idx",
+                              np.zeros((n, h, w), np.uint8), np.zeros(n, np.uint8))
+
     def test_round_trip_bit_identical(self, tmp_path):
         ds = gen_digits(30, seed=2)
-        write_idx(ds, tmp_path / "imgs.idx", tmp_path / "labels.idx")
-        back = load_idx(tmp_path / "imgs.idx", tmp_path / "labels.idx")
+        images, labels = write_idx_pair(tmp_path / "imgs.idx", tmp_path / "labels.idx",
+                                        np.round(ds.samples[:, 0] * 255.0).astype(np.uint8),
+                                        ds.labels.astype(np.uint8))
+        back = load_idx(images, labels)
         assert back.samples.tobytes() == ds.samples.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
     def test_magic_bytes(self, tmp_path):
-        ds = gen_digits(10, seed=1)
-        write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        assert (tmp_path / "i.idx").read_bytes()[:4] == b"\x00\x00\x08\x03"
-        assert (tmp_path / "l.idx").read_bytes()[:4] == b"\x00\x00\x08\x01"
-
-    @pytest.mark.parametrize("value", [1.5, -0.2, np.nan, np.inf])
-    def test_sample_outside_unit_range_rejected_before_writing(self, value, tmp_path):
-        # a u8 wraps it: 1.5 read back as 0.494 and -0.2 as 0.804
-        samples = np.full((2, 1, 2, 2), 0.5)
-        samples[1, 0, 1, 0] = value
-        ds = Dataset("bad", samples, np.array([0, 1]), 2)
-        with pytest.raises(ConfigError, match=r"^bad: IDX samples must lie in \[0, 1\], got "):
-            write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        assert not any(tmp_path.iterdir())
-
-    def test_label_above_255_rejected_before_writing(self, tmp_path):
-        # a u8 wraps it: 299 read back as 43
-        ds = Dataset("big", np.zeros((2, 1, 2, 2)), np.array([0, 299]), 300)
-        with pytest.raises(ConfigError, match=r"^big: IDX labels must be at most 255, got 299$"):
-            write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        assert not any(tmp_path.iterdir())
+        images, labels = self._write_zeros(tmp_path, 10)
+        assert images.read_bytes()[:4] == b"\x00\x00\x08\x03"
+        assert labels.read_bytes()[:4] == b"\x00\x00\x08\x01"
 
     def test_range_ends_round_trip(self, tmp_path):
-        ds = Dataset("ends", np.array([0.0, 1.0]).reshape(2, 1, 1, 1), np.array([0, 255]), 256)
-        write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        assert back.samples.tobytes() == ds.samples.tobytes()
+        images, labels = write_idx_pair(tmp_path / "i.idx", tmp_path / "l.idx",
+                                        np.array([0, 255], np.uint8).reshape(2, 1, 1),
+                                        np.array([0, 255], np.uint8))
+        back = load_idx(images, labels)
+        assert back.samples.tobytes() == np.array([0.0, 1.0]).reshape(2, 1, 1, 1).tobytes()
         assert back.labels.tolist() == [0, 255] and back.n_classes == 256
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -154,52 +145,52 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="magic"):
             load_idx(p, p)
 
+    def test_truncated_header_is_format_error(self, tmp_path):
+        p = tmp_path / "short.idx"
+        p.write_bytes(b"\x00\x00\x08\x03\x00\x00")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: truncated header"):
+            load_idx(p, p)
+
+    @pytest.mark.parametrize("swap,message", [
+        ("images", "expected 3-d image data, got 1-d"),
+        ("labels", "expected 1-d label data, got 3-d"),
+    ])
+    def test_swapped_files_rejected_by_dimensionality(self, tmp_path, swap, message):
+        images, labels = self._write_zeros(tmp_path, 4)
+        args = (labels, labels) if swap == "images" else (images, images)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(args[0]))}: {message}$"):
+            load_idx(*args)
+
     def test_truncated_file_is_format_error(self, tmp_path):
-        ds = gen_digits(10, seed=1)
-        write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        blob = (tmp_path / "i.idx").read_bytes()
+        images, labels = self._write_zeros(tmp_path, 10)
+        blob = images.read_bytes()
         (tmp_path / "trunc.idx").write_bytes(blob[:len(blob) // 2])
         with pytest.raises(DataFormatError, match="bytes"):
-            load_idx(tmp_path / "trunc.idx", tmp_path / "l.idx")
+            load_idx(tmp_path / "trunc.idx", labels)
 
     def test_length_mismatch(self, tmp_path):
-        a = gen_digits(10, seed=1)
-        b = gen_digits(20, seed=1)
-        write_idx(a, tmp_path / "i10.idx", tmp_path / "l10.idx")
-        write_idx(b, tmp_path / "i20.idx", tmp_path / "l20.idx")
+        images10, _ = self._write_zeros(tmp_path, 10, tag="10")
+        _, labels20 = self._write_zeros(tmp_path, 20, tag="20")
         with pytest.raises(DataFormatError, match="images vs"):
-            load_idx(tmp_path / "i10.idx", tmp_path / "l20.idx")
+            load_idx(images10, labels20)
 
     def test_pixel_255_scales_to_one(self, tmp_path):
-        import struct
-        img = np.full((1, 2, 2), 255, dtype=np.uint8)
-        with open(tmp_path / "i.idx", "wb") as f:
-            f.write(struct.pack(">IIII", 0x803, 1, 2, 2))
-            f.write(img.tobytes())
-        with open(tmp_path / "l.idx", "wb") as f:
-            f.write(struct.pack(">II", 0x801, 1))
-            f.write(b"\x07")
-        ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        images, labels = write_idx_pair(tmp_path / "i.idx", tmp_path / "l.idx",
+                                        np.full((1, 2, 2), 255, np.uint8),
+                                        np.array([7], np.uint8))
+        ds = load_idx(images, labels)
         assert ds.samples.max() == 1.0
         assert ds.labels[0] == 7
 
-    @staticmethod
-    def _write_pair(tmp_path, n, h, w):
-        import struct
-        (tmp_path / "i.idx").write_bytes(struct.pack(">IIII", 0x803, n, h, w)
-                                         + bytes(n * h * w))
-        (tmp_path / "l.idx").write_bytes(struct.pack(">II", 0x801, n) + bytes(n))
-        return tmp_path / "i.idx", tmp_path / "l.idx"
-
     def test_zero_items_name_the_label_file(self, tmp_path):
         # once a bare ValueError from the maximum of an empty label array
-        images, labels = self._write_pair(tmp_path, 0, 28, 28)
+        images, labels = self._write_zeros(tmp_path, 0)
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(labels))}: no items"):
             load_idx(images, labels)
 
     @pytest.mark.parametrize("h,w", [(0, 28), (28, 0), (0, 0)])
     def test_zero_size_images_name_the_image_file(self, tmp_path, h, w):
-        images, labels = self._write_pair(tmp_path, 3, h, w)
+        images, labels = self._write_zeros(tmp_path, 3, h, w)
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(images))}: images of zero"):
             load_idx(images, labels)
 

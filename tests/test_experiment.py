@@ -5,6 +5,7 @@ of epochs) so the whole module stays fast; the heavier end-to-end
 behavior lives in the acceptance suite.
 """
 
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 
 from neve.controller import SchedulerState, neve_decide
-from neve.data import Dataset, write_idx
 from neve.engine import evaluate
 from neve.engine import model as model_mod
 from neve.errors import ConfigError, NumericError
@@ -34,6 +34,7 @@ from neve.experiment import (AuxSpec, DatasetSpec, ExperimentConfig, OptimizerSp
 from neve.experiment.cli import FLAGS, build_parser, main, resolve_config
 from neve.experiment.config import field_types
 from neve.experiment.runner import RunResult, load_dataset
+from tests.idx_files import write_idx_pair
 
 
 def _item_type(hint):
@@ -328,10 +329,10 @@ class TestRunTraining:
         rng = np.random.default_rng(0)
         paths = {}
         for split, classes in (("train", train_classes), ("test", test_classes)):
-            labels = np.arange(12) % classes
-            ds = Dataset(split, rng.random((12, 1, 4, 4)), labels, classes)
-            paths[split] = (tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx")
-            write_idx(ds, *paths[split])
+            paths[split] = write_idx_pair(
+                tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx",
+                rng.integers(0, 256, (12, 4, 4), dtype=np.uint8),
+                (np.arange(12) % classes).astype(np.uint8))
         cfg = tiny_cfg(
             dataset={"name": "idx", "train_images": str(paths["train"][0]),
                      "train_labels": str(paths["train"][1]),
@@ -457,11 +458,11 @@ class TestDatasetCache:
     def test_rewritten_idx_files_reloaded(self, tmp_path):
         paths = [tmp_path / name for name in
                  ("train-images", "train-labels", "test-images", "test-labels")]
-        images = np.random.default_rng(0).random((12, 1, 4, 4))
+        images = np.random.default_rng(0).integers(0, 256, (12, 4, 4), dtype=np.uint8)
         for shift in (0, 1):
-            labels = (np.arange(12) + shift) % 3
-            write_idx(Dataset("train", images, labels, 3), *paths[:2])
-            write_idx(Dataset("test", images, labels, 3), *paths[2:])
+            labels = ((np.arange(12) + shift) % 3).astype(np.uint8)
+            write_idx_pair(*paths[:2], images, labels)
+            write_idx_pair(*paths[2:], images, labels)
             if shift:
                 # same sizes; move the times on, as a write on a coarse clock may not
                 for path in paths:
@@ -536,7 +537,7 @@ class TestSuite:
         result = run_training(tiny_cfg(max_epochs=5, scheduler={"kind": "fixed"}), seed=1)
         summary = summarize_results("fixed", [result])
         assert summary.seeds == (1,)
-        assert summary.test_accs == (result.final.test_acc,)
+        assert summary.mean_acc == result.final.test_acc
         assert summary.std_acc == 0.0
         assert summary.std_stop == 0.0
 
@@ -552,7 +553,7 @@ class TestSuite:
             summary = summarize_results("x", [self.fake(1), self.fake(2, error="boom")])
         assert summary.seeds == (1, 2)
         assert summary.failures == ((2, "boom"),)
-        assert summary.test_accs == (0.5,)
+        assert summary.mean_acc == 0.5
 
     def test_seeds_are_the_results_own(self):
         summary = summarize_results("x", [self.fake(9), self.fake(4)])
@@ -613,7 +614,7 @@ class TestReplay:
     def test_replay_reproduces_every_decision(self, recorded_run):
         cfg, res, signals = recorded_run
         replayed = replay_neve_decisions(signals, cfg.scheduler_config(), cfg.optimizer.lr)
-        assert replayed == res.decisions      # verdict, epoch, reason and new_lr
+        assert replayed == res.decisions      # verdict, reason and new_lr
         verdicts = {d.verdict for d in res.decisions}
         assert "rescale" in verdicts or cfg.scheduler.kind == "fixed"
         assert ("stop" in verdicts) == (cfg.scheduler.kind in ("neve", "vloss"))
@@ -681,9 +682,8 @@ class TestCsv:
 
     def test_summary_cells_are_repr_floats(self, tmp_path):
         from neve.experiment.cli import _write_summary_csv
-        summaries = [runner.RunSummary("eps=0.001", (1, 2), (0.5, 1 / 3), 5 / 12, 1 / 12,
-                                       3.5, 0.5),
-                     runner.RunSummary("neve", (3,), (), *[float("nan")] * 4)]
+        summaries = [runner.RunSummary("eps=0.001", (1, 2), 5 / 12, 1 / 12, 3.5, 0.5),
+                     runner.RunSummary("neve", (3,), *[float("nan")] * 4)]
         _write_summary_csv(tmp_path / "summary.csv", summaries)
         assert (tmp_path / "summary.csv").read_bytes() == (
             b"label,mean_test_acc,std_test_acc,mean_stop_epoch,std_stop_epoch,seeds\n"
@@ -1018,8 +1018,8 @@ class TestCli:
             flags = ["--arch", "mlp:16-2"]
             for part in ("train", "test"):
                 images, labels = tmp_path / f"{part}-images", tmp_path / f"{part}-labels"
-                write_idx(Dataset(part, np.zeros((10, 1, 4, 4)), np.arange(10) % 2, 2),
-                          images, labels)
+                write_idx_pair(images, labels, np.zeros((10, 4, 4), np.uint8),
+                               (np.arange(10) % 2).astype(np.uint8))
                 flags += [f"--{part}-images", str(images), f"--{part}-labels", str(labels)]
         else:
             flags = [*TINY_CLI, *flags]
@@ -1303,8 +1303,8 @@ class TestFlags:
         paths = {key: tmp_path / key for key in
                  ("train_images", "train_labels", "test_images", "test_labels")}
         for part in ("train", "test"):
-            write_idx(Dataset(part, np.zeros((10, 1, 4, 4)), np.arange(10) % 2, 2),
-                      paths[f"{part}_images"], paths[f"{part}_labels"])
+            write_idx_pair(paths[f"{part}_images"], paths[f"{part}_labels"],
+                           np.zeros((10, 4, 4), np.uint8), (np.arange(10) % 2).astype(np.uint8))
         paths[missing] = tmp_path / "nope" / "a"
         out = tmp_path / "out"
         argv = ["train", "--dataset", "idx", "--arch", "mlp:16-2", "--out", str(out)]
@@ -1404,3 +1404,61 @@ class TestFlags:
         assert main([command, flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} is refused by {command}: ")
         assert not out.exists()
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):      # numpy before 1.25 has no mode argument
+        return "unknown"
+
+
+# One seed-1 digits neve run; the README states the contract. Measured over
+# seeds 1-16 at one and two OpenBLAS threads (OpenBLAS 0.3.31, 2 cores):
+# every decision, learning rate, epoch and accuracy matched; the largest
+# relative difference was 3.6e-15 in a loss and 1.0e-13 in model_velocity,
+# the largest absolute one 1.2e-14 in the dumps' rho and v. The bounds sit
+# about ten times above. v is bounded absolutely: a frozen neuron's v sits
+# near 1e-16, where 4.8e-16 apart already reads as 1 relative.
+THREAD_REL_BOUND = 1e-12
+THREAD_ABS_BOUND = 1e-13
+THREAD_RUN = ["train", "--dataset", "digits", "--noise", "0.3", "--n-samples", "600",
+              "--test-samples", "200", "--arch", "mlp:784-128-64-10", "--batch-size", "128",
+              "--max-epochs", "10", "--lr", "0.05", "--val-fraction", "0.2",
+              "--probe", "noise,heldout", "--dump-velocity", "--epsilon", "1e-3", "--seeds", "1"]
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                    reason=f"OPENBLAS_NUM_THREADS sets nothing for numpy's BLAS {_blas_name()}")
+class TestThreadCount:
+    @staticmethod
+    def _read(path):
+        with open(path) as f:
+            return list(csv.DictReader(f))
+
+    def test_one_and_two_threads_agree(self, tmp_path):
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(REPO / "src"))
+            proc = subprocess.run([sys.executable, "-m", "neve.experiment.cli", *THREAD_RUN,
+                                   "--out", str(out)], env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = out
+        one, two = (self._read(runs[t] / "run_seed1.csv") for t in ("1", "2"))
+        exact = ("epoch", "train_acc", "test_acc", "learning_rate", "decision")
+        assert [[r[k] for k in exact] for r in one] == [[r[k] for k in exact] for r in two]
+        assert one[-1]["decision"] == "stop"
+        for column in ("train_loss", "test_loss", "val_loss", "model_velocity"):
+            a, b = (np.array([float(r[column]) for r in rows]) for rows in (one, two))
+            assert np.all(np.abs(a - b) <= THREAD_REL_BOUND * np.maximum(abs(a), abs(b))), column
+        dumps = sorted(p.name for p in (runs["1"] / "velocity_seed1").iterdir())
+        assert dumps == sorted(p.name for p in (runs["2"] / "velocity_seed1").iterdir())
+        assert len(dumps) == len(one)
+        for name in dumps:
+            a, b = (self._read(runs[t] / "velocity_seed1" / name) for t in ("1", "2"))
+            assert [r["neuron_id"] for r in a] == [r["neuron_id"] for r in b]
+            for column in ("rho", "v"):
+                diff = [abs(float(x[column]) - float(y[column])) for x, y in zip(a, b)]
+                assert max(diff) <= THREAD_ABS_BOUND, (name, column, max(diff))

@@ -10,10 +10,13 @@ setting aside only the ``wall_seconds`` cell; every other file
 "identical", or with the largest relative and absolute difference of each
 numeric column that differs; a JSON file whose bytes differ also gets
 one line per dotted key that was removed, added or changed, with both
-values. The last line says whether the decision, learning-rate and
-accuracy columns match exactly. Exit status: 0 when every file is
-identical, 1 when any differs, 2 on a usage error or when neither
-directory holds a CSV file. Standard library only.
+values. When files differ, the next-to-last line names the largest
+relative and the largest absolute difference, each with its file and
+column (a cell near zero, such as a frozen neuron's ``v``, can differ
+by 1 relative at 1e-16 absolute). The last line says whether the
+decision, learning-rate and accuracy columns match exactly. Exit
+status: 0 when every file is identical, 1 when any differs, 2 on a usage
+error or when neither directory holds a CSV file. Standard library only.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def main(argv: list[str]) -> int:
         return 2
     same = files_a == files_b
     keys_match = csvs <= files_a & files_b
-    worst = (0.0, "")
+    worst_rel = worst_abs = (0.0, "")
     for rel in sorted(files_a ^ files_b):
         print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
     for rel in sorted(files_a & files_b):
@@ -135,13 +138,16 @@ def main(argv: list[str]) -> int:
                 parts.append(f"{name} differs")
             else:
                 parts.append(f"{name} max rel diff {d[0]:.3g} (abs {d[1]:.3g})")
-                worst = max(worst, (d[0], f"{rel}: {name}"))
+                worst_rel = max(worst_rel, (d[0], f"{rel}: {name}"))
+                worst_abs = max(worst_abs, (d[1], f"{rel}: {name}"))
         print(f"{rel}: " + "; ".join(parts))
     if same:
         print(f"identical ({len(csvs)} CSV files, wall_seconds ignored; "
               f"{len(files_a) - len(csvs)} other files byte for byte)")
         return 0
-    print(f"differ; largest relative difference {worst[0]:.3g} ({worst[1] or 'none numeric'})")
+    print("differ; " + "; ".join(
+        f"largest {kind} difference {value:.3g} ({where or 'none numeric'})"
+        for kind, (value, where) in (("relative", worst_rel), ("absolute", worst_abs))))
     print("decision, learning_rate and accuracy columns "
           + ("match" if keys_match else "DO NOT match"))
     return 1
